@@ -34,7 +34,6 @@ from .densities import (
     reconstruct_base,
     simplest_rational_in,
     snap_to_simple_rational,
-    table_from_json_dict,
     table_to_json_dict,
 )
 from .errors import (

@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import math
-import os
 import random
 import sys
 from dataclasses import dataclass, field
@@ -25,11 +24,8 @@ import click
 
 from .asymptotics import asymptotic_quantifiers, closed_form, quantifiers_via_sums
 from .densities import (
-    DEFAULT_SCALES,
-    DensityTable,
     dens_K,
     reconstruct_base,
-    table_from_json_dict,
     table_to_json_dict,
 )
 from .errors import DomainError, ParseError, SubstRQAError
@@ -49,6 +45,10 @@ HELP_SETTINGS = {"help_option_names": ["--help"]}
 
 FORMATS = click.Choice(["text", "json", "csv"])
 QUANTITIES = ("RR", "DET", "Lavg", "ENT", "C")
+# Kept so existing invocations (`verify --no-cache`) still parse.
+NO_CACHE = click.option(
+    "--no-cache", is_flag=True, help="Accepted and ignored; nothing is cached on disk."
+)
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,6 @@ class RunConfig:
     scales: tuple[int, ...] = ()
     lmax: int = 64
     fmt: str = "text"
-    use_cache: bool = True
-    cache_dir: str | None = None
     seed: int = 0
     log_base: str = "e"
     render_format: str = "ascii"
@@ -84,6 +82,8 @@ class RunConfig:
             raise DomainError("give either -h or --eps, not both")
         if self.n is not None and self.n < 2:
             raise DomainError(f"plot size must be at least 2, got {self.n}")
+        if self.lmax < 1:
+            raise DomainError(f"lmax must be >= 1, got {self.lmax}")
 
     def resolve_threshold(self) -> tuple[int, str | None]:
         """Effective dyadic exponent plus a quantization note for --eps."""
@@ -107,43 +107,6 @@ def _dispatch(runner, **options) -> None:
 
 
 # -- shared plumbing ---------------------------------------------------------
-
-
-def _cache_dir(config: RunConfig) -> Path | None:
-    if not config.use_cache:
-        return None
-    if config.cache_dir:
-        return Path(config.cache_dir)
-    env = os.environ.get("SUBSTRQA_CACHE_DIR")
-    if env:
-        return Path(env)
-    root = os.environ.get("XDG_CACHE_HOME") or os.path.join(
-        os.path.expanduser("~"), ".cache"
-    )
-    return Path(root) / "substrqa"
-
-
-def _load_table(sub: Substitution, config: RunConfig) -> DensityTable:
-    """Density table via the disk cache; cached values are trusted as-is
-    (verify compares them against the pinned goldens)."""
-    scales = tuple(config.scales) or DEFAULT_SCALES
-    directory = _cache_dir(config)
-    if directory is None:
-        return reconstruct_base(sub, scales=scales)
-    path = directory / (
-        f"dens-{sub.image0}-{sub.image1}-{scales[0]}-{scales[1]}.json"
-    )
-    if path.exists():
-        try:
-            table = table_from_json_dict(json.loads(path.read_text()))
-            if table.subst == sub:
-                return table
-        except (ValueError, KeyError, TypeError):
-            click.echo(f"note: unreadable cache {path}, recomputing", err=True)
-    table = reconstruct_base(sub, scales=scales)
-    directory.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(table_to_json_dict(table)))
-    return table
 
 
 def _empirical_report(
@@ -328,7 +291,7 @@ def run_densities(config: RunConfig) -> int:
             f"density tables exist for primitive aperiodic substitutions, "
             f"got {cls.kind.value}"
         )
-    table = _load_table(cls.normalized, config)
+    table = reconstruct_base(cls.normalized)
     values = {l: dens_K(table, l) for l in range(1, config.lmax + 1)}
     if config.fmt == "json":
         payload = {
@@ -528,7 +491,7 @@ def _verify_golden(golden: _Golden, config: RunConfig) -> list[tuple[str, bool, 
     )
     checks.append((f"{name}/constants", got == golden.constants, f"{got} vs {golden.constants}"))
 
-    table = _load_table(cls.normalized, config)
+    table = reconstruct_base(cls.normalized)
     ok = table.base == golden.base
     detail = "all base densities match"
     if not ok:
@@ -636,16 +599,6 @@ def _scales_callback(ctx, param, value):
         raise click.BadParameter(f"expected comma-separated integers, got {value!r}") from exc
 
 
-def _common_cache(fn):
-    fn = click.option("--no-cache", is_flag=True, help="Skip the on-disk density cache.")(fn)
-    fn = click.option(
-        "--cache-dir",
-        default=None,
-        help="Density cache directory (default: $SUBSTRQA_CACHE_DIR or ~/.cache/substrqa).",
-    )(fn)
-    return fn
-
-
 @click.group(context_settings=HELP_SETTINGS)
 def main():
     """Recurrence quantification of binary constant-length substitutions."""
@@ -669,8 +622,8 @@ def classify(spec, fmt):
 @click.option("--asymptotic", is_flag=True, help="Also (or only) compute the exact limit.")
 @click.option("--format", "fmt", type=FORMATS, default="text", help="Output format.")
 @click.option("--log-base", type=click.Choice(["e", "2"]), default="e", help="Entropy display base.")
-@_common_cache
-def analyze(spec, m, lmin, h, eps, n, asymptotic, fmt, log_base, no_cache, cache_dir):
+@NO_CACHE
+def analyze(spec, m, lmin, h, eps, n, asymptotic, fmt, log_base, no_cache):
     """Compute recurrence quantifiers of SPEC, finite-size and/or limiting."""
     _dispatch(
         run_analyze,
@@ -684,8 +637,6 @@ def analyze(spec, m, lmin, h, eps, n, asymptotic, fmt, log_base, no_cache, cache
         asymptotic=asymptotic,
         fmt=fmt,
         log_base=log_base,
-        use_cache=not no_cache,
-        cache_dir=cache_dir,
     )
 
 
@@ -693,8 +644,8 @@ def analyze(spec, m, lmin, h, eps, n, asymptotic, fmt, log_base, no_cache, cache
 @click.argument("spec")
 @click.option("--lmax", type=int, default=64, help="Largest length to tabulate.")
 @click.option("--format", "fmt", type=FORMATS, default="text", help="Output format.")
-@_common_cache
-def densities(spec, lmax, fmt, no_cache, cache_dir):
+@NO_CACHE
+def densities(spec, lmax, fmt, no_cache):
     """Exact start-pair densities of SPEC up to a length bound."""
     _dispatch(
         run_densities,
@@ -702,8 +653,6 @@ def densities(spec, lmax, fmt, no_cache, cache_dir):
         subcommand="densities",
         lmax=lmax,
         fmt=fmt,
-        use_cache=not no_cache,
-        cache_dir=cache_dir,
     )
 
 
@@ -716,8 +665,8 @@ def densities(spec, lmax, fmt, no_cache, cache_dir):
 @click.option("-h", "h", type=int, default=None, help="Dyadic threshold exponent.")
 @click.option("--eps", type=float, default=None, help="Raw threshold; quantized.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@_common_cache
-def convergence(spec, quantity, scales, m, lmin, h, eps, fmt, no_cache, cache_dir):
+@NO_CACHE
+def convergence(spec, quantity, scales, m, lmin, h, eps, fmt, no_cache):
     """Sweep plot sizes and chart the gap to the exact limit."""
     _dispatch(
         run_convergence,
@@ -730,8 +679,6 @@ def convergence(spec, quantity, scales, m, lmin, h, eps, fmt, no_cache, cache_di
         h=h,
         eps=eps,
         fmt=fmt,
-        use_cache=not no_cache,
-        cache_dir=cache_dir,
     )
 
 
@@ -762,8 +709,8 @@ def render(spec, n, m, h, eps, render_format, output):
 @click.option("--filter", "filter_", default=None, help="Only goldens whose name contains this.")
 @click.option("--format", "fmt", type=FORMATS, default="text", help="Output format.")
 @click.option("--seed", type=int, default=0, help="Seed for the randomized spot checks.")
-@_common_cache
-def verify(filter_, fmt, seed, no_cache, cache_dir):
+@NO_CACHE
+def verify(filter_, fmt, seed, no_cache):
     """Check every pinned golden value; exit 1 on any failure."""
     _dispatch(
         run_verify,
@@ -772,8 +719,6 @@ def verify(filter_, fmt, seed, no_cache, cache_dir):
         filter=filter_,
         fmt=fmt,
         seed=seed,
-        use_cache=not no_cache,
-        cache_dir=cache_dir,
     )
 
 

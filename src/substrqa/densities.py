@@ -16,12 +16,15 @@ invariant measure: the density at length l is
 
 since a start pair consists of two occurrences of the same inner word with
 opposite flanking letters on each side.  Block frequencies come from the
-letter-frequency eigenvector, the induced two-block substitution matrix,
-and an exact desubstitution recursion for longer blocks.  Every exact base
-value is then validated against empirical counts on fixed-point prefixes
-at two scales, against the emptiness criterion (zero density exactly when
-no start pair is ever seen), and against the scaling law one step up;
-any disagreement raises ReconstructionError naming the offending length.
+letter-frequency eigenvector, the kernel of the induced two-block
+substitution matrix (exact Fraction elimination), and an exact
+desubstitution recursion for longer blocks.  Every exact base value is
+then validated against start-pair counts on fixed-point prefixes at two
+scales (recplot.inner_line_counts, the same identity applied to window
+counts), against the emptiness criterion (zero density exactly when no
+start pair is ever seen), and against the scaling law one step up; any
+disagreement raises ReconstructionError naming the offending length.
+Validated tables are memoized per process only; nothing is stored on disk.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ __all__ = [
     "reconstruct_base",
     "simplest_rational_in",
     "snap_to_simple_rational",
-    "table_from_json_dict",
     "table_to_json_dict",
 ]
 
@@ -82,13 +84,12 @@ def letter_frequencies(sub: Substitution) -> tuple[Fraction, Fraction]:
 def _two_block_frequencies(sub: Substitution) -> dict[str, Fraction]:
     # One substitution step maps the 2-window at position i to q 2-windows
     # at positions q*i..q*i+q-1, so the frequency vector is the kernel of
-    # (window-count matrix - q*I) on allowed 2-words.
-    from sympy import Matrix, Rational
-
+    # (window-count matrix - q*I) on allowed 2-words, found by exact
+    # Gauss-Jordan elimination.
     words = sorted(language_slice(sub, 2).words)
     index = {w: k for k, w in enumerate(words)}
     size = len(words)
-    counts = [[0] * size for _ in range(size)]
+    rows = [[Fraction(-sub.q if r == c else 0) for c in range(size)] for r in range(size)]
     for w, col in index.items():
         image = sub.apply(w)
         for r in range(sub.q):
@@ -97,20 +98,34 @@ def _two_block_frequencies(sub: Substitution) -> dict[str, Fraction]:
                 raise DiscrepancyError(
                     f"window {window!r} of the image of {w!r} missing from the 2-word language"
                 )
-            counts[index[window]][col] += 1
-    system = Matrix(counts) - sub.q * Matrix.eye(size)
-    kernel = system.nullspace()
-    if len(kernel) != 1:
+            rows[index[window]][col] += 1
+    pivots: list[int] = []
+    for col in range(size):
+        r = len(pivots)
+        found = next((i for i in range(r, size) if rows[i][col]), None)
+        if found is None:
+            continue
+        rows[r], rows[found] = rows[found], rows[r]
+        rows[r] = [v / rows[r][col] for v in rows[r]]
+        for i in range(size):
+            factor = rows[i][col]
+            if i != r and factor:
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    free = [col for col in range(size) if col not in pivots]
+    if len(free) != 1:
         raise DiscrepancyError(
-            f"two-block frequency kernel has dimension {len(kernel)}, expected 1"
+            f"two-block frequency kernel has dimension {len(free)}, expected 1"
         )
-    vec = [Rational(entry) for entry in kernel[0]]
+    vec = [Fraction(1) if col == free[0] else Fraction(0) for col in range(size)]
+    for row, col in zip(rows, pivots):
+        vec[col] = -row[free[0]]
     total = sum(vec)
     if total == 0:
         raise DiscrepancyError("two-block frequency kernel sums to zero")
     freqs = {}
     for w, k in index.items():
-        value = Fraction(int((vec[k] / total).p), int((vec[k] / total).q))
+        value = vec[k] / total
         if value <= 0:
             raise DiscrepancyError(f"two-block frequency of {w!r} is not positive: {value}")
         freqs[w] = value
@@ -378,19 +393,16 @@ def dens_K(table: DensityTable, length: int) -> Fraction:
     return value
 
 
-# -- serialization (disk cache payload) --------------------------------------
+# -- serialization ----------------------------------------------------------
 
 
 def _frac_pair(f: Fraction) -> list[int]:
     return [f.numerator, f.denominator]
 
 
-def _frac_from_pair(pair: list[int]) -> Fraction:
-    return Fraction(pair[0], pair[1])
-
-
 def table_to_json_dict(table: DensityTable) -> dict:
-    """JSON-ready payload for the disk cache; exact rationals as [num, den]."""
+    """JSON-ready payload (printed by `densities --format json`); exact
+    rationals as [num, den]."""
     return {
         "substitution": str(table.subst),
         "scales": list(next(iter(table.evidence.values())).scales) if table.evidence else [],
@@ -407,29 +419,6 @@ def table_to_json_dict(table: DensityTable) -> dict:
             for length, ev in table.evidence.items()
         },
     }
-
-
-def table_from_json_dict(data: dict) -> DensityTable:
-    """Rebuild a cached table; the constants are recomputed and the payload
-    must agree with them (stale caches fail loudly)."""
-    sub = Substitution.parse(data["substitution"])
-    constants = recognizability_constants(sub)
-    base = {int(key): _frac_from_pair(pair) for key, pair in data["base"].items()}
-    if sorted(base) != list(range(1, constants.R)):
-        raise ReconstructionError(
-            f"cached base lengths {sorted(base)} do not cover [1, R) for R={constants.R}"
-        )
-    evidence = {}
-    for key, ev in data["evidence"].items():
-        evidence[int(key)] = BaseEvidence(
-            scales=tuple(ev["scales"]),
-            deltas=tuple(_frac_from_pair(p) for p in ev["deltas"]),
-            tolerances=tuple(_frac_from_pair(p) for p in ev["tolerances"]),
-            snapped=tuple(None if p is None else _frac_from_pair(p) for p in ev["snapped"]),
-            child=ev["child"],
-            child_delta=None if ev["child_delta"] is None else _frac_from_pair(ev["child_delta"]),
-        )
-    return DensityTable(subst=sub, constants=constants, base=base, evidence=evidence)
 
 
 def closed_form_indices(constants: RecogConstants, lprime: int) -> tuple[int, int]:

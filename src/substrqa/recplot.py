@@ -295,8 +295,14 @@ def inner_line_starts(x: BitSequence, length: int, n: int) -> set[tuple[int, int
 def inner_line_counts(x: BitSequence, n: int, max_length: int) -> np.ndarray:
     """Cardinalities of the inner-line start sets for every length at once.
 
-    result[l] = len(inner_line_starts(x, l, n)) for 1 <= l <= max_length,
-    from a single pass over the diagonals.  result[0] is unused and zero.
+    result[l] = len(inner_line_starts(x, l, n)) for 1 <= l <= max_length.
+    result[0] is unused and zero.
+
+    Positions p in [1, n) are grouped by their word x[p..p+l), the classes
+    refined one letter per length.  Within a class, a start pair is two
+    positions whose flanks (x[p-1], x[p+l]) differ on both sides, so the
+    class contributes 2 * (n00 * n11 + n01 * n10) ordered pairs -- the
+    identity density_from_frequencies applies to block frequencies.
     """
     if max_length < 1:
         raise DomainError(f"maximum length must be positive, got {max_length}")
@@ -304,20 +310,17 @@ def inner_line_counts(x: BitSequence, n: int, max_length: int) -> np.ndarray:
         raise DomainError(f"position bound must be at least 2, got {n}")
     bits = _require_prefix(
         x, n + max_length + 1, f"inner-line scan up to length {max_length}, bound {n}"
-    )
+    ).astype(np.int64)
     counts = np.zeros(max_length + 1, dtype=np.int64)
-    for d in range(1, n - 1):
-        span = n - d + max_length
-        starts, ends = _match_runs(bits, d, span)
-        lengths = ends - starts
-        keep = (
-            (starts >= 1)
-            & (starts <= n - 1 - d)
-            & (lengths <= max_length)
-            & (ends < span)
+    left = bits[: n - 1]
+    classes = np.zeros(n - 1, dtype=np.int64)
+    for length in range(1, max_length + 1):
+        _, classes = np.unique(2 * classes + bits[length : n - 1 + length], return_inverse=True)
+        flanks = 4 * classes + 2 * left + bits[1 + length : n + length]
+        per_class = np.bincount(flanks, minlength=4 * (int(classes.max()) + 1)).reshape(-1, 4)
+        counts[length] = 2 * int(
+            (per_class[:, 0] * per_class[:, 3] + per_class[:, 1] * per_class[:, 2]).sum()
         )
-        if keep.any():
-            counts += 2 * np.bincount(lengths[keep], minlength=max_length + 1)
     return counts
 
 

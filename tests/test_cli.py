@@ -1,13 +1,21 @@
 """End-to-end tests of the command-line front end via click's runner."""
 
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import substrqa
+from substrqa import cli
 from substrqa.cli import main
+from substrqa.densities import reconstruct_base
 from substrqa.recplot import histogram, render_ascii
 from substrqa.rqa import RQAReport
 from substrqa.substitution import Substitution
@@ -163,6 +171,12 @@ class TestDensities:
         assert result.exit_code == 2
         assert "primitive aperiodic" in result.stderr
 
+    @pytest.mark.parametrize("lmax", ["0", "-5"])
+    def test_rejects_nonpositive_lmax(self, runner, lmax):
+        result = invoke(runner, "densities", TM, "--lmax", lmax)
+        assert result.exit_code == 2
+        assert "lmax must be >= 1" in result.stderr
+
 
 class TestConvergence:
     def test_csv_shape(self, runner):
@@ -215,8 +229,8 @@ class TestRender:
 
 
 class TestVerify:
-    def test_full_suite_passes(self, runner, tmp_path):
-        result = invoke(runner, "verify", "--cache-dir", str(tmp_path))
+    def test_full_suite_passes(self, runner):
+        result = invoke(runner, "verify")
         assert result.exit_code == 0
         assert "FAIL" not in result.output
         assert "33/33 checks passed" in result.output
@@ -231,29 +245,18 @@ class TestVerify:
         result = invoke(runner, "verify", "--filter", "nope", "--no-cache")
         assert result.exit_code == 2
 
-    def test_tampered_cache_fails_by_name(self, runner, tmp_path):
-        # populate the cache, then corrupt one pinned density
-        first = invoke(runner, "verify", "--filter", "thue-morse", "--cache-dir", str(tmp_path))
-        assert first.exit_code == 0
-        path = tmp_path / "dens-01-10-4096-8192.json"
-        payload = json.loads(path.read_text())
-        payload["base"]["2"] = [1, 19]
-        path.write_text(json.dumps(payload))
-        second = invoke(runner, "verify", "--filter", "thue-morse", "--cache-dir", str(tmp_path))
-        assert second.exit_code == 1
-        assert "FAIL thue-morse/base-densities" in second.output
+    def test_tampered_table_fails_by_name(self, runner, monkeypatch):
+        def tampered(sub):
+            table = reconstruct_base(sub)
+            return dataclasses.replace(table, base={**table.base, 2: Fraction(1, 19)})
 
-    def test_unreadable_cache_recomputed(self, runner, tmp_path):
-        path = tmp_path / "dens-01-10-4096-8192.json"
-        path.write_text("{not json")
-        result = invoke(runner, "verify", "--filter", "thue-morse", "--cache-dir", str(tmp_path))
-        assert result.exit_code == 0
-        assert "unreadable cache" in result.stderr
-        # and it was rewritten with the correct table
-        assert json.loads(path.read_text())["base"]["2"] == [1, 18]
+        monkeypatch.setattr(cli, "reconstruct_base", tampered)
+        result = invoke(runner, "verify", "--filter", "thue-morse")
+        assert result.exit_code == 1
+        assert "FAIL thue-morse/base-densities" in result.output
 
-    def test_json_format(self, runner, tmp_path):
-        result = invoke(runner, "verify", "--format", "json", "--cache-dir", str(tmp_path))
+    def test_json_format(self, runner):
+        result = invoke(runner, "verify", "--format", "json")
         assert result.exit_code == 0
         payload = json.loads(result.output)
         assert payload["failures"] == 0
@@ -262,11 +265,17 @@ class TestVerify:
         assert all(check["status"] == "pass" for check in payload["checks"])
 
 
-class TestCacheEnv:
-    def test_env_var_cache_dir(self, runner, tmp_path):
-        result = invoke(
-            runner, "densities", TM, "--lmax", "4",
-            env={"SUBSTRQA_CACHE_DIR": str(tmp_path)},
-        )
-        assert result.exit_code == 0
-        assert (tmp_path / "dens-01-10-4096-8192.json").exists()
+def test_exact_route_does_not_import_sympy():
+    code = (
+        "import sys\n"
+        "from substrqa.cli import main\n"
+        "main(['analyze', '01,10', '--asymptotic'], standalone_mode=False)\n"
+        "main(['densities', '01,10'], standalone_mode=False)\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(substrqa.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RR   = 1/2" in proc.stdout

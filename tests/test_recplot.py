@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from substrqa import BitSequence, DomainError, ResourceLimitError, Substitution
 from substrqa.recplot import (
@@ -277,12 +277,24 @@ class TestInnerLines:
         count = len(inner_line_starts(x, 1, n))
         assert abs(count / (n * n - n) - 1 / 9) < 0.003
 
-    @pytest.mark.parametrize("sub", [TM, PD], ids=str)
+    @pytest.mark.parametrize(
+        "sub", [TM, PD, Substitution("01110", "01010"), Substitution("001", "110")], ids=str
+    )
     def test_counts_agree_with_start_sets(self, sub):
         n, lmax = 160, 6
         x = sub.fixed_point_prefix(n + lmax + 1)
         counts = inner_line_counts(x, n, lmax)
         assert counts[0] == 0
+        for length in range(1, lmax + 1):
+            assert counts[length] == len(inner_line_starts(x, length, n))
+
+    @settings(max_examples=60)
+    @given(st.text(alphabet="01", max_size=80), st.integers(1, 5))
+    @example("0110", 1)  # n = 2: a single position, so no pairs
+    def test_counts_agree_on_random_strings(self, text, lmax):
+        n = max(2, len(text) - lmax - 1)
+        x = BitSequence.from_text(text.ljust(n + lmax + 1, "0"))
+        counts = inner_line_counts(x, n, lmax)
         for length in range(1, lmax + 1):
             assert counts[length] == len(inner_line_starts(x, length, n))
 
