@@ -58,7 +58,6 @@ from .recognizability import (
 from .recplot import (
     RENDER_CAP,
     Boundary,
-    EpsParams,
     LineHistogram,
     LineTriple,
     extract_lines,
@@ -79,7 +78,6 @@ from .rqa import (
     CorsumInterval,
     Estimate,
     LinedensEstimate,
-    Provenance,
     ResidualBounds,
     RQAReport,
     asymptotic_from_corsum,

@@ -24,7 +24,7 @@ from fractions import Fraction
 from .densities import DensityTable, closed_form_indices, dens_K, reconstruct_base
 from .errors import DiscrepancyError, DomainError
 from .recplot import quantize_eps
-from .rqa import Provenance, RQAReport, _frac_json, _log_fraction, _optional_json
+from .rqa import RQAReport, _log_fraction
 from .substitution import Classification, SubshiftKind, Substitution
 
 __all__ = [
@@ -80,28 +80,7 @@ class AsymptoticQuantifiers:
             Lavg=self.Lavg,
             ENT=self.ENT,
             C=self.C,
-            provenance=Provenance.ASYMPTOTIC,
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "h": self.h,
-            "lmin": self.lmin,
-            "lprime": self.lprime,
-            "linedens": _frac_json(self.linedens),
-            "lineDens": _frac_json(self.lineDens),
-            "RR": _frac_json(self.RR),
-            "RR1": _frac_json(self.RR1),
-            "DET": _frac_json(self.DET),
-            "Lavg": _optional_json(self.Lavg),
-            "C": _frac_json(self.C),
-            "ENT": self.ENT,
-            "note": self.note,
-        }
-
-    def to_csv_row(self) -> tuple[str, ...]:
-        return self.to_report().to_csv_row()
 
 
 def _validate_inputs(m: int, lmin: int, h: int) -> None:

@@ -16,7 +16,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,6 +33,7 @@ from .recognizability import recognizability_constants
 from .recplot import histogram, quantize_eps, render_ascii, render_pgm
 from .rqa import (
     RQAReport,
+    _number_text,
     _frac_json,
     correlation_sum,
     measures_from_histogram,
@@ -51,54 +52,28 @@ NO_CACHE = click.option(
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated option bundle handed to one subcommand run."""
-
-    spec: str
-    subcommand: str
-    m: int = 1
-    lmin: int = 1
-    h: int | None = None
-    eps: float | None = None
-    n: int | None = None
-    asymptotic: bool = False
-    quantity: str = "RR"
-    scales: tuple[int, ...] = ()
-    lmax: int = 64
-    fmt: str = "text"
-    seed: int = 0
-    log_base: str = "e"
-    render_format: str = "ascii"
-    output: str | None = None
-    filter: str | None = None
-
-    def __post_init__(self):
-        if self.m < 1 or self.lmin < 1:
-            raise DomainError(f"m and lmin must be >= 1, got ({self.m}, {self.lmin})")
-        if self.h is not None and self.h < 1:
-            raise DomainError(f"threshold exponent must be >= 1, got {self.h}")
-        if self.h is not None and self.eps is not None:
-            raise DomainError("give either -h or --eps, not both")
-        if self.n is not None and self.n < 2:
-            raise DomainError(f"plot size must be at least 2, got {self.n}")
-        if self.lmax < 1:
-            raise DomainError(f"lmax must be >= 1, got {self.lmax}")
-
-    def resolve_threshold(self) -> tuple[int, str | None]:
-        """Effective dyadic exponent plus a quantization note for --eps."""
-        if self.eps is not None:
-            h = quantize_eps(self.eps)
-            return h, f"threshold {self.eps} quantized to 2^-{h}"
-        return (self.h if self.h is not None else 1), None
-
-    def substitution(self) -> Substitution:
-        return Substitution.parse(self.spec)
+def _threshold(
+    m: int, lmin: int, h: int | None, eps: float | None, n: int | None = None
+) -> tuple[int, str | None]:
+    """Validate the plot options; return the effective dyadic exponent plus
+    a quantization note when it came from --eps."""
+    if m < 1 or lmin < 1:
+        raise DomainError(f"m and lmin must be >= 1, got ({m}, {lmin})")
+    if h is not None and h < 1:
+        raise DomainError(f"threshold exponent must be >= 1, got {h}")
+    if h is not None and eps is not None:
+        raise DomainError("give either -h or --eps, not both")
+    if n is not None and n < 2:
+        raise DomainError(f"plot size must be at least 2, got {n}")
+    if eps is not None:
+        h = quantize_eps(eps)
+        return h, f"threshold {eps} quantized to 2^-{h}"
+    return (h if h is not None else 1), None
 
 
-def _dispatch(runner, **options) -> None:
+def _dispatch(runner, *args) -> None:
     try:
-        code = runner(RunConfig(**options))
+        code = runner(*args)
     except SubstRQAError as exc:
         click.echo(f"error: {exc}", err=True)
         raise SystemExit(2 if isinstance(exc, (ParseError, DomainError)) else 3)
@@ -116,9 +91,9 @@ def _empirical_report(
     notes = []
     if how is not Normalization.IDENTITY:
         notes.append(f"analyzed the normalized form {norm} ({how.value})")
-    x = norm.fixed_point_prefix(n + h + m)
+    x = norm.fixed_point_prefix(n + lmin + h + m)
     report = measures_from_histogram(histogram(x, n, h, m=m), lmin)
-    return report.with_corsum(correlation_sum(x, n, lmin, h, m=m)), notes
+    return replace(report, C=correlation_sum(x, n, lmin, h, m=m)), notes
 
 
 def _frac_text(value) -> str:
@@ -150,7 +125,7 @@ def _ent_text(ent: float | None, log_base: str) -> str:
 def _report_text(report: RQAReport, log_base: str) -> list[str]:
     where = "limit" if report.n is None else f"n={report.n}"
     lines = [
-        f"{report.provenance.value} quantifiers ({where}, m={report.m}, "
+        f"{report.provenance} quantifiers ({where}, m={report.m}, "
         f"h={report.h}, lmin={report.lmin})"
     ]
     lines.append(f"  RR   = {_frac_text(report.RR)}")
@@ -184,13 +159,13 @@ def _csv_out(rows: list[tuple[str, ...]], header: tuple[str, ...]) -> str:
 # -- subcommand bodies -------------------------------------------------------
 
 
-def run_classify(config: RunConfig) -> int:
-    sub = config.substitution()
+def run_classify(spec: str, fmt: str) -> int:
+    sub = Substitution.parse(spec)
     cls = sub.classify()
     constants = None
     if cls.kind is SubshiftKind.PRIMITIVE_APERIODIC:
         constants = recognizability_constants(cls.normalized)
-    if config.fmt == "json":
+    if fmt == "json":
         payload = {
             "substitution": str(sub),
             "kind": cls.kind.value,
@@ -225,34 +200,34 @@ def run_classify(config: RunConfig) -> int:
     return 0
 
 
-def run_analyze(config: RunConfig) -> int:
-    sub = config.substitution()
-    h, eps_note = config.resolve_threshold()
-    if config.n is None and not config.asymptotic:
+def run_analyze(spec, m, lmin, h, eps, n, asymptotic, fmt, log_base) -> int:
+    h, eps_note = _threshold(m, lmin, h, eps, n)
+    sub = Substitution.parse(spec)
+    if n is None and not asymptotic:
         raise DomainError("pass --n for a finite plot, --asymptotic, or both")
     notes = [eps_note] if eps_note else []
-    empirical = asymptotic = None
-    if config.n is not None:
-        empirical, more = _empirical_report(sub, config.n, config.m, config.lmin, h)
+    empirical = limit = None
+    if n is not None:
+        empirical, more = _empirical_report(sub, n, m, lmin, h)
         notes.extend(more)
-    if config.asymptotic:
-        limit = asymptotic_quantifiers(sub, config.m, config.lmin, Fraction(1, 2**h))
-        if limit.note:
-            notes.append(limit.note)
-        asymptotic = limit.to_report()
+    if asymptotic:
+        exact = asymptotic_quantifiers(sub, m, lmin, Fraction(1, 2**h))
+        if exact.note:
+            notes.append(exact.note)
+        limit = exact.to_report()
     gap = None
-    if empirical is not None and asymptotic is not None:
+    if empirical is not None and limit is not None:
         gap = {
-            key: _value_gap(getattr(empirical, key), getattr(asymptotic, key))
+            key: _value_gap(getattr(empirical, key), getattr(limit, key))
             for key in QUANTITIES
         }
 
-    if config.fmt == "json":
+    if fmt == "json":
         payload = {"notes": notes}
         if empirical is not None:
             payload["empirical"] = empirical.to_json_dict()
-        if asymptotic is not None:
-            payload["asymptotic"] = asymptotic.to_json_dict()
+        if limit is not None:
+            payload["asymptotic"] = limit.to_json_dict()
         if gap is not None:
             payload["gap"] = {
                 k: (None if v is None else ("inf" if math.isinf(v) else v))
@@ -260,20 +235,20 @@ def run_analyze(config: RunConfig) -> int:
             }
         click.echo(json.dumps(payload, indent=2))
         return 0
-    if config.fmt == "csv":
-        rows = [r.to_csv_row() for r in (empirical, asymptotic) if r is not None]
+    if fmt == "csv":
+        rows = [r.to_csv_row() for r in (empirical, limit) if r is not None]
         if gap is not None:
             rows.append(
-                ("gap", "", str(config.m), str(h), str(config.lmin))
-                + tuple("" if gap[k] is None else repr(gap[k]) for k in QUANTITIES)
+                ("gap", "", str(m), str(h), str(lmin))
+                + tuple(_number_text(gap[k]) for k in QUANTITIES)
             )
         click.echo(_csv_out(rows, RQAReport.CSV_HEADER), nl=False)
         return 0
     for note in notes:
         click.echo(f"note: {note}")
-    for report in (empirical, asymptotic):
+    for report in (empirical, limit):
         if report is not None:
-            for line in _report_text(report, config.log_base):
+            for line in _report_text(report, log_base):
                 click.echo(line)
     if gap is not None:
         shown = ", ".join(
@@ -283,8 +258,10 @@ def run_analyze(config: RunConfig) -> int:
     return 0
 
 
-def run_densities(config: RunConfig) -> int:
-    sub = config.substitution()
+def run_densities(spec: str, lmax: int, fmt: str) -> int:
+    if lmax < 1:
+        raise DomainError(f"lmax must be >= 1, got {lmax}")
+    sub = Substitution.parse(spec)
     cls = sub.classify()
     if cls.kind is not SubshiftKind.PRIMITIVE_APERIODIC:
         raise DomainError(
@@ -292,15 +269,15 @@ def run_densities(config: RunConfig) -> int:
             f"got {cls.kind.value}"
         )
     table = reconstruct_base(cls.normalized)
-    values = {l: dens_K(table, l) for l in range(1, config.lmax + 1)}
-    if config.fmt == "json":
+    values = {l: dens_K(table, l) for l in range(1, lmax + 1)}
+    if fmt == "json":
         payload = {
             "table": table_to_json_dict(table),
             "densities": {str(l): _frac_json(v) for l, v in values.items()},
         }
         click.echo(json.dumps(payload, indent=2))
         return 0
-    if config.fmt == "csv":
+    if fmt == "csv":
         rows = [
             (str(l), str(v.numerator), str(v.denominator), repr(float(v)))
             for l, v in values.items()
@@ -315,73 +292,66 @@ def run_densities(config: RunConfig) -> int:
     )
     click.echo("base table   : " + "  ".join(f"{l}:{v}" for l, v in sorted(table.base.items())))
     support = {l: v for l, v in values.items() if v}
-    click.echo(f"start-pair densities up to {config.lmax} (zero lengths omitted):")
+    click.echo(f"start-pair densities up to {lmax} (zero lengths omitted):")
     for l, v in support.items():
         click.echo(f"  {l:4d}  {v}  (~{float(v):.3e})")
     return 0
 
 
-def run_convergence(config: RunConfig) -> int:
-    sub = config.substitution()
-    h, eps_note = config.resolve_threshold()
-    if config.quantity not in QUANTITIES:
-        raise DomainError(f"quantity must be one of {QUANTITIES}, got {config.quantity}")
-    scales = tuple(config.scales) or (256, 512, 1024, 2048, 4096)
+def run_convergence(spec, quantity, scales, m, lmin, h, eps, fmt) -> int:
+    h, eps_note = _threshold(m, lmin, h, eps)
+    sub = Substitution.parse(spec)
+    if quantity not in QUANTITIES:
+        raise DomainError(f"quantity must be one of {QUANTITIES}, got {quantity}")
+    scales = tuple(scales) or (256, 512, 1024, 2048, 4096)
     if any(n < 2 for n in scales):
         raise DomainError(f"every scale must be at least 2, got {scales}")
-    limit = asymptotic_quantifiers(sub, config.m, config.lmin, Fraction(1, 2**h))
-    target = getattr(limit.to_report(), config.quantity)
+    target = getattr(asymptotic_quantifiers(sub, m, lmin, Fraction(1, 2**h)), quantity)
     rows = []
     for n in sorted(scales):
-        report, _ = _empirical_report(sub, n, config.m, config.lmin, h)
-        value = getattr(report, config.quantity)
-        gap = _value_gap(value, target)
-        rows.append((n, value, gap))
+        report, _ = _empirical_report(sub, n, m, lmin, h)
+        value = getattr(report, quantity)
+        rows.append((n, value, _value_gap(value, target)))
 
-    def show(v):
-        if v is None:
-            return ""
-        return repr(float(v)) if not (isinstance(v, float) and math.isinf(v)) else "inf"
-
-    if config.fmt == "json":
+    if fmt == "json":
         payload = {
-            "quantity": config.quantity,
+            "quantity": quantity,
             "asymptotic": None
             if target is None
-            else (_frac_json(target) if isinstance(target, Fraction) else show(target)),
+            else (_frac_json(target) if isinstance(target, Fraction) else _number_text(target)),
             "rows": [
-                {"n": n, "empirical": show(v), "gap": show(g)} for n, v, g in rows
+                {"n": n, "empirical": _number_text(v), "gap": _number_text(g)}
+                for n, v, g in rows
             ],
         }
         if eps_note:
             payload["note"] = eps_note
         click.echo(json.dumps(payload, indent=2))
         return 0
-    table_rows = [(str(n), show(v), show(target), show(g)) for n, v, g in rows]
+    table_rows = [
+        (str(n), _number_text(v), _number_text(target), _number_text(g)) for n, v, g in rows
+    ]
     click.echo(
         _csv_out(table_rows, ("n", "empirical", "asymptotic", "gap")), nl=False
     )
     return 0
 
 
-def run_render(config: RunConfig) -> int:
-    sub = config.substitution()
-    h, _ = config.resolve_threshold()
-    if config.n is None:
-        raise DomainError("render needs --n")
-    norm, _ = sub.normalize()
-    x = norm.fixed_point_prefix(config.n + h + config.m)
-    if config.render_format == "pgm":
-        data = render_pgm(x, config.n, h, m=config.m)
-        if config.output:
-            Path(config.output).write_bytes(data)
+def run_render(spec, n, m, h, eps, render_format, output) -> int:
+    h, _ = _threshold(m, 1, h, eps, n)
+    norm, _ = Substitution.parse(spec).normalize()
+    x = norm.fixed_point_prefix(n + h + m)
+    if render_format == "pgm":
+        data = render_pgm(x, n, h, m=m)
+        if output:
+            Path(output).write_bytes(data)
         else:
             sys.stdout.buffer.write(data)
             sys.stdout.buffer.flush()
         return 0
-    text = render_ascii(x, config.n, h, m=config.m)
-    if config.output:
-        Path(config.output).write_text(text)
+    text = render_ascii(x, n, h, m=m)
+    if output:
+        Path(output).write_text(text)
     else:
         click.echo(text, nl=False)
     return 0
@@ -474,7 +444,7 @@ def _verify_example() -> list[tuple[str, bool, str]]:
     return checks
 
 
-def _verify_golden(golden: _Golden, config: RunConfig) -> list[tuple[str, bool, str]]:
+def _verify_golden(golden: _Golden, seed: int) -> list[tuple[str, bool, str]]:
     checks: list[tuple[str, bool, str]] = []
     sub = Substitution.parse(golden.spec)
     cls = sub.classify()
@@ -535,7 +505,7 @@ def _verify_golden(golden: _Golden, config: RunConfig) -> list[tuple[str, bool, 
         grid_ok, grid_detail = False, str(exc)
     checks.append((f"{name}/closed-form-grid", grid_ok, grid_detail))
 
-    rng = random.Random(config.seed)
+    rng = random.Random(seed)
     norm = cls.normalized
     bad_cases = []
     for _ in range(10):
@@ -555,18 +525,18 @@ def _verify_golden(golden: _Golden, config: RunConfig) -> list[tuple[str, bool, 
     return checks
 
 
-def run_verify(config: RunConfig) -> int:
+def run_verify(filter_: str | None, fmt: str, seed: int) -> int:
     checks: list[tuple[str, bool, str]] = []
-    if config.filter is None:
+    if filter_ is None:
         checks.extend(_verify_example())
     for golden in _GOLDENS:
-        if config.filter and config.filter not in golden.name:
+        if filter_ and filter_ not in golden.name:
             continue
-        checks.extend(_verify_golden(golden, config))
+        checks.extend(_verify_golden(golden, seed))
     if not checks:
-        raise DomainError(f"filter {config.filter!r} matched no golden case")
+        raise DomainError(f"filter {filter_!r} matched no golden case")
     failures = [c for c in checks if not c[1]]
-    if config.fmt == "json":
+    if fmt == "json":
         payload = {
             "checks": [
                 {"name": name, "status": "pass" if ok else "fail", "detail": detail}
@@ -609,7 +579,7 @@ def main():
 @click.option("--format", "fmt", type=FORMATS, default="text", help="Output format.")
 def classify(spec, fmt):
     """Classify SPEC and print its combinatorial constants."""
-    _dispatch(run_classify, spec=spec, subcommand="classify", fmt=fmt)
+    _dispatch(run_classify, spec, fmt)
 
 
 @main.command()
@@ -625,19 +595,7 @@ def classify(spec, fmt):
 @NO_CACHE
 def analyze(spec, m, lmin, h, eps, n, asymptotic, fmt, log_base, no_cache):
     """Compute recurrence quantifiers of SPEC, finite-size and/or limiting."""
-    _dispatch(
-        run_analyze,
-        spec=spec,
-        subcommand="analyze",
-        m=m,
-        lmin=lmin,
-        h=h,
-        eps=eps,
-        n=n,
-        asymptotic=asymptotic,
-        fmt=fmt,
-        log_base=log_base,
-    )
+    _dispatch(run_analyze, spec, m, lmin, h, eps, n, asymptotic, fmt, log_base)
 
 
 @main.command()
@@ -647,13 +605,7 @@ def analyze(spec, m, lmin, h, eps, n, asymptotic, fmt, log_base, no_cache):
 @NO_CACHE
 def densities(spec, lmax, fmt, no_cache):
     """Exact start-pair densities of SPEC up to a length bound."""
-    _dispatch(
-        run_densities,
-        spec=spec,
-        subcommand="densities",
-        lmax=lmax,
-        fmt=fmt,
-    )
+    _dispatch(run_densities, spec, lmax, fmt)
 
 
 @main.command()
@@ -668,18 +620,7 @@ def densities(spec, lmax, fmt, no_cache):
 @NO_CACHE
 def convergence(spec, quantity, scales, m, lmin, h, eps, fmt, no_cache):
     """Sweep plot sizes and chart the gap to the exact limit."""
-    _dispatch(
-        run_convergence,
-        spec=spec,
-        subcommand="convergence",
-        quantity=quantity,
-        scales=scales,
-        m=m,
-        lmin=lmin,
-        h=h,
-        eps=eps,
-        fmt=fmt,
-    )
+    _dispatch(run_convergence, spec, quantity, scales, m, lmin, h, eps, fmt)
 
 
 @main.command()
@@ -692,17 +633,7 @@ def convergence(spec, quantity, scales, m, lmin, h, eps, fmt, no_cache):
 @click.option("-o", "--output", default=None, help="Write to a file instead of stdout.")
 def render(spec, n, m, h, eps, render_format, output):
     """Render the recurrence plot of SPEC."""
-    _dispatch(
-        run_render,
-        spec=spec,
-        subcommand="render",
-        n=n,
-        m=m,
-        h=h,
-        eps=eps,
-        render_format=render_format,
-        output=output,
-    )
+    _dispatch(run_render, spec, n, m, h, eps, render_format, output)
 
 
 @main.command()
@@ -712,14 +643,7 @@ def render(spec, n, m, h, eps, render_format, output):
 @NO_CACHE
 def verify(filter_, fmt, seed, no_cache):
     """Check every pinned golden value; exit 1 on any failure."""
-    _dispatch(
-        run_verify,
-        spec="",
-        subcommand="verify",
-        filter=filter_,
-        fmt=fmt,
-        seed=seed,
-    )
+    _dispatch(run_verify, filter_, fmt, seed)
 
 
 if __name__ == "__main__":

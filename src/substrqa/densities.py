@@ -246,9 +246,6 @@ class DensityTable:
     base: dict[int, Fraction]
     evidence: dict[int, BaseEvidence]
 
-    def dens(self, length: int) -> Fraction:
-        return dens_K(self, length)
-
 
 def _tolerance(n: int) -> Fraction:
     return Fraction(16, n)

@@ -72,7 +72,6 @@ class LanguageSlice:
 
     length: int
     words: frozenset[str]
-    saturated: bool
 
 
 def _require_normalized_aperiodic(sub: Substitution) -> None:
@@ -139,7 +138,7 @@ def language_slice(sub: Substitution, length: int, *, cap: int = SCAN_CAP) -> La
         raise DomainError(f"word length must be positive, got {length}")
     profile = _saturated_residue_profile(sub, length, cap)
     words = frozenset(_decode(code, length) for code in profile)
-    return LanguageSlice(length=length, words=words, saturated=True)
+    return LanguageSlice(length=length, words=words)
 
 
 def alpha_beta(sub: Substitution) -> tuple[int, int, Fraction]:

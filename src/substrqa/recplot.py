@@ -32,7 +32,6 @@ from .substitution import BitSequence, window_codes
 __all__ = [
     "RENDER_CAP",
     "Boundary",
-    "EpsParams",
     "LineHistogram",
     "LineTriple",
     "extract_lines",
@@ -67,21 +66,6 @@ class LineTriple:
     j: int
     length: int
     boundary: frozenset[Boundary] = frozenset()
-
-
-@dataclass(frozen=True)
-class EpsParams:
-    """Bundle of plot parameters: embedding m, threshold exponent h, minimum
-    line length lmin (thresholds are quantized to 2^-h; see quantize_eps)."""
-
-    m: int = 1
-    h: int = 1
-    lmin: int = 1
-
-    def __post_init__(self) -> None:
-        for name, value in (("m", self.m), ("h", self.h), ("lmin", self.lmin)):
-            if value < 1:
-                raise DomainError(f"{name} must be a positive integer, got {value}")
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,9 @@ rationals; a zero denominator makes a quantity absent (None), never zero.
 
 from __future__ import annotations
 
-import enum
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -38,7 +37,6 @@ __all__ = [
     "CorsumInterval",
     "Estimate",
     "LinedensEstimate",
-    "Provenance",
     "RQAReport",
     "ResidualBounds",
     "asymptotic_from_corsum",
@@ -50,11 +48,6 @@ __all__ = [
     "residuals",
     "rqa_from_corsum",
 ]
-
-
-class Provenance(str, enum.Enum):
-    EMPIRICAL = "empirical"
-    ASYMPTOTIC = "asymptotic"
 
 
 def _log_fraction(f: Fraction) -> float:
@@ -76,14 +69,12 @@ def _optional_json(value):
     return value
 
 
-def _optional_from_json(value):
+def _number_text(value) -> str:
     if value is None:
-        return None
-    if isinstance(value, dict):
-        if value.get("infinite"):
-            return math.inf
-        return Fraction(value["num"], value["den"])
-    return float(value)
+        return ""
+    if isinstance(value, float) and math.isinf(value):
+        return "inf"
+    return repr(float(value))
 
 
 @dataclass(frozen=True)
@@ -108,14 +99,14 @@ class RQAReport:
     Lavg: Fraction | float | None
     ENT: float | None
     C: Fraction | None
-    provenance: Provenance
 
-    def with_corsum(self, corsum: Fraction) -> "RQAReport":
-        return replace(self, C=corsum)
+    @property
+    def provenance(self) -> str:
+        return "asymptotic" if self.n is None else "empirical"
 
     def to_json_dict(self) -> dict:
         return {
-            "provenance": self.provenance.value,
+            "provenance": self.provenance,
             "n": self.n,
             "m": self.m,
             "h": self.h,
@@ -130,49 +121,20 @@ class RQAReport:
             "C": _optional_json(self.C),
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RQAReport":
-        return cls(
-            n=data["n"],
-            m=data["m"],
-            h=data["h"],
-            lmin=data["lmin"],
-            linedens={
-                int(l): Fraction(d["num"], d["den"]) for l, d in data["linedens"].items()
-            },
-            tail_density=Fraction(data["tail_density"]["num"], data["tail_density"]["den"]),
-            RR=Fraction(data["RR"]["num"], data["RR"]["den"]),
-            RR1=_optional_from_json(data["RR1"]),
-            DET=_optional_from_json(data["DET"]),
-            Lavg=_optional_from_json(data["Lavg"]),
-            ENT=data["ENT"],
-            C=_optional_from_json(data["C"]),
-            provenance=Provenance(data["provenance"]),
-        )
-
     CSV_HEADER = ("provenance", "n", "m", "h", "lmin", "RR", "DET", "Lavg", "ENT", "C")
 
     def to_csv_row(self) -> tuple[str, ...]:
-        def show(value) -> str:
-            if value is None:
-                return ""
-            if isinstance(value, Fraction):
-                return repr(float(value))
-            if isinstance(value, float):
-                return "inf" if math.isinf(value) else repr(value)
-            return str(value)
-
         return (
-            self.provenance.value,
+            self.provenance,
             "" if self.n is None else str(self.n),
             str(self.m),
             str(self.h),
             str(self.lmin),
-            show(self.RR),
-            show(self.DET),
-            show(self.Lavg),
-            show(self.ENT),
-            show(self.C),
+            _number_text(self.RR),
+            _number_text(self.DET),
+            _number_text(self.Lavg),
+            _number_text(self.ENT),
+            _number_text(self.C),
         )
 
 
@@ -272,7 +234,6 @@ def measures_from_histogram(hist: LineHistogram, lmin: int) -> RQAReport:
         Lavg=lavg,
         ENT=ent,
         C=None,
-        provenance=Provenance.EMPIRICAL,
     )
 
 

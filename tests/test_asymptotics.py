@@ -17,7 +17,7 @@ from substrqa.asymptotics import (
 )
 from substrqa.densities import reconstruct_base
 from substrqa.recplot import histogram
-from substrqa.rqa import Provenance, RQAReport, measures_from_histogram
+from substrqa.rqa import RQAReport, measures_from_histogram
 
 TM = Substitution("01", "10")
 PD = Substitution("01", "00")
@@ -237,21 +237,23 @@ class TestDispatchAndSerialization:
 
     def test_json_payload(self):
         a = quantifiers_via_sums(table_of(TM), 1, 2, 1)
-        payload = a.to_json_dict()
+        payload = a.to_report().to_json_dict()
         assert payload["RR"] == {"num": 7, "den": 18, "approx": 7 / 18}
-        assert payload["lprime"] == 2
-        assert payload["note"] is None
-        inf_payload = nonprimitive_quantifiers(
-            Substitution("010", "111").classify()
-        ).to_json_dict()
+        assert payload["linedens"] == {"2": {"num": 1, "den": 18, "approx": 1 / 18}}
+        assert payload["n"] is None and payload["provenance"] == "asymptotic"
+        inf_payload = (
+            nonprimitive_quantifiers(Substitution("010", "111").classify())
+            .to_report()
+            .to_json_dict()
+        )
         assert inf_payload["Lavg"] == {"infinite": True}
         assert inf_payload["ENT"] is None
 
     def test_csv_row_shares_header(self):
         a = quantifiers_via_sums(table_of(TM))
-        row = a.to_csv_row()
+        row = a.to_report().to_csv_row()
         assert len(row) == len(RQAReport.CSV_HEADER)
-        assert row[0] == Provenance.ASYMPTOTIC.value
+        assert row[0] == "asymptotic"
         assert row[1] == ""
 
     def test_report_form(self):

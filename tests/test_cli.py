@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end via click's runner."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -17,7 +18,7 @@ from substrqa import cli
 from substrqa.cli import main
 from substrqa.densities import reconstruct_base
 from substrqa.recplot import histogram, render_ascii
-from substrqa.rqa import RQAReport
+from substrqa.rqa import RQAReport, correlation_sum
 from substrqa.substitution import Substitution
 
 TM = "0->01,1->10"
@@ -32,6 +33,10 @@ def runner():
 
 def invoke(runner, *args, **kwargs):
     return runner.invoke(main, list(args), **kwargs)
+
+
+def frac(payload: dict) -> Fraction:
+    return Fraction(payload["num"], payload["den"])
 
 
 class TestClassify:
@@ -105,10 +110,9 @@ class TestAnalyze:
         )
         assert result.exit_code == 0
         payload = json.loads(result.output)
-        emp = RQAReport.from_json_dict(payload["empirical"])
-        asy = RQAReport.from_json_dict(payload["asymptotic"])
-        assert emp.n == 2048 and asy.n is None
-        assert abs(float(emp.RR) - float(asy.RR)) < 1e-2
+        emp, asy = payload["empirical"], payload["asymptotic"]
+        assert emp["n"] == 2048 and asy["n"] is None
+        assert abs(float(frac(emp["RR"])) - float(frac(asy["RR"]))) < 1e-2
         assert payload["gap"]["RR"] < 1e-2
 
     def test_nonprimitive_asymptotic(self, runner):
@@ -129,9 +133,9 @@ class TestAnalyze:
         assert result.exit_code == 0
         payload = json.loads(result.output)
         for key in ("empirical", "asymptotic"):
-            report = RQAReport.from_json_dict(payload[key])
-            assert report.DET == report.RR / report.RR1
-            assert report.Lavg == report.RR / report.tail_density
+            report = payload[key]
+            assert frac(report["DET"]) == frac(report["RR"]) / frac(report["RR1"])
+            assert frac(report["Lavg"]) == frac(report["RR"]) / frac(report["tail_density"])
 
     def test_csv_both_modes(self, runner):
         result = invoke(
@@ -145,6 +149,13 @@ class TestAnalyze:
         assert lines[1].startswith("empirical,256,")
         assert lines[2].startswith("asymptotic,,")
         assert lines[3].startswith("gap,")
+
+    def test_long_minimum_line_length(self, runner):
+        # The correlation sum at lmin reads n + lmin + h + m - 3 letters.
+        result = invoke(runner, "analyze", TM, "--n", "64", "-l", "5", "--format", "json")
+        assert result.exit_code == 0, result.stderr
+        x = Substitution.parse(TM).fixed_point_prefix(64 + 5 + 1 + 1)
+        assert frac(json.loads(result.output)["empirical"]["C"]) == correlation_sum(x, 64, 5, 1)
 
 
 class TestDensities:
@@ -203,6 +214,15 @@ class TestConvergence:
     def test_bad_scales(self, runner):
         result = invoke(runner, "convergence", TM, "--scales", "banana")
         assert result.exit_code == 2
+
+    def test_long_minimum_line_length(self, runner):
+        result = invoke(
+            runner, "convergence", TM, "-l", "5", "--scales", "64", "--quantity", "C"
+        )
+        assert result.exit_code == 0, result.stderr
+        x = Substitution.parse(TM).fixed_point_prefix(64 + 5 + 1 + 1)
+        row = result.output.strip().splitlines()[1].split(",")
+        assert row[1] == repr(float(correlation_sum(x, 64, 5, 1)))
 
 
 class TestRender:
@@ -263,6 +283,45 @@ class TestVerify:
         names = {check["name"] for check in payload["checks"]}
         assert "example/DET" in names
         assert all(check["status"] == "pass" for check in payload["checks"])
+
+
+
+# Every non-convergence command of the benchmark reference, plus the
+# convergence sweeps of one form, prints the bytes the reference recorded.
+REFERENCE = json.loads(
+    (Path(__file__).parents[1] / "benchmarks" / "reference" / "cli-cold.json").read_text()
+)
+REFERENCE_OPS = sorted(
+    op
+    for op in REFERENCE
+    if not op.startswith("convergence") or op.startswith("convergence 01,10 ")
+)
+# Formats the reference never runs, pinned the same way.
+PINNED = {
+    "analyze 01,10 --n 64 --asymptotic --format json": "b9416836bfc19165",
+    "analyze 01,10 --n 64 --asymptotic --format csv": "44f266b8a6f91c33",
+    "analyze 010,111 --n 64 --asymptotic --format csv": "b71444e026001b5f",
+    "convergence 010,111 --scales 64 --format json --quantity Lavg": "f76654d73ef2e4af",
+    "classify 01,10 --format json": "4066d691267ed178",
+    "densities 01,00 --format json": "0980586e80a53d9b",
+    "verify --format json": "66496b85e4f4f275",
+}
+
+
+def _stdout_digest(runner, op: str) -> tuple[int, str]:
+    result = runner.invoke(main, op.split())
+    return result.exit_code, hashlib.sha256(result.stdout_bytes).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("op", REFERENCE_OPS)
+def test_output_matches_reference(runner, op):
+    want = REFERENCE[op]
+    assert _stdout_digest(runner, op) == (want["exit"], want["stdout"])
+
+
+@pytest.mark.parametrize("op", sorted(PINNED))
+def test_output_matches_pinned_digest(runner, op):
+    assert _stdout_digest(runner, op) == (0, PINNED[op])
 
 
 def test_exact_route_does_not_import_sympy():

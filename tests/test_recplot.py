@@ -8,7 +8,6 @@ from substrqa import BitSequence, DomainError, ResourceLimitError, Substitution
 from substrqa.recplot import (
     RENDER_CAP,
     Boundary,
-    EpsParams,
     LineHistogram,
     LineTriple,
     extract_lines,
@@ -354,16 +353,6 @@ class TestRender:
 
 
 class TestParams:
-    def test_eps_params_validation(self):
-        p = EpsParams(m=2, h=3, lmin=1)
-        assert (p.m, p.h, p.lmin) == (2, 3, 1)
-        with pytest.raises(DomainError):
-            EpsParams(m=0)
-        with pytest.raises(DomainError):
-            EpsParams(h=0)
-        with pytest.raises(DomainError):
-            EpsParams(lmin=0)
-
     def test_histogram_types(self):
         hist = histogram(EXAMPLE, 6, 1)
         assert isinstance(hist, LineHistogram)
