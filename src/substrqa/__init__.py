@@ -97,7 +97,7 @@ from .substitution import (
     Normalization,
     SubshiftKind,
     Substitution,
-    window_codes,
+    window_classes,
 )
 
 __version__ = "0.1.0"

@@ -16,15 +16,16 @@ invariant measure: the density at length l is
 
 since a start pair consists of two occurrences of the same inner word with
 opposite flanking letters on each side.  Block frequencies come from the
-letter-frequency eigenvector, the kernel of the induced two-block
-substitution matrix (exact Fraction elimination), and an exact
-desubstitution recursion for longer blocks.  Every exact base value is
-then validated against start-pair counts on fixed-point prefixes at two
-scales (recplot.inner_line_counts, the same identity applied to window
-counts), against the emptiness criterion (zero density exactly when no
-start pair is ever seen), and against the scaling law one step up; any
-disagreement raises ReconstructionError naming the offending length.
-Validated tables are memoized per process only; nothing is stored on disk.
+letter-frequency eigenvector, a closed form for the two-blocks (shift
+invariance leaves mu(01) = mu(10) as the one unknown of one linear
+equation), and an exact desubstitution recursion for longer blocks.  Every
+exact base value is then validated against start-pair counts on
+fixed-point prefixes at two scales (recplot.inner_line_counts, counted
+from the suffix order), against the emptiness criterion (zero density
+exactly when no start pair is ever seen), and against the scaling law one
+step up; any disagreement raises ReconstructionError naming the offending
+length.  Validated tables are memoized per process only; nothing is stored
+on disk.
 """
 
 from __future__ import annotations
@@ -82,54 +83,24 @@ def letter_frequencies(sub: Substitution) -> tuple[Fraction, Fraction]:
 
 
 def _two_block_frequencies(sub: Substitution) -> dict[str, Fraction]:
-    # One substitution step maps the 2-window at position i to q 2-windows
-    # at positions q*i..q*i+q-1, so the frequency vector is the kernel of
-    # (window-count matrix - q*I) on allowed 2-words, found by exact
-    # Gauss-Jordan elimination.
-    words = sorted(language_slice(sub, 2).words)
-    index = {w: k for k, w in enumerate(words)}
-    size = len(words)
-    rows = [[Fraction(-sub.q if r == c else 0) for c in range(size)] for r in range(size)]
-    for w, col in index.items():
-        image = sub.apply(w)
-        for r in range(sub.q):
-            window = image[r : r + 2]
-            if window not in index:
-                raise DiscrepancyError(
-                    f"window {window!r} of the image of {w!r} missing from the 2-word language"
-                )
-            rows[index[window]][col] += 1
-    pivots: list[int] = []
-    for col in range(size):
-        r = len(pivots)
-        found = next((i for i in range(r, size) if rows[i][col]), None)
-        if found is None:
-            continue
-        rows[r], rows[found] = rows[found], rows[r]
-        rows[r] = [v / rows[r][col] for v in rows[r]]
-        for i in range(size):
-            factor = rows[i][col]
-            if i != r and factor:
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-    free = [col for col in range(size) if col not in pivots]
-    if len(free) != 1:
-        raise DiscrepancyError(
-            f"two-block frequency kernel has dimension {len(free)}, expected 1"
-        )
-    vec = [Fraction(1) if col == free[0] else Fraction(0) for col in range(size)]
-    for row, col in zip(rows, pivots):
-        vec[col] = -row[free[0]]
-    total = sum(vec)
-    if total == 0:
-        raise DiscrepancyError("two-block frequency kernel sums to zero")
-    freqs = {}
-    for w, k in index.items():
-        value = vec[k] / total
-        if value <= 0:
-            raise DiscrepancyError(f"two-block frequency of {w!r} is not positive: {value}")
-        freqs[w] = value
-    return freqs
+    # Shift invariance gives mu(01) = mu(10) = t, so mu(00) = f0 - t and
+    # mu(11) = f1 - t.  One substitution step sends a letter a to q
+    # 2-windows: q-1 inside the image of a, and one across the images of a
+    # and the next letter b, which is 01 when the image of a ends in 0 and
+    # that of b starts with 1.  Counting 01 windows, q*t = sum_a f_a *
+    # #01(image of a) + sum of mu(ab) over those ab: linear in t.
+    f0, f1 = letter_frequencies(sub)
+    affine = {"00": (f0, -1), "01": (Fraction(0), 1), "10": (Fraction(0), 1), "11": (f1, -1)}
+    crossing = [affine[w] for w in affine if sub.image(int(w[0]))[-1] + sub.image(int(w[1]))[0] == "01"]
+    inside = f0 * sub.image0.count("01") + f1 * sub.image1.count("01")
+    t = (inside + sum(c for c, _ in crossing)) / (sub.q - sum(k for _, k in crossing))
+    freqs = {w: c + k * t for w, (c, k) in affine.items()}
+    if min(freqs.values()) < 0:
+        raise DiscrepancyError(f"two-block frequencies must be nonnegative, got {freqs}")
+    support = sorted(w for w, value in freqs.items() if value)
+    if support != sorted(language_slice(sub, 2).words):
+        raise DiscrepancyError(f"two-block frequencies are positive on {support}, not on the 2-word language")
+    return {w: freqs[w] for w in support}
 
 
 @lru_cache(maxsize=4096)

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DiscrepancyError, DomainError, ParseError, SaturationError
-from .substitution import ALPHABET, SubshiftKind, Substitution, window_codes
+from .substitution import ALPHABET, SubshiftKind, Substitution, window_classes
 
 __all__ = [
     "LANGUAGE_LENGTH_CAP",
@@ -46,7 +46,8 @@ __all__ = [
 # Longest prefix an occurrence scan may grow to before giving up.
 SCAN_CAP = 1 << 24
 
-# Window lengths are encoded into uint64 codes, so scans stop at 64 letters.
+# Scans stop at 64 letters, so square-normalized forms whose R lies past it
+# are refused with SaturationError; lifting the cap is ROADMAP item 3.
 LANGUAGE_LENGTH_CAP = 64
 
 
@@ -84,45 +85,33 @@ def _require_normalized_aperiodic(sub: Substitution) -> None:
         raise DomainError(f"recognizability is defined for primitive aperiodic substitutions, not {kind.value}")
 
 
-def _encode(word: str) -> int:
-    return sum(1 << t for t, ch in enumerate(word) if ch == "1")
-
-
-def _decode(code: int, length: int) -> str:
-    return "".join(ALPHABET[(code >> t) & 1] for t in range(length))
-
-
-def _residue_profile(sub: Substitution, length: int, n: int) -> dict[int, frozenset[int]]:
+def _residue_profile(sub: Substitution, length: int, n: int) -> dict[str, frozenset[int]]:
     """Map each length-`length` word of the prefix of size n to the set of
     residues mod q at which it occurs there."""
-    bits = sub.fixed_point_prefix(n).bits
-    codes = window_codes(bits, length)
-    positions = np.arange(codes.size, dtype=np.int64)
-    unique, inverse = np.unique(codes, return_inverse=True)
-    hit = np.zeros((sub.q, unique.size), dtype=bool)
-    residues = positions % sub.q
-    for r in range(sub.q):
-        counts = np.bincount(inverse[residues == r], minlength=unique.size)
-        hit[r] = counts > 0
+    prefix = sub.fixed_point_prefix(n)
+    classes = window_classes(prefix.bits, length)
+    positions = np.arange(classes.size)
+    count = int(classes.max()) + 1
+    first = np.full(count, classes.size)
+    np.minimum.at(first, classes, positions)
+    hits = np.bincount(classes * sub.q + positions % sub.q, minlength=count * sub.q)
     return {
-        int(code): frozenset(r for r in range(sub.q) if hit[r][k])
-        for k, code in enumerate(unique)
+        prefix[p : p + length].to01(): frozenset(np.flatnonzero(row).tolist())
+        for p, row in zip(first.tolist(), hits.reshape(count, sub.q))
     }
 
 
 @lru_cache(maxsize=256)
-def _saturated_residue_profile(
-    sub: Substitution, length: int, cap: int
-) -> dict[int, frozenset[int]]:
+def _saturated_residue_profile(sub: Substitution, length: int) -> dict[str, frozenset[int]]:
     """Occurrence residues per word, grown until stable across a doubling."""
     if length > LANGUAGE_LENGTH_CAP:
         raise SaturationError(f"occurrence scans support lengths up to {LANGUAGE_LENGTH_CAP}, got {length}")
     n = max(1024, 64 * length * sub.q)
     previous = _residue_profile(sub, length, n)
     while True:
-        if 2 * n > cap:
+        if 2 * n > SCAN_CAP:
             raise SaturationError(
-                f"occurrence residues for length {length} did not stabilise below {cap} letters"
+                f"occurrence residues for length {length} did not stabilise below {SCAN_CAP} letters"
             )
         n *= 2
         current = _residue_profile(sub, length, n)
@@ -131,14 +120,12 @@ def _saturated_residue_profile(
         previous = current
 
 
-def language_slice(sub: Substitution, length: int, *, cap: int = SCAN_CAP) -> LanguageSlice:
+def language_slice(sub: Substitution, length: int) -> LanguageSlice:
     """All allowed words of the given length in the subshift of `sub`."""
     _require_normalized_aperiodic(sub)
     if length < 1:
         raise DomainError(f"word length must be positive, got {length}")
-    profile = _saturated_residue_profile(sub, length, cap)
-    words = frozenset(_decode(code, length) for code in profile)
-    return LanguageSlice(length=length, words=words)
+    return LanguageSlice(length=length, words=frozenset(_saturated_residue_profile(sub, length)))
 
 
 def alpha_beta(sub: Substitution) -> tuple[int, int, Fraction]:
@@ -155,7 +142,7 @@ def alpha_beta(sub: Substitution) -> tuple[int, int, Fraction]:
     return alpha, beta, Fraction(alpha + beta, sub.q - 1)
 
 
-def is_recognizable_word(sub: Substitution, word: str, *, cap: int = SCAN_CAP) -> int | None:
+def is_recognizable_word(sub: Substitution, word: str) -> int | None:
     """The single residue mod q at which `word` occurs, or None if it
     occurs in more than one position class."""
     _require_normalized_aperiodic(sub)
@@ -164,8 +151,7 @@ def is_recognizable_word(sub: Substitution, word: str, *, cap: int = SCAN_CAP) -
     bad = set(word) - set(ALPHABET)
     if bad:
         raise ParseError(f"word contains {sorted(bad)!r}; only 0 and 1 are allowed")
-    profile = _saturated_residue_profile(sub, len(word), cap)
-    residues = profile.get(_encode(word))
+    residues = _saturated_residue_profile(sub, len(word)).get(word)
     if residues is None:
         raise DomainError(f"word {word!r} does not occur in the subshift")
     if len(residues) == 1:
@@ -189,7 +175,7 @@ def recognizability_constants(sub: Substitution) -> RecogConstants:
     while True:
         if length > LANGUAGE_LENGTH_CAP:
             raise SaturationError(f"no fully recognizable length found up to {LANGUAGE_LENGTH_CAP}")
-        profile = _saturated_residue_profile(sub, length, SCAN_CAP)
+        profile = _saturated_residue_profile(sub, length)
         if all(len(res) == 1 for res in profile.values()):
             R = length
             break
@@ -199,7 +185,7 @@ def recognizability_constants(sub: Substitution) -> RecogConstants:
     while True:
         if window > LANGUAGE_LENGTH_CAP:
             raise SaturationError(f"no decisive divisibility window found up to {LANGUAGE_LENGTH_CAP}")
-        profile = _saturated_residue_profile(sub, window, SCAN_CAP)
+        profile = _saturated_residue_profile(sub, window)
         # A window is decisive when no word occurs both at a multiple of q
         # and away from one.
         if all(0 not in res or res == {0} for res in profile.values()):

@@ -2,9 +2,13 @@
 
 The recurrence plot of a 0/1 sequence at threshold 2^-h marks the pairs of
 positions whose length-h windows agree letter by letter.  Nothing here ever
-materialises the n-by-n matrix except the small renderers: lines are found
-per diagonal offset as maximal runs of a single-letter match indicator,
-after two exact reductions collapse the parameter space:
+materialises the n-by-n matrix except the small renderers.  Line counts
+come from one suffix-order kernel, in O(n log^2 n) time: a maximal run on
+diagonal d that starts at s is the common prefix of suffixes s and s+d, so
+counting suffix pairs by exact common-prefix length counts lines.
+extract_lines and inner_line_starts keep the walk along each diagonal as
+the reference the kernel is tested against.  Two exact reductions collapse
+the parameter space:
 
 * threshold reduction: a length-l line at threshold 2^-h is the same run as
   a length-(l+h-1) line at threshold 1/2 in a plot enlarged to n+h-1, with
@@ -27,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .substitution import BitSequence, window_codes
+from .substitution import BitSequence, window_classes
 
 __all__ = [
     "RENDER_CAP",
@@ -114,7 +118,7 @@ def _effective_window(h: int, m: int) -> int:
 def _require_prefix(x: BitSequence, need: int, what: str) -> np.ndarray:
     if len(x) < need:
         raise DomainError(f"{what} needs a prefix of at least {need} letters, got {len(x)}")
-    return x.bits
+    return x.bits[:need]
 
 
 def _match_runs(bits: np.ndarray, d: int, span: int) -> tuple[np.ndarray, np.ndarray]:
@@ -122,6 +126,57 @@ def _match_runs(bits: np.ndarray, d: int, span: int) -> tuple[np.ndarray, np.nda
     eq = (bits[:span] == bits[d : d + span]).astype(np.int8)
     delta = np.diff(eq, prepend=np.int8(0), append=np.int8(0))
     return np.flatnonzero(delta == 1), np.flatnonzero(delta == -1)
+
+
+def _suffix_levels(bits: np.ndarray) -> list[np.ndarray]:
+    """Prefix-doubling ranks (Manber & Myers 1993): levels[k][i] ranks
+    bits[i : i + 2^k], a window cut short by the end below every longer
+    one, so equal ranks at two positions mean equal full windows.  Doubling
+    stops only once no two suffixes tie, because _lcp starts its lift from
+    a level on which none do."""
+    size = int(bits.size)
+    rank = np.unique(bits, return_inverse=True)[1].astype(np.int32)
+    levels = [rank]
+    span = 1
+    while int(rank.max()) + 1 < size:
+        follow = np.zeros(size, dtype=np.int64)
+        follow[: size - span] = rank[span:].astype(np.int64) + 1
+        key = rank.astype(np.int64) * (size + 1) + follow
+        rank = np.unique(key, return_inverse=True)[1].astype(np.int32)
+        levels.append(rank)
+        span *= 2
+    return levels
+
+
+def _lcp(levels: list[np.ndarray], i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Common-prefix lengths of the suffix pairs (i[t], j[t]), i[t] != j[t],
+    by binary lifting down the rank levels."""
+    size = levels[0].size
+    out = np.zeros(i.size, dtype=np.int64)
+    for k in range(len(levels) - 2, -1, -1):
+        a = np.minimum(i + out, size - 1)
+        b = np.minimum(j + out, size - 1)
+        same = (levels[k][a] == levels[k][b]) & (np.maximum(i, j) + out < size)
+        out[same] += 1 << k
+    return out
+
+
+def _pairs_by_lcp(levels: list[np.ndarray], positions: np.ndarray) -> np.ndarray:
+    """pairs[v]: unordered pairs of `positions` whose suffixes share exactly
+    v letters, v in [0, len(bits)].  In suffix order the common prefix of
+    two suffixes is the least adjacent one between them (Kasai et al.
+    2001), so a monotone stack credits each adjacent value with the
+    intervals whose rightmost minimum it is."""
+    order = positions[np.argsort(levels[-1][positions])]
+    adjacent = _lcp(levels, order[:-1], order[1:]).tolist()
+    pairs = [0] * (levels[0].size + 1)
+    stack = [(-1, -2)]  # (index, adjacent value); the sentinel is never popped
+    for right, value in enumerate(adjacent + [-1]):
+        while stack[-1][1] >= value:
+            top, common = stack.pop()
+            pairs[common] += (top - stack[-1][0]) * (right - top)
+        stack.append((right, value))
+    return np.array(pairs, dtype=np.int64)
 
 
 def quantize_eps(eps) -> int:
@@ -185,41 +240,32 @@ def extract_lines(x: BitSequence, n: int, h: int, *, m: int = 1) -> list[LineTri
 def histogram(x: BitSequence, n: int, h: int, *, m: int = 1) -> LineHistogram:
     """Aggregate maximal-line counts by length and boundary kind.
 
-    Same line set as extract_lines, but only per-diagonal run lengths are
-    ever held in memory, so n in the tens of thousands stays cheap.
+    Same line set as extract_lines, counted from the suffix order without
+    walking diagonals.  The maximal run on diagonal d that starts at s pairs
+    suffixes s and s+d; its pairs (s+t, s+t+d) share exactly length - t
+    letters, so every run of length >= v holds one pair with common prefix
+    exactly v, and runs of length v number pairs(v) - pairs(v+1).  The
+    zero-boundary run on diagonal d has length lcp(0, d); the far-edge run
+    is the row-0 run of the reversed prefix.
     """
     window = _effective_window(h, m)
     if n < 2:
         raise DomainError(f"plot size must be at least 2, got {n}")
     size = n + window - 1
     bits = _require_prefix(x, size, f"plot of size {n} at window {window}")
-    inner = np.zeros(size + 1, dtype=np.int64)
-    zero = np.zeros(size + 1, dtype=np.int64)
-    nbd = np.zeros(size + 1, dtype=np.int64)
-    for d in range(1, size):
-        limit = size - d
-        starts, ends = _match_runs(bits, d, limit)
-        lengths = ends - starts
-        keep = lengths >= window
-        if not keep.any():
-            continue
-        starts = starts[keep]
-        ends = ends[keep]
-        lengths = lengths[keep]
-        z = starts == 0
-        nb = ends == limit
-        for acc, mask in ((inner, ~z & ~nb), (zero, z & ~nb), (nbd, nb)):
-            if mask.any():
-                c = np.bincount(lengths[mask])
-                acc[: c.size] += c
-    counts = {}
-    for run_length in np.flatnonzero(inner + zero + nbd).tolist():
-        length = run_length - window + 1
-        counts[length] = (
-            2 * int(inner[run_length]),
-            2 * int(zero[run_length]),
-            2 * int(nbd[run_length]),
-        )
+    diagonals = np.arange(1, size)
+    row0 = np.zeros_like(diagonals)
+    levels = _suffix_levels(bits)
+    pairs = _pairs_by_lcp(levels, np.arange(size))
+    zero_runs = _lcp(levels, row0, diagonals)
+    del levels  # free the forward ranks before building the reversed ones: peak memory
+    far_runs = _lcp(_suffix_levels(bits[::-1]), row0, diagonals)
+    runs = pairs[:-1] - pairs[1:]
+    zero = np.bincount(zero_runs[zero_runs < size - diagonals], minlength=size)
+    nbd = np.bincount(far_runs, minlength=size)
+    buckets = 2 * np.stack([runs - zero - nbd, zero, nbd], axis=1)
+    lengths = np.flatnonzero(runs[window:]) + window
+    counts = {int(r) - window + 1: tuple(buckets[r].tolist()) for r in lengths}
     return LineHistogram(n=n, h=h, m=m, counts=counts)
 
 
@@ -282,11 +328,11 @@ def inner_line_counts(x: BitSequence, n: int, max_length: int) -> np.ndarray:
     result[l] = len(inner_line_starts(x, l, n)) for 1 <= l <= max_length.
     result[0] is unused and zero.
 
-    Positions p in [1, n) are grouped by their word x[p..p+l), the classes
-    refined one letter per length.  Within a class, a start pair is two
-    positions whose flanks (x[p-1], x[p+l]) differ on both sides, so the
-    class contributes 2 * (n00 * n11 + n01 * n10) ordered pairs -- the
-    identity density_from_frequencies applies to block frequencies.
+    A start pair at length l is two positions in [1, n) whose suffixes share
+    exactly l letters, minus those whose letters just before agree too; the
+    latter are the pairs one step left, in [0, n-1), sharing exactly l+1.
+    So result[l] = 2 * (pairs among [1, n) at l - pairs among [0, n-1) at
+    l+1), both read off one suffix order.
     """
     if max_length < 1:
         raise DomainError(f"maximum length must be positive, got {max_length}")
@@ -294,17 +340,12 @@ def inner_line_counts(x: BitSequence, n: int, max_length: int) -> np.ndarray:
         raise DomainError(f"position bound must be at least 2, got {n}")
     bits = _require_prefix(
         x, n + max_length + 1, f"inner-line scan up to length {max_length}, bound {n}"
-    ).astype(np.int64)
+    )
+    levels = _suffix_levels(bits)
+    starts = _pairs_by_lcp(levels, np.arange(1, n))
+    shifted = _pairs_by_lcp(levels, np.arange(n - 1))
     counts = np.zeros(max_length + 1, dtype=np.int64)
-    left = bits[: n - 1]
-    classes = np.zeros(n - 1, dtype=np.int64)
-    for length in range(1, max_length + 1):
-        _, classes = np.unique(2 * classes + bits[length : n - 1 + length], return_inverse=True)
-        flanks = 4 * classes + 2 * left + bits[1 + length : n + length]
-        per_class = np.bincount(flanks, minlength=4 * (int(classes.max()) + 1)).reshape(-1, 4)
-        counts[length] = 2 * int(
-            (per_class[:, 0] * per_class[:, 3] + per_class[:, 1] * per_class[:, 2]).sum()
-        )
+    counts[1:] = 2 * (starts[1 : max_length + 1] - shifted[2 : max_length + 2])
     return counts
 
 
@@ -315,8 +356,8 @@ def _plot_matrix(x: BitSequence, n: int, h: int, m: int) -> np.ndarray:
     if n > RENDER_CAP:
         raise ResourceLimitError(f"rendering is capped at {RENDER_CAP}x{RENDER_CAP}, got n={n}")
     bits = _require_prefix(x, n + window - 1, f"render of size {n} at window {window}")
-    codes = window_codes(bits[: n + window - 1], window)
-    return codes[:, None] == codes[None, :]
+    classes = window_classes(bits, window)
+    return classes[:, None] == classes[None, :]
 
 
 def render_ascii(x: BitSequence, n: int, h: int, *, m: int = 1) -> str:

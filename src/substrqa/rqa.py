@@ -20,7 +20,6 @@ rationals; a zero denominator makes a quantity absent (None), never zero.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -29,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError
 from .recplot import LineHistogram, histogram
-from .substitution import BitSequence, window_codes
+from .substitution import BitSequence, window_classes
 
 __all__ = [
     "AsymptoticEstimate",
@@ -257,15 +256,8 @@ def correlation_sum(x: BitSequence, n: int, lmin: int, h: int, *, m: int = 1) ->
         raise DomainError(
             f"correlation sum at n={n}, window {width} needs {need} letters, got {len(x)}"
         )
-    if width <= 64:
-        codes = window_codes(x.bits[:need], width)
-        _, counts = np.unique(codes, return_counts=True)
-        total = int((counts * counts).sum())
-    else:
-        text = x.to01()
-        classes = Counter(text[i : i + width] for i in range(n))
-        total = sum(c * c for c in classes.values())
-    return Fraction(total, n * n)
+    counts = np.bincount(window_classes(x.bits[:need], width))
+    return Fraction(int((counts * counts).sum()), n * n)
 
 
 def corsum_from_histogram(

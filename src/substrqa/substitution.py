@@ -25,7 +25,7 @@ __all__ = [
     "Normalization",
     "SubshiftKind",
     "Substitution",
-    "window_codes",
+    "window_classes",
 ]
 
 ALPHABET = "01"
@@ -85,22 +85,26 @@ class BitSequence:
         return f"BitSequence({self[:32].to01()!r}..., len={len(self)})"
 
 
-def window_codes(bits: np.ndarray, width: int) -> np.ndarray:
-    """Encode every length-`width` window of `bits` as a uint64.
+def window_classes(bits: np.ndarray, width: int) -> np.ndarray:
+    """Class ids 0..k-1 of every length-`width` window of `bits`.
 
-    The window starting at i maps to sum(bits[i+t] << t), so two codes are
-    equal exactly when the windows are equal letter by letter.  Requires
-    1 <= width <= 64 and len(bits) >= width.
+    Each window is packed 64 letters to a uint64 word, and windows with
+    equal words share an id, so two ids are equal exactly when the windows
+    are equal letter by letter.  Requires 1 <= width <= len(bits).
     """
-    if not 1 <= width <= 64:
-        raise DomainError(f"window width must be in [1, 64], got {width}")
+    if width < 1:
+        raise DomainError(f"window width must be positive, got {width}")
     count = int(bits.size) - width + 1
     if count <= 0:
         raise DomainError(f"sequence of length {bits.size} has no windows of width {width}")
-    codes = np.zeros(count, dtype=np.uint64)
+    wide = bits.astype(np.uint64)
+    words = np.zeros((-(-width // 64), count), dtype=np.uint64)
     for t in range(width):
-        codes |= bits[t : t + count].astype(np.uint64) << np.uint64(t)
-    return codes
+        words[t // 64] |= wide[t : t + count] << np.uint64(t % 64)
+    ids = np.unique(words[0], return_inverse=True)[1]
+    for word in words[1:]:
+        ids = np.unique(ids * count + np.unique(word, return_inverse=True)[1], return_inverse=True)[1]
+    return ids
 
 
 class Normalization(str, enum.Enum):

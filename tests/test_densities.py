@@ -70,16 +70,17 @@ class TestBlockFrequencies:
         assert all(f > 0 for f in freqs.values())
 
     def test_two_blocks_on_every_small_form(self):
-        # The exact kernel against the independent letter-frequency route,
-        # on every primitive aperiodic normalized form with q <= 3.
+        # The closed form against the independent letter-frequency route and
+        # the desubstitution recursion, on every primitive aperiodic
+        # normalized form with q <= 4.
         forms = set()
-        for q in (2, 3):
+        for q in (2, 3, 4):
             words = ["".join(t) for t in itertools.product("01", repeat=q)]
             for a, b in itertools.product(words, repeat=2):
                 cls = Substitution(a, b).classify()
                 if cls.kind is SubshiftKind.PRIMITIVE_APERIODIC:
                     forms.add(cls.normalized)
-        assert len(forms) == 36
+        assert len(forms) == 194
         for sub in forms:
             freqs = block_frequencies(sub, 2)
             assert all(f > 0 for f in freqs.values()), sub
@@ -89,6 +90,12 @@ class TestBlockFrequencies:
                     sum(f for w, f in freqs.items() if w[pos] == a) for a in "01"
                 )
                 assert marginal == letter_frequencies(sub), (sub, pos)
+            # Length 3 is built from length 2 by desubstitution, so a wrong
+            # mu(01) shows up as length-3 marginals that miss it.
+            triples = block_frequencies(sub, 3)
+            for w, f in freqs.items():
+                assert sum(g for v, g in triples.items() if v[:-1] == w) == f, (sub, w)
+                assert sum(g for v, g in triples.items() if v[1:] == w) == f, (sub, w)
 
     @pytest.mark.parametrize("sub", GOLDEN, ids=str)
     @pytest.mark.parametrize("length", [1, 2, 3, 4])

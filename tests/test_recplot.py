@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -156,6 +157,26 @@ class TestHistogram:
             assert hist.total(length) == sum(1 for t in lines if t.length == length)
         assert hist.recurrence_mass() == sum(t.length for t in lines)
 
+    @pytest.mark.parametrize("h", [1, 2])
+    def test_buckets_match_extract_lines_flags(self, h):
+        texts = ["".join(t) for k in range(h + 1, 11) for t in itertools.product("01", repeat=k)]
+        texts += [word * k for word in ("0", "01", "001") for k in (7, 20, 41)]
+        for text in texts:
+            x = BitSequence.from_text(text)
+            n = len(text) - h + 1
+            expected: dict[int, list[int]] = {}
+            for t in extract_lines(x, n, h):
+                if Boundary.N_BOUNDARY in t.boundary:
+                    slot = 2
+                elif Boundary.ZERO_BOUNDARY in t.boundary:
+                    slot = 1
+                else:
+                    slot = 0
+                expected.setdefault(t.length, [0, 0, 0])[slot] += 1
+            counts = histogram(x, n, h).counts
+            assert counts == {l: tuple(b) for l, b in expected.items()}, text
+            assert list(counts) == sorted(counts), text
+
     def test_conservation_against_recurrence_count(self):
         rng = np.random.default_rng(7)
         for _ in range(5):
@@ -297,6 +318,21 @@ class TestInnerLines:
         for length in range(1, lmax + 1):
             assert counts[length] == len(inner_line_starts(x, length, n))
 
+    @pytest.mark.parametrize(
+        "text,n,lmax",
+        [
+            ("0" * 80, 40, 30),
+            ("01" * 60, 60, 40),
+            (Substitution("1010", "0001").normalize()[0].fixed_point_prefix(400).to01(), 300, 48),
+        ],
+        ids=["zeros", "alternating", "square-normalized-q16"],
+    )
+    def test_counts_agree_on_long_repeats(self, text, n, lmax):
+        x = BitSequence.from_text(text)
+        counts = inner_line_counts(x, n, lmax)
+        for length in range(1, lmax + 1):
+            assert counts[length] == len(inner_line_starts(x, length, n))
+
     def test_agrees_with_extract_lines_window(self):
         n, length = 120, 3
         big = n + length + 1
@@ -334,6 +370,14 @@ class TestRender:
         for i in range(16):
             for j in range(16):
                 assert (art[i][j] == "#") == rp_entry(x, i, j, 2)
+
+    def test_ascii_wide_window_matches_entries(self):
+        x = BitSequence.from_text("0010" * 23 + "1")
+        art = render_ascii(x, 24, 70).splitlines()
+        assert art[0] == "#...#...#...#...#...#..."
+        for i in range(24):
+            for j in range(24):
+                assert (art[i][j] == "#") == rp_entry(x, i, j, 70)
 
     def test_pgm_structure(self):
         data = render_pgm(EXAMPLE, 6, 1)

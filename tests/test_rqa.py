@@ -148,7 +148,7 @@ class TestCorrelationSum:
             )
 
     def test_wide_window_fallback_matches_brute_force(self):
-        # Widths past 64 letters leave the packed-integer path.
+        # Widths past 64 letters take more than one packed word per window.
         text = TM.fixed_point_prefix(200).to01()
         for width in (64, 65, 70):
             n = 100

@@ -10,7 +10,7 @@ from substrqa import (
     ResourceLimitError,
     SubshiftKind,
     Substitution,
-    window_codes,
+    window_classes,
 )
 
 TM = Substitution("01", "10")
@@ -218,19 +218,23 @@ class TestBitSequence:
         with pytest.raises(ValueError):
             s.bits[0] = 1
 
-    def test_window_codes_distinguish_windows(self):
-        bits = BitSequence.from_text("0110100110").bits
-        codes = window_codes(bits, 3)
-        assert codes.size == 8
-        words = ["011", "110", "101", "010", "100", "001", "011", "110"]
+    @pytest.mark.parametrize("width", [3, 64, 65, 130])
+    def test_window_classes_distinguish_windows(self, width):
+        # Repeated windows, and windows that differ only in their last letter.
+        base = TM.fixed_point_prefix(width + 20).to01()
+        text = base + "1" + base + "0" + base
+        ids = window_classes(BitSequence.from_text(text).bits, width).tolist()
+        words = [text[i : i + width] for i in range(len(text) - width + 1)]
+        assert len(ids) == len(words)
+        assert len(set(ids)) < len(ids)
         for i, w in enumerate(words):
             for j, v in enumerate(words):
-                assert (codes[i] == codes[j]) == (w == v)
+                assert (ids[i] == ids[j]) == (w == v)
 
-    def test_window_codes_width_limits(self):
+    def test_window_classes_width_limits(self):
         bits = np.zeros(100, dtype=np.uint8)
-        assert window_codes(bits, 64).size == 37
+        assert window_classes(bits, 100).size == 1
         with pytest.raises(DomainError):
-            window_codes(bits, 65)
+            window_classes(bits, 0)
         with pytest.raises(DomainError):
-            window_codes(np.zeros(3, dtype=np.uint8), 4)
+            window_classes(bits, 101)
