@@ -3,9 +3,13 @@
 The recurrence plot of a 0/1 sequence at threshold 2^-h marks the pairs of
 positions whose length-h windows agree letter by letter.  Nothing here ever
 materialises the n-by-n matrix except the small renderers.  Line counts
-come from one suffix-order kernel, in O(n log^2 n) time: a maximal run on
-diagonal d that starts at s is the common prefix of suffixes s and s+d, so
-counting suffix pairs by exact common-prefix length counts lines.
+come from one suffix-order kernel: a maximal run on diagonal d that starts
+at s is the common prefix of suffixes s and s+d, so counting suffix pairs
+by exact common-prefix length counts lines.  Each plot builds one set of
+prefix-doubling ranks, with a sort per doubling, and reads every common
+prefix and suffix off them by binary lifting; the pair count lifts over a
+min sparse table built once the ranks are freed.  That is O(n log^2 n)
+time and O(n log n) int32 memory, with no per-suffix Python loop.
 extract_lines and inner_line_starts keep the walk along each diagonal as
 the reference the kernel is tested against.  Two exact reductions collapse
 the parameter space:
@@ -31,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .substitution import BitSequence, window_classes
+from .substitution import BitSequence, dense_ranks, window_classes
 
 __all__ = [
     "RENDER_CAP",
@@ -128,55 +132,114 @@ def _match_runs(bits: np.ndarray, d: int, span: int) -> tuple[np.ndarray, np.nda
     return np.flatnonzero(delta == 1), np.flatnonzero(delta == -1)
 
 
+# Windows this long fit a base-3 code in int64 (3^32 < 2^63).
+_PACKED_SPAN = 32
+
+
+def _shifted(values: np.ndarray, span: int) -> np.ndarray:
+    """values[i + span] at every i, zero past the end."""
+    out = np.zeros_like(values)
+    out[: max(values.size - span, 0)] = values[span:]
+    return out
+
+
 def _suffix_levels(bits: np.ndarray) -> list[np.ndarray]:
-    """Prefix-doubling ranks (Manber & Myers 1993): levels[k][i] ranks
+    """Prefix-doubling ranks (Manber & Myers 1993) of the suffixes of bits,
+    the empty one at position len(bits) included: levels[k][i] ranks
     bits[i : i + 2^k], a window cut short by the end below every longer
-    one, so equal ranks at two positions mean equal full windows.  Doubling
-    stops only once no two suffixes tie, because _lcp starts its lift from
-    a level on which none do."""
-    size = int(bits.size)
-    rank = np.unique(bits, return_inverse=True)[1].astype(np.int32)
-    levels = [rank]
+    one.  Two windows cut short at different positions differ in length, so
+    equal ranks at two positions mean equal full windows.
+
+    The first levels are base-3 codes of the windows, letters 1 and 2 and
+    end-of-text 0.  Comparing the codes compares the digits left to right,
+    and a cut-short window is padded with zeros, below any letter, so the
+    codes keep that order; five multiply-adds reach 32 letters without a
+    sort.  Doubling with sorts starts from the dense ranks of those codes
+    and stops only once no two suffixes tie, because the lifts in _lcp and
+    _common_suffix start just below a level on which none do."""
+    code = np.append(bits.astype(np.int64) + 1, 0)
+    size = code.size
+    levels = []
     span = 1
+    while span < _PACKED_SPAN:
+        levels.append(code.astype(np.int32))
+        code = code * 3**span + _shifted(code, span)
+        span *= 2
+    rank = dense_ranks(code)
+    levels.append(rank.astype(np.int32))
     while int(rank.max()) + 1 < size:
-        follow = np.zeros(size, dtype=np.int64)
-        follow[: size - span] = rank[span:].astype(np.int64) + 1
-        key = rank.astype(np.int64) * (size + 1) + follow
-        rank = np.unique(key, return_inverse=True)[1].astype(np.int32)
-        levels.append(rank)
+        rank = dense_ranks(rank * size + _shifted(rank, span))
+        levels.append(rank.astype(np.int32))
         span *= 2
     return levels
 
 
 def _lcp(levels: list[np.ndarray], i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Common-prefix lengths of the suffix pairs (i[t], j[t]), i[t] != j[t],
-    by binary lifting down the rank levels."""
-    size = levels[0].size
+    by binary lifting down the rank levels.  A match never runs past the
+    end, where the empty suffix differs from every other, so no index
+    leaves the levels."""
     out = np.zeros(i.size, dtype=np.int64)
     for k in range(len(levels) - 2, -1, -1):
-        a = np.minimum(i + out, size - 1)
-        b = np.minimum(j + out, size - 1)
-        same = (levels[k][a] == levels[k][b]) & (np.maximum(i, j) + out < size)
-        out[same] += 1 << k
+        same = levels[k][i + out] == levels[k][j + out]
+        np.add(out, 1 << k, out=out, where=same)
     return out
 
 
-def _pairs_by_lcp(levels: list[np.ndarray], positions: np.ndarray) -> np.ndarray:
-    """pairs[v]: unordered pairs of `positions` whose suffixes share exactly
-    v letters, v in [0, len(bits)].  In suffix order the common prefix of
-    two suffixes is the least adjacent one between them (Kasai et al.
-    2001), so a monotone stack credits each adjacent value with the
-    intervals whose rightmost minimum it is."""
-    order = positions[np.argsort(levels[-1][positions])]
-    adjacent = _lcp(levels, order[:-1], order[1:]).tolist()
-    pairs = [0] * (levels[0].size + 1)
-    stack = [(-1, -2)]  # (index, adjacent value); the sentinel is never popped
-    for right, value in enumerate(adjacent + [-1]):
-        while stack[-1][1] >= value:
-            top, common = stack.pop()
-            pairs[common] += (top - stack[-1][0]) * (right - top)
-        stack.append((right, value))
-    return np.array(pairs, dtype=np.int64)
+def _common_suffix(levels: list[np.ndarray], i: np.ndarray, j: np.ndarray | int) -> np.ndarray:
+    """Common-suffix lengths of the prefixes that end at i[t] < j[t], by
+    lifting back down the same levels: each step compares the two windows
+    that end just before the match found so far, which lie wholly inside."""
+    out = np.zeros(i.size, dtype=np.int64)
+    for k in range(len(levels) - 2, -1, -1):
+        a = i - out - ((1 << k) - 1)
+        fits = a >= 0
+        a = np.maximum(a, 0)
+        same = fits & (levels[k][a] == levels[k][a + (j - i)])
+        np.add(out, 1 << k, out=out, where=same)
+    return out
+
+
+def _adjacent_lcp(levels: list[np.ndarray], lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The positions [lo, hi) in suffix order, and the common-prefix lengths
+    of neighbours in that order."""
+    size = levels[0].size
+    order = np.empty(size, dtype=np.int64)
+    order[levels[-1]] = np.arange(size)
+    order = order[(order >= lo) & (order < hi)]
+    return order, _lcp(levels, order[:-1], order[1:])
+
+
+def _pairs_by_lcp(adjacent: np.ndarray, size: int) -> np.ndarray:
+    """pairs[v]: unordered pairs of suffixes that share exactly v letters,
+    v in [0, size], given the common prefixes of neighbours in their suffix
+    order.  The common prefix of two suffixes is the least adjacent value
+    between them (Kasai et al. 2001).  Each adjacent value is credited with
+    the intervals whose rightmost minimum it is: they reach left to just
+    after the nearest smaller value and right to just before the nearest
+    value not larger.  Both bounds come for every value at once by lifting
+    over a min sparse table, table[k][t] = min(adjacent[t : t + 2^k])."""
+    count = adjacent.size
+    pairs = np.zeros(size + 1, dtype=np.int64)
+    if not count:
+        return pairs
+    table = [adjacent.astype(np.int32)]
+    while 1 << len(table) <= count:
+        half = 1 << (len(table) - 1)
+        table.append(np.minimum(table[-1][:-half], table[-1][half:]))
+    value = table[0]
+    index = np.arange(count)
+    left = index.copy()
+    right = index + 1
+    for k in range(len(table) - 1, -1, -1):
+        width = 1 << k
+        mins = table[k]
+        wider = (left >= width) & (mins[np.maximum(left - width, 0)] >= value)
+        np.subtract(left, width, out=left, where=wider)
+        wider = (right <= count - width) & (mins[np.minimum(right, count - width)] > value)
+        np.add(right, width, out=right, where=wider)
+    np.add.at(pairs, value, (index - left + 1) * (right - index))
+    return pairs
 
 
 def quantize_eps(eps) -> int:
@@ -245,8 +308,10 @@ def histogram(x: BitSequence, n: int, h: int, *, m: int = 1) -> LineHistogram:
     suffixes s and s+d; its pairs (s+t, s+t+d) share exactly length - t
     letters, so every run of length >= v holds one pair with common prefix
     exactly v, and runs of length v number pairs(v) - pairs(v+1).  The
-    zero-boundary run on diagonal d has length lcp(0, d); the far-edge run
-    is the row-0 run of the reversed prefix.
+    zero-boundary run on diagonal d has length lcp(0, d), the least
+    adjacent common prefix between suffixes 0 and d in suffix order.  The
+    far-edge run on diagonal d is the common suffix of bits[:size-d] and
+    bits, read off the same forward ranks.
     """
     window = _effective_window(h, m)
     if n < 2:
@@ -254,12 +319,16 @@ def histogram(x: BitSequence, n: int, h: int, *, m: int = 1) -> LineHistogram:
     size = n + window - 1
     bits = _require_prefix(x, size, f"plot of size {n} at window {window}")
     diagonals = np.arange(1, size)
-    row0 = np.zeros_like(diagonals)
     levels = _suffix_levels(bits)
-    pairs = _pairs_by_lcp(levels, np.arange(size))
-    zero_runs = _lcp(levels, row0, diagonals)
-    del levels  # free the forward ranks before building the reversed ones: peak memory
-    far_runs = _lcp(_suffix_levels(bits[::-1]), row0, diagonals)
+    order, adjacent = _adjacent_lcp(levels, 0, size)
+    far_runs = _common_suffix(levels, size - 1 - diagonals, size - 1)
+    del levels  # free the ranks before the pair count builds its table: peak memory
+    place = int(np.flatnonzero(order == 0)[0])
+    zero_runs = np.zeros(size, dtype=np.int64)
+    zero_runs[order[place + 1 :]] = np.minimum.accumulate(adjacent[place:])
+    zero_runs[order[:place]] = np.minimum.accumulate(adjacent[:place][::-1])[::-1]
+    zero_runs = zero_runs[1:]
+    pairs = _pairs_by_lcp(adjacent, size)
     runs = pairs[:-1] - pairs[1:]
     zero = np.bincount(zero_runs[zero_runs < size - diagonals], minlength=size)
     nbd = np.bincount(far_runs, minlength=size)
@@ -342,8 +411,11 @@ def inner_line_counts(x: BitSequence, n: int, max_length: int) -> np.ndarray:
         x, n + max_length + 1, f"inner-line scan up to length {max_length}, bound {n}"
     )
     levels = _suffix_levels(bits)
-    starts = _pairs_by_lcp(levels, np.arange(1, n))
-    shifted = _pairs_by_lcp(levels, np.arange(n - 1))
+    adjacent_starts = _adjacent_lcp(levels, 1, n)[1]
+    adjacent_shifted = _adjacent_lcp(levels, 0, n - 1)[1]
+    del levels  # free the ranks before the pair counts build their tables: peak memory
+    starts = _pairs_by_lcp(adjacent_starts, bits.size)
+    shifted = _pairs_by_lcp(adjacent_shifted, bits.size)
     counts = np.zeros(max_length + 1, dtype=np.int64)
     counts[1:] = 2 * (starts[1 : max_length + 1] - shifted[2 : max_length + 2])
     return counts

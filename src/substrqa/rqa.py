@@ -206,11 +206,12 @@ def measures_from_histogram(hist: LineHistogram, lmin: int) -> RQAReport:
     if n < 2:
         raise DomainError(f"plot size must be at least 2, got {n}")
     cells = n * n - n
-    all_dens = {length: Fraction(hist.total(length), cells) for length in hist.lengths()}
-    rr1 = sum((l * d for l, d in all_dens.items()), Fraction(0))
-    dens = {l: d for l, d in all_dens.items() if l >= lmin}
-    tail = sum(dens.values(), Fraction(0))
-    rr = sum((l * d for l, d in dens.items()), Fraction(0))
+    totals = {length: hist.total(length) for length in hist.lengths()}
+    kept = {l: c for l, c in totals.items() if l >= lmin}
+    rr1 = Fraction(sum(l * c for l, c in totals.items()), cells)
+    dens = {l: Fraction(c, cells) for l, c in kept.items()}
+    tail = Fraction(sum(kept.values()), cells)
+    rr = Fraction(sum(l * c for l, c in kept.items()), cells)
     det = rr / rr1 if rr1 else None
     lavg = rr / tail if tail else None
     if not tail:

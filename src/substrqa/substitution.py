@@ -85,6 +85,19 @@ class BitSequence:
         return f"BitSequence({self[:32].to01()!r}..., len={len(self)})"
 
 
+def dense_ranks(keys: np.ndarray) -> np.ndarray:
+    """Ids 0..k-1 that number the distinct values of `keys` in sorted order:
+    the inverse of a sorted unique, from one argsort, a compare with the
+    sorted neighbour and a cumsum."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    fresh = np.zeros(keys.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    ids = np.empty(keys.size, dtype=np.intp)
+    ids[order] = np.cumsum(fresh)
+    return ids
+
+
 def window_classes(bits: np.ndarray, width: int) -> np.ndarray:
     """Class ids 0..k-1 of every length-`width` window of `bits`.
 
@@ -101,9 +114,9 @@ def window_classes(bits: np.ndarray, width: int) -> np.ndarray:
     words = np.zeros((-(-width // 64), count), dtype=np.uint64)
     for t in range(width):
         words[t // 64] |= wide[t : t + count] << np.uint64(t % 64)
-    ids = np.unique(words[0], return_inverse=True)[1]
+    ids = dense_ranks(words[0])
     for word in words[1:]:
-        ids = np.unique(ids * count + np.unique(word, return_inverse=True)[1], return_inverse=True)[1]
+        ids = dense_ranks(ids * count + dense_ranks(word))
     return ids
 
 

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from substrqa import BitSequence, DomainError, ResourceLimitError, Substitution
+from substrqa import (
+    BitSequence,
+    DomainError,
+    ResourceLimitError,
+    Substitution,
+    recplot,
+    window_classes,
+)
 from substrqa.recplot import (
     RENDER_CAP,
     Boundary,
@@ -191,6 +198,72 @@ class TestHistogram:
         hist = histogram(TM.fixed_point_prefix(600), 512, 1)
         n = 512
         assert hist.recurrence_mass() <= n * n - n
+
+    @pytest.mark.parametrize("h", [1, 3])
+    @pytest.mark.parametrize("sub", [TM, Substitution("01110", "01010")], ids=str)
+    def test_large_plot_matches_window_classes(self, sub, h):
+        # Past the reach of extract_lines: two identities that need only the
+        # width-h window classes of the positions [0, n).
+        n = 1 << 16
+        x = sub.fixed_point_prefix(n + h - 1)
+        hist = histogram(x, n, h)
+        classes = window_classes(x.bits, h)
+        sizes = np.bincount(classes)
+        assert hist.recurrence_mass() == int((sizes * (sizes - 1)).sum())
+        # A line starts at each recurrent pair in row or column 0, and at each
+        # recurrent pair (i, j), i, j >= 1, whose preceding letters differ.
+        flanked = np.bincount(2 * classes[1:] + x.bits[: n - 1], minlength=2 * sizes.size)
+        flanked = flanked.reshape(-1, 2)
+        starts = 2 * int((flanked[:, 0] * flanked[:, 1]).sum()) + 2 * (int(sizes[classes[0]]) - 1)
+        assert sum(hist.total(length) for length in hist.lengths()) == starts
+
+
+# -- suffix kernel -----------------------------------------------------------
+
+
+def _kernel_texts() -> list[str]:
+    # Lengths on both sides of the hand-over from base-3 codes to sorting at
+    # 32 letters, and of the next doubling at 64.
+    rng = np.random.default_rng(11)
+    texts = []
+    for size in (1, 2, 31, 32, 33, 64, 65):
+        texts += [(word * size)[:size] for word in ("0", "01", "001")]
+        texts.append("".join(rng.choice(["0", "1"], size)))
+    return texts
+
+
+def _common_prefix(a: str, b: str) -> int:
+    return next((t for t, (u, v) in enumerate(zip(a, b)) if u != v), min(len(a), len(b)))
+
+
+class TestSuffixKernel:
+    @pytest.mark.parametrize("text", _kernel_texts())
+    def test_last_level_sorts_suffixes(self, text):
+        levels = recplot._suffix_levels(BitSequence.from_text(text).bits)
+        expected = sorted(range(len(text) + 1), key=lambda i: text[i:])
+        assert np.argsort(levels[-1]).tolist() == expected
+
+    @pytest.mark.parametrize("text", _kernel_texts())
+    def test_pairs_by_lcp_match_brute_force(self, text):
+        size = len(text)
+        levels = recplot._suffix_levels(BitSequence.from_text(text).bits)
+        for lo, hi in ((0, size), (1, size), (0, size - 1)):
+            expected = [0] * (size + 1)
+            for i, j in itertools.combinations(range(lo, hi), 2):
+                expected[_common_prefix(text[i:], text[j:])] += 1
+            adjacent = recplot._adjacent_lcp(levels, lo, hi)[1]
+            assert recplot._pairs_by_lcp(adjacent, size).tolist() == expected
+
+    @pytest.mark.parametrize("text", _kernel_texts())
+    def test_lifts_match_brute_force(self, text):
+        levels = recplot._suffix_levels(BitSequence.from_text(text).bits)
+        i, j = np.triu_indices(len(text), 1)
+        assert recplot._lcp(levels, i, j).tolist() == [
+            _common_prefix(text[a:], text[b:]) for a, b in zip(i, j)
+        ]
+        assert recplot._common_suffix(levels, i, j).tolist() == [
+            _common_prefix(text[a::-1], text[b::-1]) for a, b in zip(i, j)
+        ]
 
 
 # -- reductions --------------------------------------------------------------

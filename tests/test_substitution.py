@@ -12,6 +12,7 @@ from substrqa import (
     Substitution,
     window_classes,
 )
+from substrqa.substitution import dense_ranks
 
 TM = Substitution("01", "10")
 PD = Substitution("01", "00")
@@ -230,6 +231,33 @@ class TestBitSequence:
         for i, w in enumerate(words):
             for j, v in enumerate(words):
                 assert (ids[i] == ids[j]) == (w == v)
+
+    @pytest.mark.parametrize("width", [1, 63, 64, 65, 130])
+    def test_window_classes_number_sorted_keys(self, width):
+        # Reference: the same 64-letter words, numbered by nested np.unique.
+        rng = np.random.default_rng(width)
+        noise = rng.integers(0, 2, 600, dtype=np.uint8)
+        bits = np.concatenate([TM.fixed_point_prefix(600).bits, noise])
+        count = bits.size - width + 1
+        words = np.zeros((-(-width // 64), count), dtype=np.uint64)
+        for t in range(width):
+            words[t // 64] |= bits[t : t + count].astype(np.uint64) << np.uint64(t % 64)
+        expected = np.unique(words[0], return_inverse=True)[1]
+        for word in words[1:]:
+            inner = np.unique(word, return_inverse=True)[1]
+            expected = np.unique(expected * count + inner, return_inverse=True)[1]
+        assert window_classes(bits, width).tolist() == expected.tolist()
+
+    def test_dense_ranks_match_unique_inverse(self):
+        rng = np.random.default_rng(3)
+        for keys in (
+            rng.integers(0, 50, 1000),
+            rng.integers(0, 2**63, 1000, dtype=np.uint64),
+            np.zeros(7, dtype=np.int64),
+            np.arange(5)[::-1],
+            np.array([], dtype=np.int64),
+        ):
+            assert dense_ranks(keys).tolist() == np.unique(keys, return_inverse=True)[1].tolist()
 
     def test_window_classes_width_limits(self):
         bits = np.zeros(100, dtype=np.uint8)
