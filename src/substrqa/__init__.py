@@ -42,12 +42,9 @@ from .errors import (
     ParseError,
     ReconstructionError,
     ResourceLimitError,
-    SaturationError,
     SubstRQAError,
 )
 from .recognizability import (
-    LANGUAGE_LENGTH_CAP,
-    SCAN_CAP,
     LanguageSlice,
     RecogConstants,
     alpha_beta,

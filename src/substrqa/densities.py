@@ -36,9 +36,15 @@ from functools import lru_cache
 from math import ceil, floor
 
 from .errors import DiscrepancyError, DomainError, ReconstructionError
-from .recognizability import RecogConstants, language_slice, recognizability_constants
+from .recognizability import (
+    RecogConstants,
+    desubstitute,
+    language_slice,
+    recognizability_constants,
+    require_normalized_aperiodic,
+)
 from .recplot import inner_line_counts
-from .substitution import BitSequence, SubshiftKind, Substitution
+from .substitution import BitSequence, Substitution
 
 __all__ = [
     "BaseEvidence",
@@ -58,16 +64,6 @@ __all__ = [
 ]
 
 DEFAULT_SCALES = (1 << 12, 1 << 13)
-
-
-def _require_normalized_aperiodic(sub: Substitution) -> None:
-    if sub.image0[0] != "0":
-        raise DomainError("density analysis needs the image of 0 to start with 0; normalize() first")
-    kind = sub.classify().kind
-    if kind is not SubshiftKind.PRIMITIVE_APERIODIC:
-        raise DomainError(
-            f"densities are defined for primitive aperiodic substitutions, not {kind.value}"
-        )
 
 
 # -- block frequencies of the unique invariant measure -----------------------
@@ -110,19 +106,14 @@ def _block_frequencies_cached(sub: Substitution, length: int) -> dict[str, Fract
         return {"0": f0, "1": f1}
     if length == 2:
         return _two_block_frequencies(sub)
-    # Desubstitution: an occurrence at position q*i+r comes from a unique
-    # shorter occurrence at i, covering ceil((r+length)/q) source letters.
-    q = sub.q
+    # Each occurrence comes from a unique shorter occurrence (desubstitute).
     acc: dict[str, Fraction] = {}
-    for r in range(q):
-        source_length = -(-(r + length) // q)
-        for word, freq in _block_frequencies_cached(sub, source_length).items():
-            target = sub.apply(word)[r : r + length]
-            acc[target] = acc.get(target, Fraction(0)) + freq
+    for _, freq, target in desubstitute(sub, length, lambda s: _block_frequencies_cached(sub, s)):
+        acc[target] = acc.get(target, Fraction(0)) + freq
     total = Fraction(0)
     out = {}
     for word, freq in acc.items():
-        value = freq / q
+        value = freq / sub.q
         out[word] = value
         total += value
     if total != 1:
@@ -132,7 +123,7 @@ def _block_frequencies_cached(sub: Substitution, length: int) -> dict[str, Fract
 
 def block_frequencies(sub: Substitution, length: int) -> dict[str, Fraction]:
     """Exact frequency of every allowed word of the given length."""
-    _require_normalized_aperiodic(sub)
+    require_normalized_aperiodic(sub)
     if length < 1:
         raise DomainError(f"block length must be positive, got {length}")
     return dict(_block_frequencies_cached(sub, length))
@@ -141,7 +132,7 @@ def block_frequencies(sub: Substitution, length: int) -> dict[str, Fraction]:
 def density_from_frequencies(sub: Substitution, length: int) -> Fraction:
     """Exact density of inner-line start pairs at one length, straight from
     block frequencies (no scaling law involved)."""
-    _require_normalized_aperiodic(sub)
+    require_normalized_aperiodic(sub)
     if length < 1:
         raise DomainError(f"length must be positive, got {length}")
     freqs = _block_frequencies_cached(sub, length + 2)
@@ -293,7 +284,7 @@ def reconstruct_base(
     The result is cached per (substitution, scales); see the module docs
     for the validation battery and its failure mode.
     """
-    _require_normalized_aperiodic(sub)
+    require_normalized_aperiodic(sub)
     n1, n2 = scales
     if not 2 <= n1 < n2:
         raise DomainError(f"scales must satisfy 2 <= n1 < n2, got {scales}")

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: usage problems (ParseError, DomainError)
-exit 2, computational failures (saturation, reconstruction, resource limits,
-cross-check discrepancies) exit 3, golden-value verification failures exit 1.
+exit 2, computational failures (reconstruction, resource limits, cross-check
+discrepancies) exit 3, golden-value verification failures exit 1.
 """
 
 
@@ -25,10 +25,6 @@ class DomainError(SubstRQAError, ValueError):
 
 class ResourceLimitError(SubstRQAError, RuntimeError):
     """A size cap was exceeded before the computation could finish."""
-
-
-class SaturationError(ResourceLimitError):
-    """A language or occurrence scan failed to stabilise below the size cap."""
 
 
 class ReconstructionError(SubstRQAError, RuntimeError):

@@ -3,10 +3,14 @@
 For a primitive aperiodic substitution whose image of 0 starts with 0, the
 fixed point decomposes uniquely into image blocks, and a long enough window
 around a position reveals where its enclosing block starts.  This module
-measures the lengths at which windows become decisive, by direct occurrence
-scans over fixed-point prefixes: a prefix is doubled until the collected
-word set and occurrence residues stop changing, and a hard cap turns a
-non-stabilising scan into an error instead of a silently wrong constant.
+reads the lengths at which windows become decisive off the substitution
+itself, by desubstitution: an occurrence of a word at position q*i + r lies
+inside the image of a shorter word at position i, so the allowed words of
+each length, and the residues mod q at which each occurs, come exactly from
+the shorter ones (the induced block substitution; Queffelec, Substitution
+Dynamical Systems, LNM 1294, ch. 5).  The recursion bottoms out at the two
+letters and at the 2-words, which are a least fixed point under taking the
+2-factors of images.
 
 Computed constants, for images of common length q:
 
@@ -27,14 +31,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
-from .errors import DiscrepancyError, DomainError, ParseError, SaturationError
-from .substitution import ALPHABET, SubshiftKind, Substitution, window_classes
+from .errors import DiscrepancyError, DomainError, ParseError
+from .substitution import ALPHABET, SubshiftKind, Substitution
 
 __all__ = [
-    "LANGUAGE_LENGTH_CAP",
-    "SCAN_CAP",
     "LanguageSlice",
     "RecogConstants",
     "alpha_beta",
@@ -43,12 +43,7 @@ __all__ = [
     "recognizability_constants",
 ]
 
-# Longest prefix an occurrence scan may grow to before giving up.
-SCAN_CAP = 1 << 24
-
-# Scans stop at 64 letters, so square-normalized forms whose R lies past it
-# are refused with SaturationError; lifting the cap is ROADMAP item 3.
-LANGUAGE_LENGTH_CAP = 64
+_LETTERS = dict.fromkeys(ALPHABET)
 
 
 @dataclass(frozen=True)
@@ -69,63 +64,74 @@ class RecogConstants:
 
 @dataclass(frozen=True)
 class LanguageSlice:
-    """All allowed words of one length, collected from a stabilised scan."""
+    """All allowed words of one length, read off the substitution."""
 
     length: int
     words: frozenset[str]
 
 
-def _require_normalized_aperiodic(sub: Substitution) -> None:
+def require_normalized_aperiodic(sub: Substitution) -> None:
+    """The domain of every exact computation: a primitive aperiodic
+    substitution whose image of 0 starts with 0."""
     if sub.image0[0] != "0":
-        raise DomainError(
-            "recognizability scans need the image of 0 to start with 0; normalize() first"
-        )
+        raise DomainError("exact analysis needs the image of 0 to start with 0; normalize() first")
     kind = sub.classify().kind
     if kind is not SubshiftKind.PRIMITIVE_APERIODIC:
-        raise DomainError(f"recognizability is defined for primitive aperiodic substitutions, not {kind.value}")
+        raise DomainError(f"exact analysis is defined for primitive aperiodic substitutions, not {kind.value}")
 
 
-def _residue_profile(sub: Substitution, length: int, n: int) -> dict[str, frozenset[int]]:
-    """Map each length-`length` word of the prefix of size n to the set of
-    residues mod q at which it occurs there."""
-    prefix = sub.fixed_point_prefix(n)
-    classes = window_classes(prefix.bits, length)
-    positions = np.arange(classes.size)
-    count = int(classes.max()) + 1
-    first = np.full(count, classes.size)
-    np.minimum.at(first, classes, positions)
-    hits = np.bincount(classes * sub.q + positions % sub.q, minlength=count * sub.q)
-    return {
-        prefix[p : p + length].to01(): frozenset(np.flatnonzero(row).tolist())
-        for p, row in zip(first.tolist(), hits.reshape(count, sub.q))
-    }
+def desubstitute(sub: Substitution, length: int, source):
+    """Cut every length-`length` word out of the images of source words.
+
+    An occurrence of a word w of length m at position q*i + r of the fixed
+    point lies inside the image of the word u of length ceil((r+m)/q) at
+    position i, so w = sub.apply(u)[r : r+m].  `source(s)` maps the allowed
+    s-words to values; yields (r, value of u, w) for every residue r and
+    every such u.
+    """
+    q = sub.q
+    images = str.maketrans({"0": sub.image0, "1": sub.image1})
+    for r in range(q):
+        for u, value in source(-(-(r + length) // q)).items():
+            yield r, value, u.translate(images)[r : r + length]
+
+
+def _two_words(sub: Substitution) -> dict[str, None]:
+    # The least set that holds the 2-factors inside both images and is
+    # closed under taking the 2-factors of its words' images.
+    words: dict[str, None] = {}
+    while True:
+        grown = {w: None for _, _, w in desubstitute(sub, 2, lambda s: words if s == 2 else _LETTERS)}
+        if grown == words:
+            return words
+        words = grown
 
 
 @lru_cache(maxsize=256)
-def _saturated_residue_profile(sub: Substitution, length: int) -> dict[str, frozenset[int]]:
-    """Occurrence residues per word, grown until stable across a doubling."""
-    if length > LANGUAGE_LENGTH_CAP:
-        raise SaturationError(f"occurrence scans support lengths up to {LANGUAGE_LENGTH_CAP}, got {length}")
-    n = max(1024, 64 * length * sub.q)
-    previous = _residue_profile(sub, length, n)
-    while True:
-        if 2 * n > SCAN_CAP:
-            raise SaturationError(
-                f"occurrence residues for length {length} did not stabilise below {SCAN_CAP} letters"
-            )
-        n *= 2
-        current = _residue_profile(sub, length, n)
-        if current == previous:
-            return current
-        previous = current
+def _residues(sub: Substitution, length: int) -> dict[str, frozenset[int]]:
+    """Map each allowed word of the given length to its residues mod q.
+
+    Only length 2 has source words as long as its own, the 2-word closure;
+    from length 3 on every source word is shorter, so the recursion ends at
+    the letters and that closure."""
+
+    def source(s: int):
+        if s == 1:
+            return _LETTERS
+        return _two_words(sub) if s == length else _residues(sub, s)
+
+    found: dict[str, set[int]] = {}
+    for r, _, w in desubstitute(sub, length, source):
+        found.setdefault(w, set()).add(r)
+    return {w: frozenset(rs) for w, rs in found.items()}
 
 
 def language_slice(sub: Substitution, length: int) -> LanguageSlice:
     """All allowed words of the given length in the subshift of `sub`."""
-    _require_normalized_aperiodic(sub)
+    require_normalized_aperiodic(sub)
     if length < 1:
         raise DomainError(f"word length must be positive, got {length}")
-    return LanguageSlice(length=length, words=frozenset(_saturated_residue_profile(sub, length)))
+    return LanguageSlice(length=length, words=frozenset(_residues(sub, length)))
 
 
 def alpha_beta(sub: Substitution) -> tuple[int, int, Fraction]:
@@ -145,13 +151,13 @@ def alpha_beta(sub: Substitution) -> tuple[int, int, Fraction]:
 def is_recognizable_word(sub: Substitution, word: str) -> int | None:
     """The single residue mod q at which `word` occurs, or None if it
     occurs in more than one position class."""
-    _require_normalized_aperiodic(sub)
+    require_normalized_aperiodic(sub)
     if not word:
         raise DomainError("word must be nonempty")
     bad = set(word) - set(ALPHABET)
     if bad:
         raise ParseError(f"word contains {sorted(bad)!r}; only 0 and 1 are allowed")
-    residues = _saturated_residue_profile(sub, len(word)).get(word)
+    residues = _residues(sub, len(word)).get(word)
     if residues is None:
         raise DomainError(f"word {word!r} does not occur in the subshift")
     if len(residues) == 1:
@@ -161,41 +167,31 @@ def is_recognizable_word(sub: Substitution, word: str) -> int | None:
 
 @lru_cache(maxsize=64)
 def recognizability_constants(sub: Substitution) -> RecogConstants:
-    """Scan the fixed point for the constants described in the module docs.
+    """The constants described in the module docs, from exact residues.
 
-    The independently scanned K and R are cross-checked against the
-    sandwich K+1 <= R <= K+q; disagreement raises DiscrepancyError since it
-    would mean one of the scans returned an unstable verdict.
+    K and R come from two separate searches over the residue maps and are
+    cross-checked against the sandwich K+1 <= R <= K+q; disagreement raises
+    DiscrepancyError.  Both searches end, because a primitive aperiodic
+    substitution is recognizable (Mosse 1992, 1996).
     """
-    _require_normalized_aperiodic(sub)
+    require_normalized_aperiodic(sub)
     alpha, beta, c = alpha_beta(sub)
     q = sub.q
 
-    length = alpha + beta + 1
-    while True:
-        if length > LANGUAGE_LENGTH_CAP:
-            raise SaturationError(f"no fully recognizable length found up to {LANGUAGE_LENGTH_CAP}")
-        profile = _saturated_residue_profile(sub, length)
-        if all(len(res) == 1 for res in profile.values()):
-            R = length
-            break
-        length += 1
+    R = alpha + beta + 1
+    while any(len(res) > 1 for res in _residues(sub, R).values()):
+        R += 1
 
+    # A window is decisive when no word occurs both at a multiple of q and
+    # away from one.
     window = 2
-    while True:
-        if window > LANGUAGE_LENGTH_CAP:
-            raise SaturationError(f"no decisive divisibility window found up to {LANGUAGE_LENGTH_CAP}")
-        profile = _saturated_residue_profile(sub, window)
-        # A window is decisive when no word occurs both at a multiple of q
-        # and away from one.
-        if all(0 not in res or res == {0} for res in profile.values()):
-            K = window - 1
-            break
+    while any(0 in res and len(res) > 1 for res in _residues(sub, window).values()):
         window += 1
+    K = window - 1
 
     if not K + 1 <= R <= K + q:
         raise DiscrepancyError(
-            f"recognizability scans disagree: K={K}, R={R} violate K+1 <= R <= K+q for q={q}"
+            f"recognizability constants disagree: K={K}, R={R} violate K+1 <= R <= K+q for q={q}"
         )
     R0 = max(1, -(-(R - alpha - beta) // q))
     return RecogConstants(alpha=alpha, beta=beta, c=c, K=K, R=R, R0=R0, q=sub.q)

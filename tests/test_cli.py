@@ -124,6 +124,13 @@ class TestAnalyze:
         assert "Lavg = infinite" in result.output
         assert "ENT  = absent" in result.output
 
+    @pytest.mark.parametrize("spec", ["1010,0000", "1111,0101"])
+    def test_square_recognizable_past_64_letters(self, runner, spec):
+        # Both normalize by squaring to q = 16 forms with R = 78.
+        result = invoke(runner, "analyze", spec, "--asymptotic")
+        assert result.exit_code == 0, result.stderr
+        assert "RR   = 5/9" in result.output
+
     def test_json_derived_quantities_round_trip(self, runner):
         # emitted DET and Lavg must be recomputable from the payload exactly
         result = invoke(

@@ -1,10 +1,14 @@
+import hashlib
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from substrqa import DomainError, ParseError, Substitution
+from substrqa import DomainError, ParseError, SubshiftKind, Substitution
 from substrqa.recognizability import (
     LanguageSlice,
+    _residues,
     alpha_beta,
     is_recognizable_word,
     language_slice,
@@ -16,6 +20,21 @@ PD = Substitution("01", "00")
 Q5 = Substitution("01110", "01010")
 
 
+def normalized_forms(max_q: int) -> list[Substitution]:
+    """Every primitive aperiodic substitution with q <= max_q, normalized."""
+    forms = set()
+    for q in range(2, max_q + 1):
+        words = ["".join(t) for t in itertools.product("01", repeat=q)]
+        for a, b in itertools.product(words, repeat=2):
+            cls = Substitution(a, b).classify()
+            if cls.kind is SubshiftKind.PRIMITIVE_APERIODIC:
+                forms.add(cls.normalized)
+    return sorted(forms, key=str)
+
+
+SMALL_FORMS = normalized_forms(4)
+
+
 class TestLanguage:
     def test_tm_short_slices(self):
         assert language_slice(TM, 1).words == {"0", "1"}
@@ -25,7 +44,7 @@ class TestLanguage:
         # 0->01,1->00 never writes two 1s next to each other.
         assert language_slice(PD, 2).words == {"00", "01", "10"}
 
-    def test_slices_are_saturated(self):
+    def test_slice_records_its_length(self):
         s = language_slice(Q5, 3)
         assert isinstance(s, LanguageSlice)
         assert s.length == 3
@@ -157,3 +176,71 @@ class TestConstants:
             recognizability_constants(Substitution("010", "111"))
         with pytest.raises(DomainError):
             recognizability_constants(Substitution("10", "01"))
+
+
+def scanned_residues(bits: np.ndarray, q: int, length: int) -> dict[str, set[int]]:
+    """Residues mod q of every window of `bits`, by brute force."""
+    codes = np.zeros(bits.size - length + 1, dtype=np.int64)
+    for j in range(length):
+        codes = 2 * codes + bits[j : j + codes.size]
+    found: dict[str, set[int]] = {}
+    for key in np.unique(codes * q + np.arange(codes.size) % q).tolist():
+        found.setdefault(format(key // q, f"0{length}b"), set()).add(key % q)
+    return found
+
+
+class TestAgainstScans:
+    # The first occurrence of any (word, residue) pair at these lengths lies
+    # within 774 letters on every q <= 4 form, so one 2^14 prefix is a long
+    # enough scan for an oracle.
+    PREFIX = 1 << 14
+
+    def test_small_forms_enumerated(self):
+        assert len(SMALL_FORMS) == 194
+
+    @pytest.mark.parametrize("sub", SMALL_FORMS, ids=str)
+    def test_words_and_residues_match_a_prefix_scan(self, sub):
+        bits = sub.fixed_point_prefix(self.PREFIX).bits.astype(np.int64)
+        for length in range(1, min(recognizability_constants(sub).R + 1, 12) + 1):
+            exact = {w: set(res) for w, res in _residues(sub, length).items()}
+            assert scanned_residues(bits, sub.q, length) == exact, length
+
+    def test_constants_digest_unchanged_where_scans_certified(self):
+        # Recorded from the occurrence scans that preceded desubstitution;
+        # they refused only the two q = 16 squares left out here.
+        refused = {"0->0000101000001010,1->1010101010101010", "0->0101010101010101,1->1111010111110101"}
+        lines = []
+        for sub in SMALL_FORMS:
+            if str(sub) in refused:
+                continue
+            k = recognizability_constants(sub)
+            lines.append(f"{sub} {k.alpha} {k.beta} {k.c} {k.K} {k.R} {k.R0}\n")
+        assert len(lines) == 192
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == "930af076f4ccf942344d348ab81b4ed6c4a1be10aa88da954668e0a752d0f5a4"
+
+
+class TestLongConstants:
+    @pytest.mark.parametrize(
+        "spec,K,R",
+        [
+            ("1010,0000", 72, 78),
+            ("1111,0101", 72, 78),
+            ("10001,00011", 75, 77),
+            ("11100,01110", 75, 77),
+            ("11111,01100", 70, 71),
+        ],
+    )
+    def test_squares_past_64_letters(self, spec, K, R):
+        sub = Substitution.parse(spec).classify().normalized
+        assert sub.q == Substitution.parse(spec).q ** 2
+        k = recognizability_constants(sub)
+        assert (k.K, k.R) == (K, R)
+
+    @pytest.mark.slow
+    def test_every_form_up_to_q5_has_constants(self):
+        forms = normalized_forms(5)
+        assert len(forms) == 897
+        for sub in forms:
+            k = recognizability_constants(sub)
+            assert k.K + 1 <= k.R <= k.K + sub.q, sub
