@@ -32,8 +32,6 @@ from .densities import (
     empirical_delta,
     letter_frequencies,
     reconstruct_base,
-    simplest_rational_in,
-    snap_to_simple_rational,
     table_to_json_dict,
 )
 from .errors import (

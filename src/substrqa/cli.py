@@ -5,7 +5,7 @@ densities (exact start-pair density tables), convergence (finite-size
 sweep against the limit), render (ASCII/PGM plots), and verify (the
 pinned golden-value suite).  Exit codes: 0 success, 1 a verify check
 failed, 2 usage or parse problem, 3 a computation refused to certify its
-result (saturation, reconstruction, or cross-check failure).
+result or to run (reconstruction, resource limit, or cross-check failure).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .densities import (
 )
 from .errors import DomainError, ParseError, SubstRQAError
 from .recognizability import recognizability_constants
-from .recplot import histogram, quantize_eps, render_ascii, render_pgm
+from .recplot import _require_renderable, histogram, quantize_eps, render_ascii, render_pgm
 from .rqa import (
     RQAReport,
     _number_text,
@@ -340,6 +340,7 @@ def run_convergence(spec, quantity, scales, m, lmin, h, eps, fmt) -> int:
 def run_render(spec, n, m, h, eps, render_format, output) -> int:
     h, _ = _threshold(m, 1, h, eps, n)
     norm, _ = Substitution.parse(spec).normalize()
+    _require_renderable(n)  # before the prefix: up to 2^26 letters for nothing
     x = norm.fixed_point_prefix(n + h + m)
     if render_format == "pgm":
         data = render_pgm(x, n, h, m=m)

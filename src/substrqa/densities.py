@@ -9,23 +9,24 @@ divides the density by q^2.  Consequently everything is determined by the
 densities at the finitely many base lengths below the full recognizability
 length R.
 
-Base densities are computed exactly from block frequencies of the unique
-invariant measure: the density at length l is
+A start pair is two occurrences of one inner word w with opposite flanking
+letters on both sides, so for a table t of (l+2)-block values the start
+pairs at length l weigh 2 * sum over w of t(0w0)t(1w1) + t(0w1)t(1w0).
+With t the block frequencies of the invariant measure (letter frequencies,
+a closed form for the two-blocks, desubstitution for longer blocks) this is
+the exact base density; with t the counts of blocks starting in [0, q^k),
+desubstituted k steps down to the fixed point's first block, it is the
+exact number of start pairs in [1, q^k + 1)^2.
 
-    2 * sum over allowed l-words w of mu(0w0)mu(1w1) + mu(0w1)mu(1w0),
-
-since a start pair consists of two occurrences of the same inner word with
-opposite flanking letters on each side.  Block frequencies come from the
-letter-frequency eigenvector, a closed form for the two-blocks (shift
-invariance leaves mu(01) = mu(10) as the one unknown of one linear
-equation), and an exact desubstitution recursion for longer blocks.  Every
-exact base value is then validated against start-pair counts on
-fixed-point prefixes at two scales (recplot.inner_line_counts, counted
-from the suffix order), against the emptiness criterion (zero density
-exactly when no start pair is ever seen), and against the scaling law one
-step up; any disagreement raises ReconstructionError naming the offending
-length.  Validated tables are memoized per process only; nothing is stored
-on disk.
+reconstruct_base certifies each base length by exact checks at the plot
+sizes q^(k-1) + 1 and q^k + 1 (the least k with q^k >= 2048): the
+suffix-order count (recplot.inner_line_counts) equals the recurrence count
+at both sizes; the block frequencies are shift invariant; the density is
+zero exactly when no start pair is counted; and from R0 on, the count at
+the child length q*l + alpha + beta and the larger size equals the count
+at l and the smaller one (the scaling law).  Any failure raises
+ReconstructionError naming the length.  Certified tables are memoized per
+process only; nothing is stored on disk.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor
 
 from .errors import DiscrepancyError, DomainError, ReconstructionError
 from .recognizability import (
@@ -58,11 +58,10 @@ __all__ = [
     "empirical_delta",
     "letter_frequencies",
     "reconstruct_base",
-    "simplest_rational_in",
-    "snap_to_simple_rational",
     "table_to_json_dict",
 ]
 
+# Unused here; its only reader is benchmarks/worker.py::_cache_hits.
 DEFAULT_SCALES = (1 << 12, 1 << 13)
 
 
@@ -129,20 +128,37 @@ def block_frequencies(sub: Substitution, length: int) -> dict[str, Fraction]:
     return dict(_block_frequencies_cached(sub, length))
 
 
+def _start_pairs(blocks: dict[str, Fraction] | dict[str, int]) -> Fraction | int:
+    """2 * sum over inner words w of t(0w0)t(1w1) + t(0w1)t(1w0), for a
+    table t of block values of one length (frequencies or counts)."""
+    total = 0
+    for w in {v[1:-1] for v in blocks}:
+        total += blocks.get(f"0{w}0", 0) * blocks.get(f"1{w}1", 0)
+        total += blocks.get(f"0{w}1", 0) * blocks.get(f"1{w}0", 0)
+    return 2 * total
+
+
 def density_from_frequencies(sub: Substitution, length: int) -> Fraction:
     """Exact density of inner-line start pairs at one length, straight from
     block frequencies (no scaling law involved)."""
     require_normalized_aperiodic(sub)
     if length < 1:
         raise DomainError(f"length must be positive, got {length}")
-    freqs = _block_frequencies_cached(sub, length + 2)
-    inner_words = {w[1:-1] for w in freqs}
-    zero = Fraction(0)
-    total = Fraction(0)
-    for w in inner_words:
-        total += freqs.get(f"0{w}0", zero) * freqs.get(f"1{w}1", zero)
-        total += freqs.get(f"0{w}1", zero) * freqs.get(f"1{w}0", zero)
-    return 2 * total
+    return Fraction(_start_pairs(_block_frequencies_cached(sub, length + 2)))
+
+
+@lru_cache(maxsize=4096)
+def _prefix_counts(sub: Substitution, length: int, k: int) -> dict[str, int]:
+    """Occurrences of each word of the given length that starts in
+    [0, q^k) of the fixed point.  A start q*i + r with i < q^(k-1) cuts the
+    word out of the image of the word at i (desubstitute), so the counts
+    come k steps down from the fixed point's own prefix."""
+    if k == 0:
+        return {sub.fixed_point_prefix(length).to01(): 1}
+    acc: dict[str, int] = {}
+    for _, count, target in desubstitute(sub, length, lambda s: _prefix_counts(sub, s, k - 1)):
+        acc[target] = acc.get(target, 0) + count
+    return acc
 
 
 # -- empirical counterpart ---------------------------------------------------
@@ -154,54 +170,24 @@ def empirical_delta(x: BitSequence, length: int, n: int) -> Fraction:
     return Fraction(count, n * n - n)
 
 
-# -- rational snapping (recorded as evidence, not authoritative) -------------
-
-
-def simplest_rational_in(lo: Fraction, hi: Fraction) -> Fraction:
-    """The fraction with the smallest denominator in the closed interval
-    [lo, hi] (smallest numerator among those)."""
-    if lo > hi:
-        raise DomainError(f"empty interval [{lo}, {hi}]")
-    if lo <= 0 <= hi:
-        return Fraction(0)
-    if hi < 0:
-        return -simplest_rational_in(-hi, -lo)
-    low_floor = floor(lo)
-    if lo == low_floor or low_floor + 1 <= hi:
-        return Fraction(ceil(lo))
-    inner = simplest_rational_in(1 / (hi - low_floor), 1 / (lo - low_floor))
-    return low_floor + 1 / inner
-
-
-def snap_to_simple_rational(
-    value: Fraction, tolerance: Fraction, max_denominator: int
-) -> Fraction | None:
-    """Simplest rational within tolerance of value, or None if even the
-    simplest candidate needs a denominator beyond the cap."""
-    candidate = simplest_rational_in(value - tolerance, value + tolerance)
-    if candidate.denominator > max_denominator:
-        return None
-    return candidate
-
-
 # -- reconstruction ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class BaseEvidence:
-    """Validation record for one base length."""
+    """Certificate of one base length: its start-pair count at both plot
+    sizes and, from R0 on, its scaling child's count at the larger size,
+    which equals the base count at the smaller one."""
 
     scales: tuple[int, int]
-    deltas: tuple[Fraction, Fraction]
-    tolerances: tuple[Fraction, Fraction]
-    snapped: tuple[Fraction | None, Fraction | None]
+    counts: tuple[int, int]
     child: int | None
-    child_delta: Fraction | None
+    child_count: int | None
 
 
 @dataclass(frozen=True)
 class DensityTable:
-    """Exact base densities of one substitution plus their validation trail."""
+    """Exact base densities of one substitution plus their certificates."""
 
     subst: Substitution
     constants: RecogConstants
@@ -209,20 +195,35 @@ class DensityTable:
     evidence: dict[int, BaseEvidence]
 
 
-def _tolerance(n: int) -> Fraction:
-    return Fraction(16, n)
+def _check_shift_invariance(sub: Substitution, length: int) -> None:
+    # Both (length-1)-marginals of the length-blocks must be the
+    # (length-1)-blocks; since the blocks come from desubstitution, this
+    # also makes them the Perron vector of the induced block substitution.
+    blocks = _block_frequencies_cached(sub, length)
+    shorter = _block_frequencies_cached(sub, length - 1)
+    for side in (slice(1, None), slice(None, -1)):
+        marginal: dict[str, Fraction] = {}
+        for w, f in blocks.items():
+            marginal[w[side]] = marginal.get(w[side], 0) + f
+        if marginal != shorter:
+            raise ReconstructionError(
+                f"block frequencies at length {length} are not shift invariant"
+            )
 
 
 @lru_cache(maxsize=16)
-def _reconstruct_cached(sub: Substitution, n1: int, n2: int) -> DensityTable:
+def _reconstruct_cached(sub: Substitution) -> DensityTable:
     constants = recognizability_constants(sub)
     q = sub.q
     affix = constants.alpha + constants.beta
     max_child = q * (constants.R - 1) + affix
+    k = 1  # the plot sizes q^(k-1)+1 and q^k+1 need q^k >= 2048 (module docs)
+    while q**k < 2048:
+        k += 1
+    n1, n2 = q ** (k - 1) + 1, q**k + 1
     x = sub.fixed_point_prefix(n2 + max_child + 1)
-    counts = {n: inner_line_counts(x, n, max_child) for n in (n1, n2)}
-    cells = {n: n * n - n for n in (n1, n2)}
-    snap_cap = 4 * q**6
+    small = inner_line_counts(x, n1, constants.R - 1)
+    large = inner_line_counts(x, n2, max_child)
 
     base: dict[int, Fraction] = {}
     evidence: dict[int, BaseEvidence] = {}
@@ -232,63 +233,48 @@ def _reconstruct_cached(sub: Substitution, n1: int, n2: int) -> DensityTable:
             raise ReconstructionError(
                 f"base density at length {length} out of range: {exact}"
             )
-        deltas = tuple(Fraction(int(counts[n][length]), cells[n]) for n in (n1, n2))
-        tolerances = (_tolerance(n1), _tolerance(n2))
-        for delta, tol, n in zip(deltas, tolerances, (n1, n2)):
-            if abs(delta - exact) > tol:
+        _check_shift_invariance(sub, length + 2)
+        counts = (int(small[length]), int(large[length]))
+        for n, steps, count in zip((n1, n2), (k - 1, k), counts):
+            recurrence = _start_pairs(_prefix_counts(sub, length + 2, steps))
+            if count != recurrence:
                 raise ReconstructionError(
-                    f"base density at length {length} disagrees with the count at "
-                    f"scale {n}: exact {exact}, observed {delta}, tolerance {tol}"
+                    f"start pairs at length {length} and size {n}: the suffix order "
+                    f"counts {count}, the block recurrence {recurrence}"
                 )
-        if (exact == 0) != (counts[n2][length] == 0):
+        if (exact == 0) != (counts[1] == 0):
             raise ReconstructionError(
                 f"emptiness mismatch at length {length}: exact {exact}, "
-                f"{int(counts[n2][length])} start pairs at scale {n2}"
+                f"{counts[1]} start pairs at size {n2}"
             )
-        child = child_delta = None
+        child = child_count = None
         if length >= constants.R0:
-            # One scaling step lands at q*length+affix >= R, where the law
-            # dens = parent/q^2 must already hold.
+            # One scaling step maps the start pairs at length in [1, n1)
+            # one to one onto those at the child, q*length+affix >= R, in
+            # [1, n2).
             child = q * length + affix
-            child_delta = Fraction(int(counts[n2][child]), cells[n2])
-            if abs(child_delta - exact / (q * q)) > _tolerance(n2):
+            child_count = int(large[child])
+            if child_count != counts[0]:
                 raise ReconstructionError(
                     f"scaling check failed for base length {length}: child {child} "
-                    f"observed {child_delta}, expected near {exact / (q * q)}"
-                )
-            if exact == 0 and counts[n2][child] != 0:
-                raise ReconstructionError(
-                    f"scaling emptiness mismatch: base {length} empty but child "
-                    f"{child} has {int(counts[n2][child])} start pairs"
+                    f"has {child_count} start pairs at size {n2}, the base "
+                    f"{counts[0]} at size {n1}"
                 )
         base[length] = exact
         evidence[length] = BaseEvidence(
-            scales=(n1, n2),
-            deltas=deltas,
-            tolerances=tolerances,
-            snapped=tuple(
-                snap_to_simple_rational(d, t, snap_cap)
-                for d, t in zip(deltas, tolerances)
-            ),
-            child=child,
-            child_delta=child_delta,
+            scales=(n1, n2), counts=counts, child=child, child_count=child_count
         )
     return DensityTable(subst=sub, constants=constants, base=base, evidence=evidence)
 
 
-def reconstruct_base(
-    sub: Substitution, *, scales: tuple[int, int] = DEFAULT_SCALES
-) -> DensityTable:
-    """Exact densities at every length below R, validated empirically.
+def reconstruct_base(sub: Substitution) -> DensityTable:
+    """Exact densities at every length below R, certified by exact counts.
 
-    The result is cached per (substitution, scales); see the module docs
-    for the validation battery and its failure mode.
+    The result is cached per substitution; see the module docs for the
+    checks and their failure mode.
     """
     require_normalized_aperiodic(sub)
-    n1, n2 = scales
-    if not 2 <= n1 < n2:
-        raise DomainError(f"scales must satisfy 2 <= n1 < n2, got {scales}")
-    return _reconstruct_cached(sub, n1, n2)
+    return _reconstruct_cached(sub)
 
 
 # -- scaling law -------------------------------------------------------------
@@ -369,11 +355,9 @@ def table_to_json_dict(table: DensityTable) -> dict:
         "evidence": {
             str(length): {
                 "scales": list(ev.scales),
-                "deltas": [_frac_pair(d) for d in ev.deltas],
-                "tolerances": [_frac_pair(t) for t in ev.tolerances],
-                "snapped": [None if s is None else _frac_pair(s) for s in ev.snapped],
+                "counts": list(ev.counts),
                 "child": ev.child,
-                "child_delta": None if ev.child_delta is None else _frac_pair(ev.child_delta),
+                "child_count": ev.child_count,
             }
             for length, ev in table.evidence.items()
         },

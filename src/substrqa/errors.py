@@ -28,7 +28,7 @@ class ResourceLimitError(SubstRQAError, RuntimeError):
 
 
 class ReconstructionError(SubstRQAError, RuntimeError):
-    """A base density failed its empirical cross-validation.
+    """A base density failed one of its exact certification checks.
 
     Raised instead of ever returning a silently wrong rational; the message
     names the offending base length.

@@ -421,12 +421,16 @@ def inner_line_counts(x: BitSequence, n: int, max_length: int) -> np.ndarray:
     return counts
 
 
-def _plot_matrix(x: BitSequence, n: int, h: int, m: int) -> np.ndarray:
-    window = _effective_window(h, m)
+def _require_renderable(n: int) -> None:
     if n < 1:
         raise DomainError(f"plot size must be positive, got {n}")
     if n > RENDER_CAP:
         raise ResourceLimitError(f"rendering is capped at {RENDER_CAP}x{RENDER_CAP}, got n={n}")
+
+
+def _plot_matrix(x: BitSequence, n: int, h: int, m: int) -> np.ndarray:
+    window = _effective_window(h, m)
+    _require_renderable(n)
     bits = _require_prefix(x, n + window - 1, f"render of size {n} at window {window}")
     classes = window_classes(bits, window)
     return classes[:, None] == classes[None, :]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -254,6 +255,15 @@ class TestRender:
         assert result.exit_code == 0
         assert len(out.read_text().strip().splitlines()) == 8
 
+    def test_cap_refused_before_the_prefix(self, runner, monkeypatch):
+        calls = []
+        monkeypatch.setattr(Substitution, "fixed_point_prefix", lambda self, n: calls.append(n))
+        result = invoke(runner, "render", "01,10", "--n", "5000")
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert "rendering is capped at 4096x4096" in result.stderr
+        assert calls == []
+
 
 class TestVerify:
     def test_full_suite_passes(self, runner):
@@ -310,7 +320,7 @@ PINNED = {
     "analyze 010,111 --n 64 --asymptotic --format csv": "b71444e026001b5f",
     "convergence 010,111 --scales 64 --format json --quantity Lavg": "f76654d73ef2e4af",
     "classify 01,10 --format json": "4066d691267ed178",
-    "densities 01,00 --format json": "0980586e80a53d9b",
+    "densities 01,00 --format json": "7b41eafaa4d38922",
     "verify --format json": "66496b85e4f4f275",
 }
 
@@ -329,6 +339,22 @@ def test_output_matches_reference(runner, op):
 @pytest.mark.parametrize("op", sorted(PINNED))
 def test_output_matches_pinned_digest(runner, op):
     assert _stdout_digest(runner, op) == (0, PINNED[op])
+
+
+def test_names_the_benchmark_reads_resolve():
+    # benchmarks/ imports the package by name; it is read here, not changed.
+    n1, n2 = substrqa.DEFAULT_SCALES
+    assert type(n1) is int and type(n2) is int
+    path = Path(__file__).parents[1] / "benchmarks" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for module, attr, _ in tracer.TARGETS.values():
+        owner = getattr(substrqa, module)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module, attr)
 
 
 def test_exact_route_does_not_import_sympy():

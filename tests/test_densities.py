@@ -4,10 +4,16 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from substrqa import DiscrepancyError, DomainError, SubshiftKind, Substitution
+from substrqa import (
+    DiscrepancyError,
+    DomainError,
+    ReconstructionError,
+    SubshiftKind,
+    Substitution,
+    closed_form,
+    densities,
+)
 from substrqa.densities import (
     BaseEvidence,
     Decomposition,
@@ -20,10 +26,9 @@ from substrqa.densities import (
     empirical_delta,
     letter_frequencies,
     reconstruct_base,
-    simplest_rational_in,
-    snap_to_simple_rational,
     table_to_json_dict,
 )
+from substrqa.densities import _prefix_counts, _start_pairs
 from substrqa.recognizability import language_slice, recognizability_constants
 from substrqa.recplot import inner_line_counts, inner_line_starts
 
@@ -37,6 +42,17 @@ BASE_TABLES = {
     PD: {1: Fraction(1, 9), 2: Fraction(1, 18)},
     Q5: {1: Fraction(7, 50), 2: Fraction(3, 50), 3: Fraction(1, 50), 4: Fraction(13, 1250)},
 }
+
+
+def _normalized_forms(qs):
+    forms = set()
+    for q in qs:
+        words = ["".join(t) for t in itertools.product("01", repeat=q)]
+        for a, b in itertools.product(words, repeat=2):
+            cls = Substitution(a, b).classify()
+            if cls.kind is SubshiftKind.PRIMITIVE_APERIODIC:
+                forms.add(cls.normalized)
+    return sorted(forms, key=str)
 
 
 class TestBlockFrequencies:
@@ -73,13 +89,7 @@ class TestBlockFrequencies:
         # The closed form against the independent letter-frequency route and
         # the desubstitution recursion, on every primitive aperiodic
         # normalized form with q <= 4.
-        forms = set()
-        for q in (2, 3, 4):
-            words = ["".join(t) for t in itertools.product("01", repeat=q)]
-            for a, b in itertools.product(words, repeat=2):
-                cls = Substitution(a, b).classify()
-                if cls.kind is SubshiftKind.PRIMITIVE_APERIODIC:
-                    forms.add(cls.normalized)
+        forms = _normalized_forms((2, 3, 4))
         assert len(forms) == 194
         for sub in forms:
             freqs = block_frequencies(sub, 2)
@@ -155,56 +165,6 @@ class TestEmpiricalDelta:
         assert abs(empirical_delta(x, 2, n) - Fraction(1, 18)) < Fraction(1, 1000)
 
 
-class TestSnap:
-    @pytest.mark.parametrize(
-        "lo,hi,want",
-        [
-            (Fraction(3, 10), Fraction(1, 2), Fraction(1, 2)),
-            (Fraction(2, 7), Fraction(3, 7), Fraction(1, 3)),
-            (Fraction(1, 5), Fraction(3, 10), Fraction(1, 4)),
-            (Fraction(-1, 10), Fraction(1, 10), Fraction(0)),
-            (Fraction(5, 2), Fraction(7, 2), Fraction(3)),
-            (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
-            (Fraction(-3, 7), Fraction(-2, 7), Fraction(-1, 3)),
-        ],
-    )
-    def test_simplest_examples(self, lo, hi, want):
-        assert simplest_rational_in(lo, hi) == want
-
-    def test_rejects_empty_interval(self):
-        with pytest.raises(DomainError):
-            simplest_rational_in(Fraction(1, 2), Fraction(1, 3))
-
-    @given(
-        a=st.integers(0, 400),
-        b=st.integers(1, 400),
-        width=st.integers(1, 50),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_simplest_is_simplest(self, a, b, width):
-        lo = Fraction(a, b)
-        hi = lo + Fraction(width, 400)
-        best = simplest_rational_in(lo, hi)
-        assert lo <= best <= hi
-        # Nothing with a smaller denominator fits in the interval: the
-        # smallest multiple of 1/den at or above lo already overshoots hi.
-        for den in range(1, best.denominator):
-            num = -(-lo.numerator * den // lo.denominator)
-            assert Fraction(num, den) > hi
-
-    def test_snap_respects_cap(self):
-        value = Fraction(13, 1250)
-        assert snap_to_simple_rational(value, Fraction(1, 10**6), 4 * 5**6) == value
-        assert snap_to_simple_rational(value, Fraction(1, 10**6), 100) is None
-
-    def test_snap_is_evidence_not_authority(self):
-        # Even a 1e-5 tolerance around 13/1250 contains the simpler 5/481,
-        # so snapping empirical estimates cannot certify that base density.
-        assert snap_to_simple_rational(
-            Fraction(13, 1250), Fraction(1, 100000), 4 * 5**6
-        ) == Fraction(5, 481)
-
-
 class TestReconstruction:
     @pytest.mark.parametrize("sub", GOLDEN, ids=str)
     def test_golden_base_tables(self, sub):
@@ -216,30 +176,135 @@ class TestReconstruction:
     def test_evidence_is_recorded(self, sub):
         table = reconstruct_base(sub)
         constants = table.constants
+        q = constants.q
+        k = 1
+        while q**k < 2048:
+            k += 1
+        sizes = (q ** (k - 1) + 1, q**k + 1)
+        x = sub.fixed_point_prefix(sizes[1] + q * constants.R + 1)
+        small = inner_line_counts(x, sizes[0], constants.R)
+        large = inner_line_counts(x, sizes[1], q * constants.R)
         assert set(table.evidence) == set(range(1, constants.R))
         for length, ev in table.evidence.items():
-            assert ev.scales == (1 << 12, 1 << 13)
-            for delta, tol in zip(ev.deltas, ev.tolerances):
-                assert abs(delta - table.base[length]) <= tol
+            assert ev.scales == sizes
+            assert ev.counts == (small[length], large[length])
             if length >= constants.R0:
-                assert ev.child == constants.q * length + constants.alpha + constants.beta
-                assert ev.child_delta is not None
+                assert ev.child == q * length + constants.alpha + constants.beta
+                assert ev.child_count == large[ev.child] == ev.counts[0]
             else:
-                assert ev.child is None
+                assert ev.child is None and ev.child_count is None
 
-    def test_cached_per_scales(self):
+    def test_gate_sizes(self):
+        assert reconstruct_base(TM).evidence[1].scales == (1025, 2049)
+        assert reconstruct_base(Q5).evidence[1].scales == (626, 3126)
+        square = Substitution("1010", "0001").classify().normalized
+        assert reconstruct_base(square).evidence[1].scales == (257, 4097)
+
+    def test_cached(self):
         assert reconstruct_base(TM) is reconstruct_base(TM)
-        other = reconstruct_base(TM, scales=(1 << 10, 1 << 11))
-        assert other is not reconstruct_base(TM)
-        assert other.base == BASE_TABLES[TM]
 
     def test_rejects_bad_subjects(self):
         with pytest.raises(DomainError):
             reconstruct_base(Substitution("10", "01"))
         with pytest.raises(DomainError):
             reconstruct_base(Substitution("010", "111"))
-        with pytest.raises(DomainError):
-            reconstruct_base(TM, scales=(64, 64))
+
+
+class TestBlockRecurrence:
+    @pytest.mark.parametrize("sub", [TM, PD, Q5, Substitution("0010", "0111")], ids=str)
+    def test_counts_equal_the_diagonal_walk(self, sub):
+        # Oracle: the start pairs in [1, q^k + 1)^2 listed one by one.
+        for k in range(4):
+            n = sub.q**k + 1
+            x = sub.fixed_point_prefix(n + 9)
+            for length in range(1, 7):
+                recurrence = _start_pairs(_prefix_counts(sub, length + 2, k))
+                assert recurrence == len(inner_line_starts(x, length, n)), (k, length)
+
+    @pytest.mark.parametrize("sub", GOLDEN, ids=str)
+    def test_prefix_counts_match_the_prefix(self, sub):
+        for k in range(4):
+            text = sub.fixed_point_prefix(sub.q**k + 8).to01()
+            for length in (1, 2, 5, 8):
+                brute: dict[str, int] = {}
+                for i in range(sub.q**k):
+                    brute[text[i : i + length]] = brute.get(text[i : i + length], 0) + 1
+                assert _prefix_counts(sub, length, k) == brute
+
+
+class TestGateRefuses:
+    @pytest.fixture(autouse=True)
+    def fresh_tables(self):
+        densities._reconstruct_cached.cache_clear()
+        yield
+        densities._reconstruct_cached.cache_clear()
+
+    def test_count_mismatch(self, monkeypatch):
+        monkeypatch.setattr(densities, "_prefix_counts", lambda sub, length, k: {"0" * length: 1})
+        with pytest.raises(ReconstructionError, match="at length 1 and size 1025"):
+            reconstruct_base(TM)
+
+    def test_frequencies_not_shift_invariant(self, monkeypatch):
+        original = densities._block_frequencies_cached
+
+        def skewed(sub, length):
+            freqs = dict(original(sub, length))
+            if length == 4:
+                a, b = sorted(freqs)[:2]
+                shift = min(freqs[a], freqs[b]) / 2
+                freqs[a] += shift
+                freqs[b] -= shift
+            return freqs
+
+        monkeypatch.setattr(densities, "_block_frequencies_cached", skewed)
+        with pytest.raises(ReconstructionError, match="length 4 are not shift invariant"):
+            reconstruct_base(TM)
+
+    def test_scaling_mismatch(self, monkeypatch):
+        # Counts at lengths >= R are read only by the scaling check.
+        original = densities.inner_line_counts
+
+        def bumped(x, n, max_length):
+            counts = original(x, n, max_length)
+            counts[4:] += 2
+            return counts
+
+        monkeypatch.setattr(densities, "inner_line_counts", bumped)
+        with pytest.raises(ReconstructionError, match="scaling check failed for base length 2"):
+            reconstruct_base(TM)
+
+
+def _certifies(sub):
+    table = reconstruct_base(sub)
+    assert set(table.base) == set(range(1, table.constants.R))
+    closed_form(table, 1, 1, 1)
+
+
+class TestSweep:
+    def test_every_form_up_to_q4_certifies(self):
+        forms = _normalized_forms((2, 3, 4))
+        assert len(forms) == 194
+        for sub in forms:
+            _certifies(sub)
+
+    @pytest.mark.parametrize("spec", ["10001,00011", "11100,01110", "11111,01100"])
+    def test_q25_squares_certify(self, spec):
+        sub = Substitution.parse(spec).classify().normalized
+        assert sub.q == 25
+        _certifies(sub)
+
+    def test_former_tolerance_refusal(self):
+        # The 16/n band rejected this exact value: the count at n = 8192 is
+        # 3807405/33550336, more than 16/8192 away.
+        sub = Substitution("00001", "10110")
+        assert reconstruct_base(sub).base[1] == Fraction(26, 225)
+
+    @pytest.mark.slow
+    def test_every_form_with_q5_certifies(self):
+        forms = _normalized_forms((5,))
+        assert len(forms) == 703
+        for sub in forms:
+            _certifies(sub)
 
 
 class TestDecompose:
@@ -351,5 +416,7 @@ class TestTableSerialization:
         assert {int(l): Fraction(*pair) for l, pair in payload["base"].items()} == table.base
         for length, ev in table.evidence.items():
             entry = payload["evidence"][str(length)]
-            assert tuple(Fraction(*pair) for pair in entry["deltas"]) == ev.deltas
-            assert tuple(Fraction(*pair) for pair in entry["tolerances"]) == ev.tolerances
+            assert entry["scales"] == list(ev.scales)
+            assert tuple(entry["counts"]) == ev.counts
+            assert entry["child"] == ev.child
+            assert entry["child_count"] == ev.child_count
