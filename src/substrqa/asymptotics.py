@@ -17,6 +17,7 @@ rate, determinism and correlation sum 1 with infinite average line length.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -172,12 +173,14 @@ def quantifiers_via_sums(
     """Reference evaluation by exact tail summation.
 
     The exact-length density is taken as a difference of adjacent tails, so
-    this route never consults the scaling decomposition directly.
+    this route never consults the scaling decomposition directly.  Each
+    distinct tail is summed once per call.
     """
     _validate_inputs(m, lmin, h)
     lprime = lmin + m + h - 2
-    linedens = _tail_sums(table, lprime)[0] - _tail_sums(table, lprime + 1)[0]
-    return _assemble(table, m, lmin, h, lambda lp: _tail_sums(table, lp), linedens)
+    tails = functools.cache(lambda lp: _tail_sums(table, lp))
+    linedens = tails(lprime)[0] - tails(lprime + 1)[0]
+    return _assemble(table, m, lmin, h, tails, linedens)
 
 
 # -- second route: cumulative base tables ------------------------------------

@@ -186,6 +186,19 @@ def run_classify(spec: str, fmt: str) -> int:
         }
         click.echo(json.dumps(payload, indent=2))
         return 0
+    if fmt == "csv":
+        fields = {
+            "substitution": sub,
+            "kind": cls.kind.value,
+            "normalization": cls.normalization.value,
+            "normalized": cls.normalized,
+            "absorbing_letter": cls.absorbing_letter,
+        }
+        for name in ("alpha", "beta", "c", "K", "R", "R0", "q"):
+            fields[name] = None if constants is None else getattr(constants, name)
+        row = tuple("" if value is None else str(value) for value in fields.values())
+        click.echo(_csv_out([row], tuple(fields)), nl=False)
+        return 0
     click.echo(f"substitution : {sub}")
     click.echo(f"kind         : {cls.kind.value}")
     click.echo(f"normalization: {cls.normalization.value} -> {cls.normalized}")
@@ -546,6 +559,10 @@ def run_verify(filter_: str | None, fmt: str, seed: int) -> int:
             "failures": len(failures),
         }
         click.echo(json.dumps(payload, indent=2))
+        return 1 if failures else 0
+    if fmt == "csv":
+        rows = [(name, "pass" if ok else "fail", detail) for name, ok, detail in checks]
+        click.echo(_csv_out(rows, ("name", "status", "detail")), nl=False)
         return 1 if failures else 0
     for name, ok, detail in checks:
         mark = "PASS" if ok else "FAIL"

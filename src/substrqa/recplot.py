@@ -6,10 +6,13 @@ materialises the n-by-n matrix except the small renderers.  Line counts
 come from one suffix-order kernel: a maximal run on diagonal d that starts
 at s is the common prefix of suffixes s and s+d, so counting suffix pairs
 by exact common-prefix length counts lines.  Each plot builds one set of
-prefix-doubling ranks, with a sort per doubling, and reads every common
-prefix and suffix off them by binary lifting; the pair count lifts over a
-min sparse table built once the ranks are freed.  That is O(n log^2 n)
-time and O(n log n) int32 memory, with no per-suffix Python loop.
+prefix-doubling keys that pack many short ranks, so a sort covers several
+doublings (5 sorts at 2^14 letters, 9 at 2^20), and the last sort is the
+suffix order.  Common prefixes come from one XOR per level; the nearest
+smaller neighbours that bound each pair count and each far-edge run come
+from pointer jumping, with a min segment tree to finish the few searches
+a periodic text leaves running.  That is O(n log n) time per level and
+O(n) uint64 memory per level, with no per-suffix Python loop.
 extract_lines and inner_line_starts keep the walk along each diagonal as
 the reference the kernel is tested against.  Two exact reductions collapse
 the parameter space:
@@ -31,11 +34,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .substitution import BitSequence, dense_ranks, window_classes
+from .substitution import BitSequence, sorted_ranks, window_classes
 
 __all__ = [
     "RENDER_CAP",
@@ -132,8 +136,15 @@ def _match_runs(bits: np.ndarray, d: int, span: int) -> tuple[np.ndarray, np.nda
     return np.flatnonzero(delta == 1), np.flatnonzero(delta == -1)
 
 
-# Windows this long fit a base-3 code in int64 (3^32 < 2^63).
-_PACKED_SPAN = 32
+class _Level(NamedTuple):
+    """One prefix-doubling level: keys[i] packs `digits` ranks, `width`
+    bits each and the first in the highest bits, of the windows of `span`
+    letters that start at i, i + span, ... ."""
+
+    keys: np.ndarray
+    span: int
+    digits: int
+    width: int
 
 
 def _shifted(values: np.ndarray, span: int) -> np.ndarray:
@@ -143,71 +154,145 @@ def _shifted(values: np.ndarray, span: int) -> np.ndarray:
     return out
 
 
-def _suffix_levels(bits: np.ndarray) -> list[np.ndarray]:
+def _pack(ranks: np.ndarray, span: int, digits: int, width: int) -> _Level:
+    """Keys of `digits` consecutive span-letter ranks, by shift-or doubling."""
+    keys = ranks
+    packed = 1
+    while packed < digits:
+        keys = (keys << np.uint64(width * packed)) | _shifted(keys, span * packed)
+        packed *= 2
+    return _Level(keys, span, digits, width)
+
+
+def _suffix_levels(bits: np.ndarray) -> tuple[list[_Level], np.ndarray]:
     """Prefix-doubling ranks (Manber & Myers 1993) of the suffixes of bits,
-    the empty one at position len(bits) included: levels[k][i] ranks
-    bits[i : i + 2^k], a window cut short by the end below every longer
-    one.  Two windows cut short at different positions differ in length, so
-    equal ranks at two positions mean equal full windows.
+    the empty one at position len(bits) included, with many digits per
+    sort, and the suffix order.
 
-    The first levels are base-3 codes of the windows, letters 1 and 2 and
-    end-of-text 0.  Comparing the codes compares the digits left to right,
-    and a cut-short window is padded with zeros, below any letter, so the
-    codes keep that order; five multiply-adds reach 32 letters without a
-    sort.  Doubling with sorts starts from the dense ranks of those codes
-    and stops only once no two suffixes tie, because the lifts in _lcp and
-    _common_suffix start just below a level on which none do."""
-    code = np.append(bits.astype(np.int64) + 1, 0)
-    size = code.size
-    levels = []
-    span = 1
-    while span < _PACKED_SPAN:
-        levels.append(code.astype(np.int32))
-        code = code * 3**span + _shifted(code, span)
-        span *= 2
-    rank = dense_ranks(code)
-    levels.append(rank.astype(np.int32))
-    while int(rank.max()) + 1 < size:
-        rank = dense_ranks(rank * size + _shifted(rank, span))
-        levels.append(rank.astype(np.int32))
-        span *= 2
-    return levels
+    Level 0 packs 32 letters, 2 bits each: letters 1 and 2 and end-of-text
+    0.  Each later level packs the dense ranks of the level below, as many
+    as fit 64 bits, a power of two so spans stay powers of two.  Rank 0 is
+    the empty suffix alone, and digits past the end are 0 too, so a window
+    cut short by the end sorts below every longer one; two windows cut
+    short at different positions differ in length, so equal keys mean
+    equal full windows.  Comparing keys compares their digits left to
+    right.  A fixed-point prefix has few distinct windows of each length,
+    so the ranks are short and each sort covers many doublings.  Levels
+    stop once no two suffixes tie, because the lift in _lcp starts on a
+    level on which none do; that level's argsort is the suffix order."""
+    ranks = np.append(bits.astype(np.uint64) + np.uint64(1), np.uint64(0))
+    size = ranks.size
+    levels = [_pack(ranks, 1, 32, 2)]
+    while True:
+        order, ids = sorted_ranks(levels[-1].keys)
+        classes = int(ids[order[-1]]) + 1
+        if classes == size:
+            return levels, order
+        width = (classes - 1).bit_length()
+        digits = 1 << ((64 // width).bit_length() - 1)
+        below = levels[-1]
+        levels.append(_pack(ids.astype(np.uint64), below.span * below.digits, digits, width))
 
 
-def _lcp(levels: list[np.ndarray], i: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _msb(values: np.ndarray) -> np.ndarray:
+    """Index of the highest set bit of each nonzero uint64, exact: each
+    half goes to float64 below 2^32, where frexp reads its exponent."""
+    high = values >> np.uint64(32)
+    wide = high != 0
+    half = np.where(wide, high, values & np.uint64(0xFFFFFFFF))
+    return np.frexp(half.astype(np.float64))[1] - 1 + 32 * wide
+
+
+def _lcp(levels: list[_Level], i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Common-prefix lengths of the suffix pairs (i[t], j[t]), i[t] != j[t],
-    by binary lifting down the rank levels.  A match never runs past the
-    end, where the empty suffix differs from every other, so no index
-    leaves the levels."""
+    by lifting down the levels.  On each level the two keys at the match
+    so far differ, and the highest set bit of their XOR counts the equal
+    leading digits.  A match never runs past the end, where the empty
+    suffix differs from every other, so no index leaves the levels."""
     out = np.zeros(i.size, dtype=np.int64)
-    for k in range(len(levels) - 2, -1, -1):
-        same = levels[k][i + out] == levels[k][j + out]
-        np.add(out, 1 << k, out=out, where=same)
+    for level in reversed(levels):
+        differ = _msb(level.keys[i + out] ^ level.keys[j + out]) // level.width
+        out += (level.digits - 1 - differ) * level.span
     return out
 
 
-def _common_suffix(levels: list[np.ndarray], i: np.ndarray, j: np.ndarray | int) -> np.ndarray:
-    """Common-suffix lengths of the prefixes that end at i[t] < j[t], by
-    lifting back down the same levels: each step compares the two windows
-    that end just before the match found so far, which lie wholly inside."""
-    out = np.zeros(i.size, dtype=np.int64)
-    for k in range(len(levels) - 2, -1, -1):
-        a = i - out - ((1 << k) - 1)
-        fits = a >= 0
-        a = np.maximum(a, 0)
-        same = fits & (levels[k][a] == levels[k][a + (j - i)])
-        np.add(out, 1 << k, out=out, where=same)
-    return out
-
-
-def _adjacent_lcp(levels: list[np.ndarray], lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+def _adjacent_lcp(
+    levels: list[_Level], order: np.ndarray, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
     """The positions [lo, hi) in suffix order, and the common-prefix lengths
     of neighbours in that order."""
-    size = levels[0].size
-    order = np.empty(size, dtype=np.int64)
-    order[levels[-1]] = np.arange(size)
     order = order[(order >= lo) & (order < hi)]
     return order, _lcp(levels, order[:-1], order[1:])
+
+
+def _nearest_below(values: np.ndarray, step: int, strict: bool) -> np.ndarray:
+    """For each t, the nearest index s on the side `step` (-1 or +1) with
+    values[s] < values[t] (strict) or values[s] <= values[t]; values.size
+    where there is none.  Pointer jumping (Berkman, Schieber & Vishkin
+    1993): every index still looking compares the value its pointer
+    reaches, and while that value is no answer, takes over that index's
+    pointer, since everything in between is no answer either.  Values must
+    be non-negative; index values.size holds a -1 that stops every search.
+
+    The adjacent common prefixes of fixed-point prefixes up to 2^18 letters
+    take 11 to 31 rounds.  A search that reaches only indices already
+    answered moves one answer per round, as the one value below a long
+    rising run does in a periodic text, so after 2 log2 n rounds the
+    searches left finish by _tree_search."""
+    count = values.size
+    reach = np.append(values, -1)
+    target = np.arange(count) + step
+    target[target < 0] = count
+    active = np.arange(count)
+    rounds = 2 * count.bit_length()
+    while active.size and rounds:
+        rounds -= 1
+        hop = target[active]
+        passed = reach[hop] >= values[active] if strict else reach[hop] > values[active]
+        active = active[passed]
+        target[active] = target[hop[passed]]
+    if active.size:
+        target[active] = _tree_search(values, active, step, strict)
+    return target
+
+
+def _tree_search(values: np.ndarray, queries: np.ndarray, step: int, strict: bool) -> np.ndarray:
+    """_nearest_below at the indices `queries`, in O(log n) rounds whatever
+    the values: each query climbs a min segment tree until the sibling on
+    its side holds a value below, then descends into it, nearer child
+    first."""
+    count = values.size
+    if step > 0:
+        mirrored = _tree_search(values[::-1], count - 1 - queries, -1, strict)
+        return np.where(mirrored == count, count, count - 1 - mirrored)
+    size = 1 << (count - 1).bit_length()
+    tree = np.full(2 * size, np.iinfo(np.int64).max, dtype=np.int64)
+    tree[size : size + count] = values
+    width = size
+    while width > 1:
+        level = tree[width : 2 * width]
+        np.minimum(level[::2], level[1::2], out=tree[width // 2 : width])
+        width //= 2
+    below = np.less if strict else np.less_equal
+    out = np.full(queries.size, count)
+    index = np.arange(queries.size)
+    node = queries + size
+    found_index, found_node = [], []
+    while index.size:
+        # Node 1 is the root; tree[0] holds the maximum, never below.
+        hit = (node & 1 == 1) & below(tree[node - 1], values[queries[index]])
+        found_index.append(index[hit])
+        found_node.append(node[hit] - 1)
+        climb = ~hit & (node > 1)
+        index, node = index[climb], node[climb] // 2
+    index, node = np.concatenate(found_index), np.concatenate(found_node)
+    while index.size:
+        leaf = node >= size
+        out[index[leaf]] = node[leaf] - size
+        index, node = index[~leaf], node[~leaf]
+        right = 2 * node + 1
+        node = np.where(below(tree[right], values[queries[index]]), right, right - 1)
+    return out
 
 
 def _pairs_by_lcp(adjacent: np.ndarray, size: int) -> np.ndarray:
@@ -217,29 +302,45 @@ def _pairs_by_lcp(adjacent: np.ndarray, size: int) -> np.ndarray:
     between them (Kasai et al. 2001).  Each adjacent value is credited with
     the intervals whose rightmost minimum it is: they reach left to just
     after the nearest smaller value and right to just before the nearest
-    value not larger.  Both bounds come for every value at once by lifting
-    over a min sparse table, table[k][t] = min(adjacent[t : t + 2^k])."""
+    value not larger."""
     count = adjacent.size
-    pairs = np.zeros(size + 1, dtype=np.int64)
-    if not count:
-        return pairs
-    table = [adjacent.astype(np.int32)]
-    while 1 << len(table) <= count:
-        half = 1 << (len(table) - 1)
-        table.append(np.minimum(table[-1][:-half], table[-1][half:]))
-    value = table[0]
     index = np.arange(count)
-    left = index.copy()
-    right = index + 1
-    for k in range(len(table) - 1, -1, -1):
-        width = 1 << k
-        mins = table[k]
-        wider = (left >= width) & (mins[np.maximum(left - width, 0)] >= value)
-        np.subtract(left, width, out=left, where=wider)
-        wider = (right <= count - width) & (mins[np.minimum(right, count - width)] > value)
-        np.add(right, width, out=right, where=wider)
-    np.add.at(pairs, value, (index - left + 1) * (right - index))
+    left = _nearest_below(adjacent, -1, strict=True)
+    left[left == count] = -1
+    right = _nearest_below(adjacent, 1, strict=False)
+    pairs = np.zeros(size + 1, dtype=np.int64)
+    np.add.at(pairs, adjacent, (index - left) * (right - index))
     return pairs
+
+
+def _far_edge_runs(bits: np.ndarray, order: np.ndarray, adjacent: np.ndarray) -> np.ndarray:
+    """nbd[L]: diagonals whose run ending on the far edge has length L, for
+    L in [1, len(bits)), given the nonempty suffixes in suffix order and
+    their adjacent common prefixes.  Such a run is a copy of the last L
+    letters, the suffix at p = len(bits) - L, starting at some q < p whose
+    preceding letter differs from bits[p-1] or that is 0.  The suffixes
+    that start with a copy fill p's suffix-order interval.  It ends at the
+    first rank from p's on whose common prefix with the next is below L:
+    p's own rank, or else, since p's own value is at most L, the next
+    strictly smaller adjacent value, or the last rank if there is none.
+    The count is a difference of prefix sums."""
+    size = bits.size
+    rank = np.empty(size, dtype=np.int64)
+    rank[order] = np.arange(size)
+    # The last rank has no neighbour: -1 ends its interval at itself.
+    reach = np.append(adjacent, -1)
+    after = np.append(_nearest_below(adjacent, 1, strict=True), size - 1)
+    p = np.arange(1, size)
+    first = rank[p]
+    last = np.where(reach[first] < size - p, first, after[first])
+    before = bits[np.maximum(order - 1, 0)]
+    other = np.zeros((2, size + 1), dtype=np.int64)
+    for letter in (0, 1):
+        np.cumsum((order == 0) | (before != letter), out=other[letter, 1:])
+    nbd = np.zeros(size, dtype=np.int64)
+    follows = bits[p - 1]
+    nbd[size - p] = other[follows, last + 1] - other[follows, first]
+    return nbd
 
 
 def quantize_eps(eps) -> int:
@@ -310,28 +411,26 @@ def histogram(x: BitSequence, n: int, h: int, *, m: int = 1) -> LineHistogram:
     exactly v, and runs of length v number pairs(v) - pairs(v+1).  The
     zero-boundary run on diagonal d has length lcp(0, d), the least
     adjacent common prefix between suffixes 0 and d in suffix order.  The
-    far-edge run on diagonal d is the common suffix of bits[:size-d] and
-    bits, read off the same forward ranks.
+    far-edge runs of length L are copies of the last L letters, read off
+    the same suffix order (see _far_edge_runs).
     """
     window = _effective_window(h, m)
     if n < 2:
         raise DomainError(f"plot size must be at least 2, got {n}")
     size = n + window - 1
     bits = _require_prefix(x, size, f"plot of size {n} at window {window}")
-    diagonals = np.arange(1, size)
-    levels = _suffix_levels(bits)
-    order, adjacent = _adjacent_lcp(levels, 0, size)
-    far_runs = _common_suffix(levels, size - 1 - diagonals, size - 1)
-    del levels  # free the ranks before the pair count builds its table: peak memory
+    levels, order = _suffix_levels(bits)
+    order, adjacent = _adjacent_lcp(levels, order, 0, size)
+    del levels  # free the keys before the bound searches: peak memory
     place = int(np.flatnonzero(order == 0)[0])
     zero_runs = np.zeros(size, dtype=np.int64)
     zero_runs[order[place + 1 :]] = np.minimum.accumulate(adjacent[place:])
     zero_runs[order[:place]] = np.minimum.accumulate(adjacent[:place][::-1])[::-1]
     zero_runs = zero_runs[1:]
     pairs = _pairs_by_lcp(adjacent, size)
+    nbd = _far_edge_runs(bits, order, adjacent)
     runs = pairs[:-1] - pairs[1:]
-    zero = np.bincount(zero_runs[zero_runs < size - diagonals], minlength=size)
-    nbd = np.bincount(far_runs, minlength=size)
+    zero = np.bincount(zero_runs[zero_runs < size - np.arange(1, size)], minlength=size)
     buckets = 2 * np.stack([runs - zero - nbd, zero, nbd], axis=1)
     lengths = np.flatnonzero(runs[window:]) + window
     counts = {int(r) - window + 1: tuple(buckets[r].tolist()) for r in lengths}
@@ -410,10 +509,10 @@ def inner_line_counts(x: BitSequence, n: int, max_length: int) -> np.ndarray:
     bits = _require_prefix(
         x, n + max_length + 1, f"inner-line scan up to length {max_length}, bound {n}"
     )
-    levels = _suffix_levels(bits)
-    adjacent_starts = _adjacent_lcp(levels, 1, n)[1]
-    adjacent_shifted = _adjacent_lcp(levels, 0, n - 1)[1]
-    del levels  # free the ranks before the pair counts build their tables: peak memory
+    levels, order = _suffix_levels(bits)
+    adjacent_starts = _adjacent_lcp(levels, order, 1, n)[1]
+    adjacent_shifted = _adjacent_lcp(levels, order, 0, n - 1)[1]
+    del levels  # free the keys before the bound searches: peak memory
     starts = _pairs_by_lcp(adjacent_starts, bits.size)
     shifted = _pairs_by_lcp(adjacent_shifted, bits.size)
     counts = np.zeros(max_length + 1, dtype=np.int64)

@@ -85,17 +85,22 @@ class BitSequence:
         return f"BitSequence({self[:32].to01()!r}..., len={len(self)})"
 
 
-def dense_ranks(keys: np.ndarray) -> np.ndarray:
-    """Ids 0..k-1 that number the distinct values of `keys` in sorted order:
-    the inverse of a sorted unique, from one argsort, a compare with the
-    sorted neighbour and a cumsum."""
+def sorted_ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The argsort of `keys` and ids 0..k-1 that number their distinct
+    values in sorted order: the inverse of a sorted unique, from one
+    argsort, a compare with the sorted neighbour and a cumsum."""
     order = np.argsort(keys)
     ordered = keys[order]
     fresh = np.zeros(keys.size, dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
     ids = np.empty(keys.size, dtype=np.intp)
     ids[order] = np.cumsum(fresh)
-    return ids
+    return order, ids
+
+
+def dense_ranks(keys: np.ndarray) -> np.ndarray:
+    """The ids of sorted_ranks alone."""
+    return sorted_ranks(keys)[1]
 
 
 def window_classes(bits: np.ndarray, width: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end via click's runner."""
 
+import csv
 import dataclasses
 import hashlib
 import importlib.util
@@ -63,6 +64,28 @@ class TestClassify:
         assert payload["kind"] == "primitive_aperiodic"
         assert payload["constants"]["R"] == 4
         assert payload["constants"]["q"] == 2
+
+    def test_csv_matches_json(self, runner):
+        result = invoke(runner, "classify", TM, "--format", "csv")
+        assert result.exit_code == 0
+        header, row = csv.reader(result.output.splitlines())
+        fields = dict(zip(header, row, strict=True))
+        payload = json.loads(invoke(runner, "classify", TM, "--format", "json").output)
+        for key in ("substitution", "kind", "normalization", "normalized"):
+            assert fields[key] == payload[key]
+        assert fields["absorbing_letter"] == ""
+        for key in ("alpha", "beta", "K", "R", "R0", "q"):
+            assert fields[key] == str(payload["constants"][key])
+        assert Fraction(fields["c"]) == frac(payload["constants"]["c"])
+
+    def test_csv_leaves_absent_constants_empty(self, runner):
+        result = invoke(runner, "classify", PROXIMAL, "--format", "csv")
+        assert result.exit_code == 0
+        header, row = csv.reader(result.output.splitlines())
+        fields = dict(zip(header, row, strict=True))
+        assert fields["kind"] == "nonprimitive_proximal"
+        assert fields["absorbing_letter"] == "1"
+        assert all(fields[key] == "" for key in ("alpha", "beta", "c", "K", "R", "R0", "q"))
 
     def test_parse_error_exit_2(self, runner):
         result = invoke(runner, "classify", "0->0,1->1")
@@ -291,6 +314,25 @@ class TestVerify:
         result = invoke(runner, "verify", "--filter", "thue-morse")
         assert result.exit_code == 1
         assert "FAIL thue-morse/base-densities" in result.output
+
+    def test_csv_format(self, runner):
+        result = invoke(runner, "verify", "--filter", "thue-morse", "--format", "csv")
+        assert result.exit_code == 0
+        header, *rows = csv.reader(result.output.splitlines())
+        assert header == ["name", "status", "detail"]
+        assert rows and all(status == "pass" for _, status, _ in rows)
+        assert "thue-morse/base-densities" in {name for name, _, _ in rows}
+
+    def test_csv_format_fails_by_name(self, runner, monkeypatch):
+        def tampered(sub):
+            table = reconstruct_base(sub)
+            return dataclasses.replace(table, base={**table.base, 2: Fraction(1, 19)})
+
+        monkeypatch.setattr(cli, "reconstruct_base", tampered)
+        result = invoke(runner, "verify", "--filter", "thue-morse", "--format", "csv")
+        assert result.exit_code == 1
+        rows = list(csv.reader(result.output.splitlines()))[1:]
+        assert ["thue-morse/base-densities", "fail"] in [row[:2] for row in rows]
 
     def test_json_format(self, runner):
         result = invoke(runner, "verify", "--format", "json")

@@ -222,13 +222,16 @@ class TestHistogram:
 
 
 def _kernel_texts() -> list[str]:
-    # Lengths on both sides of the hand-over from base-3 codes to sorting at
-    # 32 letters, and of the next doubling at 64.
+    # Lengths on both sides of the 32 letters a level-0 key packs, and of
+    # the next spans.  The last text has suffixes 0 and 30 complementary
+    # for 30 letters, so their level-0 keys XOR to at least 2^64 - 2^4,
+    # which a float64 rounds up to 2^64.
     rng = np.random.default_rng(11)
     texts = []
     for size in (1, 2, 31, 32, 33, 64, 65):
         texts += [(word * size)[:size] for word in ("0", "01", "001")]
         texts.append("".join(rng.choice(["0", "1"], size)))
+    texts.append("0" * 30 + "1" * 30)
     return texts
 
 
@@ -236,34 +239,102 @@ def _common_prefix(a: str, b: str) -> int:
     return next((t for t, (u, v) in enumerate(zip(a, b)) if u != v), min(len(a), len(b)))
 
 
+def _nearest_below_oracle(values: list[int], step: int, strict: bool) -> list[int]:
+    count = len(values)
+    out = []
+    for t, value in enumerate(values):
+        side = range(t - 1, -1, -1) if step < 0 else range(t + 1, count)
+        below = (s for s in side if values[s] < value or (not strict and values[s] == value))
+        out.append(next(below, count))
+    return out
+
+
+def _adversarial_arrays() -> list[list[int]]:
+    # The worst cases of pointer jumping: log n rounds on monotone and
+    # constant runs, a round per step of a sawtooth tooth (long teeth run
+    # out of rounds and finish by the tree search), and lengths 2^k +- 1.
+    arrays = []
+    for size in (1, 2, 3, 7, 8, 9, 31, 32, 33, 63, 64, 65):
+        tooth = max(size // 3, 2)
+        arrays += [
+            list(range(size)),
+            list(range(size, 0, -1)),
+            [3] * size,
+            [t % 5 for t in range(size)],
+            [4 - t % 5 for t in range(size)],
+            [t % tooth for t in range(size)],
+            [tooth - 1 - t % tooth for t in range(size)],
+        ]
+    rng = np.random.default_rng(7)
+    arrays += [rng.integers(0, 4, size).tolist() for size in (17, 40, 100)]
+    return arrays
+
+
 class TestSuffixKernel:
     @pytest.mark.parametrize("text", _kernel_texts())
     def test_last_level_sorts_suffixes(self, text):
-        levels = recplot._suffix_levels(BitSequence.from_text(text).bits)
+        levels, order = recplot._suffix_levels(BitSequence.from_text(text).bits)
         expected = sorted(range(len(text) + 1), key=lambda i: text[i:])
-        assert np.argsort(levels[-1]).tolist() == expected
+        assert order.tolist() == expected
+        assert np.unique(levels[-1].keys).size == len(text) + 1
 
     @pytest.mark.parametrize("text", _kernel_texts())
     def test_pairs_by_lcp_match_brute_force(self, text):
         size = len(text)
-        levels = recplot._suffix_levels(BitSequence.from_text(text).bits)
+        levels, order = recplot._suffix_levels(BitSequence.from_text(text).bits)
         for lo, hi in ((0, size), (1, size), (0, size - 1)):
             expected = [0] * (size + 1)
             for i, j in itertools.combinations(range(lo, hi), 2):
                 expected[_common_prefix(text[i:], text[j:])] += 1
-            adjacent = recplot._adjacent_lcp(levels, lo, hi)[1]
+            adjacent = recplot._adjacent_lcp(levels, order, lo, hi)[1]
             assert recplot._pairs_by_lcp(adjacent, size).tolist() == expected
 
     @pytest.mark.parametrize("text", _kernel_texts())
     def test_lifts_match_brute_force(self, text):
-        levels = recplot._suffix_levels(BitSequence.from_text(text).bits)
-        i, j = np.triu_indices(len(text), 1)
+        # Every pair of positions, the empty suffix at len(text) included.
+        levels, _ = recplot._suffix_levels(BitSequence.from_text(text).bits)
+        i, j = np.triu_indices(len(text) + 1, 1)
         assert recplot._lcp(levels, i, j).tolist() == [
             _common_prefix(text[a:], text[b:]) for a, b in zip(i, j)
         ]
-        assert recplot._common_suffix(levels, i, j).tolist() == [
-            _common_prefix(text[a::-1], text[b::-1]) for a, b in zip(i, j)
-        ]
+
+    @pytest.mark.parametrize("text", [t for t in _kernel_texts() if len(t) >= 2])
+    def test_far_edge_runs_match_extract_lines(self, text):
+        x = BitSequence.from_text(text)
+        size = len(text)
+        expected = [0] * size
+        for line in extract_lines(x, size, 1):
+            if Boundary.N_BOUNDARY in line.boundary and line.i < line.j:
+                expected[line.length] += 1
+        levels, order = recplot._suffix_levels(x.bits)
+        order, adjacent = recplot._adjacent_lcp(levels, order, 0, size)
+        assert recplot._far_edge_runs(x.bits, order, adjacent).tolist() == expected
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("step", [-1, 1])
+    def test_nearest_below_matches_brute_force(self, step, strict):
+        for values in _adversarial_arrays():
+            expected = _nearest_below_oracle(values, step, strict)
+            array = np.array(values, dtype=np.int64)
+            assert recplot._nearest_below(array, step, strict).tolist() == expected, values
+            everywhere = np.arange(array.size)
+            assert recplot._tree_search(array, everywhere, step, strict).tolist() == expected
+
+    def test_pairs_by_lcp_on_adversarial_arrays(self):
+        # Each pair of suffixes a < b in order shares min(adjacent[a:b]).
+        for values in _adversarial_arrays():
+            top = max(values) + 1
+            expected = [0] * (top + 1)
+            for a, b in itertools.combinations(range(len(values) + 1), 2):
+                expected[min(values[a:b])] += 1
+            got = recplot._pairs_by_lcp(np.array(values, dtype=np.int64), top)
+            assert got.tolist() == expected, values
+
+    def test_msb_is_exact_past_float_precision(self):
+        values = [1, 2, 3, (1 << 32) - 1, 1 << 32, (1 << 53) - 1, 1 << 53, (1 << 53) + 1]
+        values += [(1 << k) - 1 for k in range(54, 65)] + [(1 << 63) + 1, (1 << 64) - 1]
+        got = recplot._msb(np.array(values, dtype=np.uint64))
+        assert got.tolist() == [v.bit_length() - 1 for v in values]
 
 
 # -- reductions --------------------------------------------------------------

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,3 +262,36 @@ class TestSerialization:
         rep = measures_from_histogram(histogram(EXAMPLE, 6, 1), 1)
         assert rep.provenance == "empirical"
         assert replace(rep, n=None).provenance == "asymptotic"
+
+
+# The finite-plot benchmark's reference records, per spec|n|window, a digest
+# of the histogram rows and, per lmin, of RR, DET, Lavg and the correlation
+# sum as strings; (h, m) enter only through the window h + m - 1.
+PLOT_REFERENCE = json.loads(
+    (Path(__file__).parents[1] / "benchmarks" / "reference" / "finite-plot.json").read_text()
+)
+PLOT_PINNED_MAX_N = 1 << 13
+
+
+def _digest(value) -> str:
+    text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("spec", sorted({key.split("|")[0] for key in PLOT_REFERENCE}))
+def test_finite_plot_matches_reference(spec):
+    for key, want in sorted(PLOT_REFERENCE.items()):
+        form, n, window = key.split("|")
+        n, h = int(n), int(window)
+        if form != spec or n > PLOT_PINNED_MAX_N:
+            continue
+        lmins = sorted(int(lmin) for lmin in want["lmin"])
+        x = Substitution.parse(spec).fixed_point_prefix(n + max(lmins) + h + 1)
+        hist = histogram(x, n, h)
+        rows = [[length, *hist.counts[length]] for length in hist.lengths()]
+        assert _digest(rows) == want["hist"], key
+        for lmin in lmins:
+            report = measures_from_histogram(hist, lmin)
+            measures = [str(report.RR), str(report.DET), str(report.Lavg)]
+            measures.append(str(correlation_sum(x, n, lmin, h)))
+            assert _digest(measures) == want["lmin"][str(lmin)][0], (key, lmin)

@@ -12,7 +12,7 @@ from substrqa import (
     Substitution,
     window_classes,
 )
-from substrqa.substitution import dense_ranks
+from substrqa.substitution import dense_ranks, sorted_ranks
 
 TM = Substitution("01", "10")
 PD = Substitution("01", "00")
@@ -258,6 +258,9 @@ class TestBitSequence:
             np.array([], dtype=np.int64),
         ):
             assert dense_ranks(keys).tolist() == np.unique(keys, return_inverse=True)[1].tolist()
+            order = sorted_ranks(keys)[0]
+            assert sorted(order.tolist()) == list(range(keys.size))
+            assert keys[order].tolist() == sorted(keys.tolist())
 
     def test_window_classes_width_limits(self):
         bits = np.zeros(100, dtype=np.uint8)
