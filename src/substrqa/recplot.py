@@ -10,9 +10,10 @@ prefix-doubling keys that pack many short ranks, so a sort covers several
 doublings (5 sorts at 2^14 letters, 9 at 2^20), and the last sort is the
 suffix order.  Common prefixes come from one XOR per level; the nearest
 smaller neighbours that bound each pair count and each far-edge run come
-from pointer jumping, with a min segment tree to finish the few searches
-a periodic text leaves running.  That is O(n log n) time per level and
-O(n) uint64 memory per level, with no per-suffix Python loop.
+from pointer jumping: a few dozen rounds on fixed-point prefixes, but a
+round per step of each long rising run a periodic text has.  Each level
+costs one O(n log n) sort and O(n) uint64 memory, with no per-suffix
+Python loop.
 extract_lines and inner_line_starts keep the walk along each diagonal as
 the reference the kernel is tested against.  Two exact reductions collapse
 the parameter space:
@@ -236,63 +237,19 @@ def _nearest_below(values: np.ndarray, step: int, strict: bool) -> np.ndarray:
 
     The adjacent common prefixes of fixed-point prefixes up to 2^18 letters
     take 11 to 31 rounds.  A search that reaches only indices already
-    answered moves one answer per round, as the one value below a long
-    rising run does in a periodic text, so after 2 log2 n rounds the
-    searches left finish by _tree_search."""
+    answered moves one answer per round, so the one value below a long
+    rising run, as in a periodic text, takes a round per step of the run."""
     count = values.size
     reach = np.append(values, -1)
     target = np.arange(count) + step
     target[target < 0] = count
     active = np.arange(count)
-    rounds = 2 * count.bit_length()
-    while active.size and rounds:
-        rounds -= 1
+    while active.size:
         hop = target[active]
         passed = reach[hop] >= values[active] if strict else reach[hop] > values[active]
         active = active[passed]
         target[active] = target[hop[passed]]
-    if active.size:
-        target[active] = _tree_search(values, active, step, strict)
     return target
-
-
-def _tree_search(values: np.ndarray, queries: np.ndarray, step: int, strict: bool) -> np.ndarray:
-    """_nearest_below at the indices `queries`, in O(log n) rounds whatever
-    the values: each query climbs a min segment tree until the sibling on
-    its side holds a value below, then descends into it, nearer child
-    first."""
-    count = values.size
-    if step > 0:
-        mirrored = _tree_search(values[::-1], count - 1 - queries, -1, strict)
-        return np.where(mirrored == count, count, count - 1 - mirrored)
-    size = 1 << (count - 1).bit_length()
-    tree = np.full(2 * size, np.iinfo(np.int64).max, dtype=np.int64)
-    tree[size : size + count] = values
-    width = size
-    while width > 1:
-        level = tree[width : 2 * width]
-        np.minimum(level[::2], level[1::2], out=tree[width // 2 : width])
-        width //= 2
-    below = np.less if strict else np.less_equal
-    out = np.full(queries.size, count)
-    index = np.arange(queries.size)
-    node = queries + size
-    found_index, found_node = [], []
-    while index.size:
-        # Node 1 is the root; tree[0] holds the maximum, never below.
-        hit = (node & 1 == 1) & below(tree[node - 1], values[queries[index]])
-        found_index.append(index[hit])
-        found_node.append(node[hit] - 1)
-        climb = ~hit & (node > 1)
-        index, node = index[climb], node[climb] // 2
-    index, node = np.concatenate(found_index), np.concatenate(found_node)
-    while index.size:
-        leaf = node >= size
-        out[index[leaf]] = node[leaf] - size
-        index, node = index[~leaf], node[~leaf]
-        right = 2 * node + 1
-        node = np.where(below(tree[right], values[queries[index]]), right, right - 1)
-    return out
 
 
 def _pairs_by_lcp(adjacent: np.ndarray, size: int) -> np.ndarray:

@@ -251,8 +251,8 @@ def _nearest_below_oracle(values: list[int], step: int, strict: bool) -> list[in
 
 def _adversarial_arrays() -> list[list[int]]:
     # The worst cases of pointer jumping: log n rounds on monotone and
-    # constant runs, a round per step of a sawtooth tooth (long teeth run
-    # out of rounds and finish by the tree search), and lengths 2^k +- 1.
+    # constant runs, a round per step of a sawtooth tooth, and lengths
+    # 2^k +- 1.
     arrays = []
     for size in (1, 2, 3, 7, 8, 9, 31, 32, 33, 63, 64, 65):
         tooth = max(size // 3, 2)
@@ -317,8 +317,6 @@ class TestSuffixKernel:
             expected = _nearest_below_oracle(values, step, strict)
             array = np.array(values, dtype=np.int64)
             assert recplot._nearest_below(array, step, strict).tolist() == expected, values
-            everywhere = np.arange(array.size)
-            assert recplot._tree_search(array, everywhere, step, strict).tolist() == expected
 
     def test_pairs_by_lcp_on_adversarial_arrays(self):
         # Each pair of suffixes a < b in order shares min(adjacent[a:b]).
