@@ -6,14 +6,14 @@ materialises the n-by-n matrix except the small renderers.  Line counts
 come from one suffix-order kernel: a maximal run on diagonal d that starts
 at s is the common prefix of suffixes s and s+d, so counting suffix pairs
 by exact common-prefix length counts lines.  Each plot builds one set of
-prefix-doubling keys that pack many short ranks, so a sort covers several
-doublings (5 sorts at 2^14 letters, 9 at 2^20), and the last sort is the
-suffix order.  Common prefixes come from one XOR per level; the nearest
-smaller neighbours that bound each pair count and each far-edge run come
-from pointer jumping: a few dozen rounds on fixed-point prefixes, but a
-round per step of each long rising run a periodic text has.  Each level
-costs one O(n log n) sort and O(n) uint64 memory, with no per-suffix
-Python loop.
+prefix-doubling keys that pack as many short ranks as fit 64 bits, so a
+sort covers several doublings (4 or 5 sorts at 2^14 letters, 8 at 2^20),
+and the last sort is the suffix order.  Common prefixes come from one XOR
+per level.  One pointer-jumping search finds the nearest smaller
+neighbours on both sides, which bound each pair count and each far-edge
+run: a few dozen rounds on fixed-point prefixes, but a round per step of
+each long rising run a periodic text has.  Each level costs one
+O(n log n) sort and O(n) uint64 memory, with no per-suffix Python loop.
 extract_lines and inner_line_starts keep the walk along each diagonal as
 the reference the kernel is tested against.  Two exact reductions collapse
 the parameter space:
@@ -148,20 +148,25 @@ class _Level(NamedTuple):
     width: int
 
 
-def _shifted(values: np.ndarray, span: int) -> np.ndarray:
-    """values[i + span] at every i, zero past the end."""
-    out = np.zeros_like(values)
-    out[: max(values.size - span, 0)] = values[span:]
+def _shift_or(high: np.ndarray, low: np.ndarray, shift: int, offset: int) -> np.ndarray:
+    """high << shift, or'ed at each i with low[i + offset], zero past the end."""
+    out = high << np.uint64(shift)
+    out[: max(out.size - offset, 0)] |= low[offset:]
     return out
 
 
-def _pack(ranks: np.ndarray, span: int, digits: int, width: int) -> _Level:
-    """Keys of `digits` consecutive span-letter ranks, by shift-or doubling."""
-    keys = ranks
-    packed = 1
-    while packed < digits:
-        keys = (keys << np.uint64(width * packed)) | _shifted(keys, span * packed)
+def _pack(ranks: np.ndarray, span: int, width: int) -> _Level:
+    """Keys of 64 // width consecutive span-letter ranks: shift-or doubling,
+    and one more shift-or that appends a rank for each set bit of the digit
+    count below its top."""
+    digits = 64 // width
+    keys, packed = ranks, 1
+    for bit in bin(digits)[3:]:
+        keys = _shift_or(keys, keys, width * packed, span * packed)
         packed *= 2
+        if bit == "1":
+            keys = _shift_or(keys, ranks, width, span * packed)
+            packed += 1
     return _Level(keys, span, digits, width)
 
 
@@ -172,10 +177,10 @@ def _suffix_levels(bits: np.ndarray) -> tuple[list[_Level], np.ndarray]:
 
     Level 0 packs 32 letters, 2 bits each: letters 1 and 2 and end-of-text
     0.  Each later level packs the dense ranks of the level below, as many
-    as fit 64 bits, a power of two so spans stay powers of two.  Rank 0 is
-    the empty suffix alone, and digits past the end are 0 too, so a window
-    cut short by the end sorts below every longer one; two windows cut
-    short at different positions differ in length, so equal keys mean
+    as fit 64 bits, so its span is the span below times that many.  Rank 0
+    is the empty suffix alone, and digits past the end are 0 too, so a
+    window cut short by the end sorts below every longer one; two windows
+    cut short at different positions differ in length, so equal keys mean
     equal full windows.  Comparing keys compares their digits left to
     right.  A fixed-point prefix has few distinct windows of each length,
     so the ranks are short and each sort covers many doublings.  Levels
@@ -183,25 +188,23 @@ def _suffix_levels(bits: np.ndarray) -> tuple[list[_Level], np.ndarray]:
     level on which none do; that level's argsort is the suffix order."""
     ranks = np.append(bits.astype(np.uint64) + np.uint64(1), np.uint64(0))
     size = ranks.size
-    levels = [_pack(ranks, 1, 32, 2)]
+    levels = [_pack(ranks, 1, 2)]
     while True:
         order, ids = sorted_ranks(levels[-1].keys)
         classes = int(ids[order[-1]]) + 1
         if classes == size:
             return levels, order
         width = (classes - 1).bit_length()
-        digits = 1 << ((64 // width).bit_length() - 1)
         below = levels[-1]
-        levels.append(_pack(ids.astype(np.uint64), below.span * below.digits, digits, width))
+        levels.append(_pack(ids.astype(np.uint64), below.span * below.digits, width))
 
 
 def _msb(values: np.ndarray) -> np.ndarray:
-    """Index of the highest set bit of each nonzero uint64, exact: each
-    half goes to float64 below 2^32, where frexp reads its exponent."""
-    high = values >> np.uint64(32)
-    wide = high != 0
-    half = np.where(wide, high, values & np.uint64(0xFFFFFFFF))
-    return np.frexp(half.astype(np.float64))[1] - 1 + 32 * wide
+    """Index of the highest set bit of each nonzero uint64, from the
+    float64 exponent.  It is exact: with the bit just below the highest
+    cleared, rounding to float64 cannot carry into the next power of two."""
+    top = values & ~(values >> np.uint64(1))
+    return np.frexp(top.astype(np.float64))[1] - 1
 
 
 def _lcp(levels: list[_Level], i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -213,7 +216,7 @@ def _lcp(levels: list[_Level], i: np.ndarray, j: np.ndarray) -> np.ndarray:
     out = np.zeros(i.size, dtype=np.int64)
     for level in reversed(levels):
         differ = _msb(level.keys[i + out] ^ level.keys[j + out]) // level.width
-        out += (level.digits - 1 - differ) * level.span
+        out += (level.digits - 1 - differ) * np.int64(level.span)
     return out
 
 
@@ -226,77 +229,92 @@ def _adjacent_lcp(
     return order, _lcp(levels, order[:-1], order[1:])
 
 
-def _nearest_below(values: np.ndarray, step: int, strict: bool) -> np.ndarray:
-    """For each t, the nearest index s on the side `step` (-1 or +1) with
-    values[s] < values[t] (strict) or values[s] <= values[t]; values.size
-    where there is none.  Pointer jumping (Berkman, Schieber & Vishkin
-    1993): every index still looking compares the value its pointer
-    reaches, and while that value is no answer, takes over that index's
-    pointer, since everything in between is no answer either.  Values must
-    be non-negative; index values.size holds a -1 that stops every search.
+def _smaller_bounds(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each t, the nearest s < t with values[s] < values[t] (-1 where
+    there is none) and the nearest s > t with values[s] <= values[t]
+    (values.size where there is none).  Values must be non-negative
+    integers.
 
-    The adjacent common prefixes of fixed-point prefixes up to 2^18 letters
-    take 11 to 31 rounds.  A search that reaches only indices already
-    answered moves one answer per round, so the one value below a long
-    rising run, as in a periodic text, takes a round per step of the run."""
+    One pointer-jumping search (Berkman, Schieber & Vishkin 1993) answers
+    both sides: the right side looks for a value below values + 1 in
+    [values, -1], the left side for one below values in [values reversed,
+    -1], and each -1 stops every search of its half.  Every index still
+    looking compares the value its pointer reaches, and while that value
+    is no answer, takes over that index's pointer, since everything in
+    between is no answer either.  The adjacent common prefixes of
+    fixed-point prefixes up to 2^18 letters take 11 to 31 rounds.  A
+    search that reaches only indices already answered moves one answer per
+    round, so the one value below a long rising run, as in a periodic
+    text, takes a round per step of the run."""
     count = values.size
-    reach = np.append(values, -1)
-    target = np.arange(count) + step
-    target[target < 0] = count
-    active = np.arange(count)
+    half = count + 1
+    reach = np.concatenate((values, [-1], values[::-1], [-1]))
+    below = reach.copy()
+    below[:count] += 1
+    # The first round compares neighbours; the -1s look for nothing.
+    passed = reach[1:] >= below[:-1]
+    passed[count] = False
+    active = np.flatnonzero(passed)
+    target = np.arange(1, 2 * half + 1)
+    target[active] += 1
     while active.size:
         hop = target[active]
-        passed = reach[hop] >= values[active] if strict else reach[hop] > values[active]
+        passed = reach[hop] >= below[active]
         active = active[passed]
         target[active] = target[hop[passed]]
-    return target
+    # Index u of the reversed half holds position 2 * count - u.
+    return 2 * count - target[half:-1][::-1], target[:count].copy()
 
 
-def _pairs_by_lcp(adjacent: np.ndarray, size: int) -> np.ndarray:
+def _pairs_by_lcp(
+    adjacent: np.ndarray, left: np.ndarray, right: np.ndarray, size: int
+) -> np.ndarray:
     """pairs[v]: unordered pairs of suffixes that share exactly v letters,
     v in [0, size], given the common prefixes of neighbours in their suffix
-    order.  The common prefix of two suffixes is the least adjacent value
-    between them (Kasai et al. 2001).  Each adjacent value is credited with
-    the intervals whose rightmost minimum it is: they reach left to just
-    after the nearest smaller value and right to just before the nearest
-    value not larger."""
-    count = adjacent.size
-    index = np.arange(count)
-    left = _nearest_below(adjacent, -1, strict=True)
-    left[left == count] = -1
-    right = _nearest_below(adjacent, 1, strict=False)
+    order and their _smaller_bounds.  The common prefix of two suffixes is
+    the least adjacent value between them (Kasai et al. 2001).  Each
+    adjacent value is credited with the intervals whose rightmost minimum
+    it is: they reach left to just after the nearest smaller value and
+    right to just before the nearest value not larger."""
+    index = np.arange(adjacent.size)
     pairs = np.zeros(size + 1, dtype=np.int64)
     np.add.at(pairs, adjacent, (index - left) * (right - index))
     return pairs
 
 
-def _far_edge_runs(bits: np.ndarray, order: np.ndarray, adjacent: np.ndarray) -> np.ndarray:
+def _far_edge_runs(
+    bits: np.ndarray, order: np.ndarray, adjacent: np.ndarray, right: np.ndarray
+) -> np.ndarray:
     """nbd[L]: diagonals whose run ending on the far edge has length L, for
-    L in [1, len(bits)), given the nonempty suffixes in suffix order and
-    their adjacent common prefixes.  Such a run is a copy of the last L
-    letters, the suffix at p = len(bits) - L, starting at some q < p whose
-    preceding letter differs from bits[p-1] or that is 0.  The suffixes
-    that start with a copy fill p's suffix-order interval.  It ends at the
-    first rank from p's on whose common prefix with the next is below L:
-    p's own rank, or else, since p's own value is at most L, the next
-    strictly smaller adjacent value, or the last rank if there is none.
-    The count is a difference of prefix sums."""
+    L in [1, len(bits)), given the nonempty suffixes in suffix order, their
+    adjacent common prefixes and the right bounds of _smaller_bounds.  Such
+    a run is a copy of the last L letters, the suffix at p = len(bits) - L,
+    starting at some q < p that is 0 or whose preceding letter differs from
+    bits[p-1].  The suffixes that start with a copy fill p's suffix-order
+    interval, which starts at p's rank.  When there is such a q, p's
+    adjacent value is L, and the interval ends at the first rank after
+    p's whose adjacent value is below L.  The nearest value not above L
+    lands there or on the one other value equal to L in the interval: in a
+    binary text, the boundary between the copies followed by 0 and those
+    followed by 1.  The count is a difference of prefix sums."""
     size = bits.size
-    rank = np.empty(size, dtype=np.int64)
-    rank[order] = np.arange(size)
-    # The last rank has no neighbour: -1 ends its interval at itself.
+    # The last rank has no neighbour: -1 ends every interval there.
     reach = np.append(adjacent, -1)
-    after = np.append(_nearest_below(adjacent, 1, strict=True), size - 1)
-    p = np.arange(1, size)
-    first = rank[p]
-    last = np.where(reach[first] < size - p, first, after[first])
-    before = bits[np.maximum(order - 1, 0)]
-    other = np.zeros((2, size + 1), dtype=np.int64)
-    for letter in (0, 1):
-        np.cumsum((order == 0) | (before != letter), out=other[letter, 1:])
+    first = np.flatnonzero(adjacent == size - order[:-1])
+    length = size - order[first]
+    last = right[first]
+    hop = np.flatnonzero(reach[last] == length)
+    while hop.size:
+        last[hop] = right[last[hop]]
+        hop = hop[reach[last[hop]] == length[hop]]
+    # ones[r]: ranks below r whose suffix follows a 1.
+    ones = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.append(False, bits[:-1] == 1)[order], out=ones[1:])
+    within = ones[last + 1] - ones[first]
+    zero = np.flatnonzero(order == 0)[0]
+    start = (first <= zero) & (zero <= last)
     nbd = np.zeros(size, dtype=np.int64)
-    follows = bits[p - 1]
-    nbd[size - p] = other[follows, last + 1] - other[follows, first]
+    nbd[length] = np.where(bits[size - length - 1] == 1, last + 1 - first - within, within + start)
     return nbd
 
 
@@ -384,8 +402,9 @@ def histogram(x: BitSequence, n: int, h: int, *, m: int = 1) -> LineHistogram:
     zero_runs[order[place + 1 :]] = np.minimum.accumulate(adjacent[place:])
     zero_runs[order[:place]] = np.minimum.accumulate(adjacent[:place][::-1])[::-1]
     zero_runs = zero_runs[1:]
-    pairs = _pairs_by_lcp(adjacent, size)
-    nbd = _far_edge_runs(bits, order, adjacent)
+    left, right = _smaller_bounds(adjacent)
+    pairs = _pairs_by_lcp(adjacent, left, right, size)
+    nbd = _far_edge_runs(bits, order, adjacent, right)
     runs = pairs[:-1] - pairs[1:]
     zero = np.bincount(zero_runs[zero_runs < size - np.arange(1, size)], minlength=size)
     buckets = 2 * np.stack([runs - zero - nbd, zero, nbd], axis=1)
@@ -470,8 +489,8 @@ def inner_line_counts(x: BitSequence, n: int, max_length: int) -> np.ndarray:
     adjacent_starts = _adjacent_lcp(levels, order, 1, n)[1]
     adjacent_shifted = _adjacent_lcp(levels, order, 0, n - 1)[1]
     del levels  # free the keys before the bound searches: peak memory
-    starts = _pairs_by_lcp(adjacent_starts, bits.size)
-    shifted = _pairs_by_lcp(adjacent_shifted, bits.size)
+    starts = _pairs_by_lcp(adjacent_starts, *_smaller_bounds(adjacent_starts), bits.size)
+    shifted = _pairs_by_lcp(adjacent_shifted, *_smaller_bounds(adjacent_shifted), bits.size)
     counts = np.zeros(max_length + 1, dtype=np.int64)
     counts[1:] = 2 * (starts[1 : max_length + 1] - shifted[2 : max_length + 2])
     return counts

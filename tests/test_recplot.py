@@ -72,6 +72,20 @@ def line_set(triples) -> set[tuple]:
     return {(t.i, t.j, t.length, t.boundary) for t in triples}
 
 
+def bucket_tally(triples) -> dict[int, tuple[int, int, int]]:
+    """Lines by length, in histogram's (inner, zero, n_boundary) buckets."""
+    tally: dict[int, list[int]] = {}
+    for t in triples:
+        if Boundary.N_BOUNDARY in t.boundary:
+            slot = 2
+        elif Boundary.ZERO_BOUNDARY in t.boundary:
+            slot = 1
+        else:
+            slot = 0
+        tally.setdefault(t.length, [0, 0, 0])[slot] += 1
+    return {length: tuple(buckets) for length, buckets in tally.items()}
+
+
 # -- entries -----------------------------------------------------------------
 
 
@@ -171,18 +185,18 @@ class TestHistogram:
         for text in texts:
             x = BitSequence.from_text(text)
             n = len(text) - h + 1
-            expected: dict[int, list[int]] = {}
-            for t in extract_lines(x, n, h):
-                if Boundary.N_BOUNDARY in t.boundary:
-                    slot = 2
-                elif Boundary.ZERO_BOUNDARY in t.boundary:
-                    slot = 1
-                else:
-                    slot = 0
-                expected.setdefault(t.length, [0, 0, 0])[slot] += 1
             counts = histogram(x, n, h).counts
-            assert counts == {l: tuple(b) for l, b in expected.items()}, text
+            assert counts == bucket_tally(extract_lines(x, n, h)), text
             assert list(counts) == sorted(counts), text
+
+    @pytest.mark.parametrize("h", [1, 3])
+    @pytest.mark.parametrize("word", ["0", "01", "001", "0110", "00000001"])
+    def test_periodic_buckets_match_extract_lines(self, word, h):
+        # Constant and periodic texts: the suffix kernel's slow corner,
+        # with long rising runs of adjacent common prefixes.
+        n = 1 << 10
+        x = BitSequence.from_text((word * (n + h))[: n + h - 1])
+        assert histogram(x, n, h).counts == bucket_tally(extract_lines(x, n, h))
 
     def test_conservation_against_recurrence_count(self):
         rng = np.random.default_rng(7)
@@ -223,15 +237,19 @@ class TestHistogram:
 
 def _kernel_texts() -> list[str]:
     # Lengths on both sides of the 32 letters a level-0 key packs, and of
-    # the next spans.  The last text has suffixes 0 and 30 complementary
-    # for 30 letters, so their level-0 keys XOR to at least 2^64 - 2^4,
-    # which a float64 rounds up to 2^64.
+    # the next spans: a Thue-Morse prefix's level-1 keys pack 9 ranks (288
+    # letters), and 0^321's pack 10 (320 letters), then 7.  0^30 1^30 has
+    # suffixes 0 and 30 complementary for 30 letters, so their level-0 keys
+    # XOR to at least 2^64 - 2^4, which a float64 rounds up to 2^64.  The
+    # last 0 of 0100 also starts 00 and 01 (see
+    # test_far_edge_interval_hops_over_a_letter_boundary).
     rng = np.random.default_rng(11)
     texts = []
-    for size in (1, 2, 31, 32, 33, 64, 65):
+    for size in (1, 2, 31, 32, 33, 64, 65, 287, 288, 289):
         texts += [(word * size)[:size] for word in ("0", "01", "001")]
         texts.append("".join(rng.choice(["0", "1"], size)))
-    texts.append("0" * 30 + "1" * 30)
+    texts += [TM.fixed_point_prefix(size).to01()[:size] for size in (287, 288, 289)]
+    texts += ["0" * 321, "0" * 30 + "1" * 30, "0100"]
     return texts
 
 
@@ -240,12 +258,13 @@ def _common_prefix(a: str, b: str) -> int:
 
 
 def _nearest_below_oracle(values: list[int], step: int, strict: bool) -> list[int]:
+    # -1 or len(values) where the side `step` holds no answer.
     count = len(values)
     out = []
     for t, value in enumerate(values):
         side = range(t - 1, -1, -1) if step < 0 else range(t + 1, count)
         below = (s for s in side if values[s] < value or (not strict and values[s] == value))
-        out.append(next(below, count))
+        out.append(next(below, -1 if step < 0 else count))
     return out
 
 
@@ -282,12 +301,17 @@ class TestSuffixKernel:
     def test_pairs_by_lcp_match_brute_force(self, text):
         size = len(text)
         levels, order = recplot._suffix_levels(BitSequence.from_text(text).bits)
+        shared = {
+            (i, j): _common_prefix(text[i:], text[j:])
+            for i, j in itertools.combinations(range(size), 2)
+        }
         for lo, hi in ((0, size), (1, size), (0, size - 1)):
             expected = [0] * (size + 1)
             for i, j in itertools.combinations(range(lo, hi), 2):
-                expected[_common_prefix(text[i:], text[j:])] += 1
+                expected[shared[i, j]] += 1
             adjacent = recplot._adjacent_lcp(levels, order, lo, hi)[1]
-            assert recplot._pairs_by_lcp(adjacent, size).tolist() == expected
+            bounds = recplot._smaller_bounds(adjacent)
+            assert recplot._pairs_by_lcp(adjacent, *bounds, size).tolist() == expected
 
     @pytest.mark.parametrize("text", _kernel_texts())
     def test_lifts_match_brute_force(self, text):
@@ -308,15 +332,42 @@ class TestSuffixKernel:
                 expected[line.length] += 1
         levels, order = recplot._suffix_levels(x.bits)
         order, adjacent = recplot._adjacent_lcp(levels, order, 0, size)
-        assert recplot._far_edge_runs(x.bits, order, adjacent).tolist() == expected
+        right = recplot._smaller_bounds(adjacent)[1]
+        assert recplot._far_edge_runs(x.bits, order, adjacent, right).tolist() == expected
+
+    def test_far_edge_interval_hops_over_a_letter_boundary(self):
+        # The interval of the last 0 of 0100 in suffix order is 0, 00,
+        # 0100: 00 continues with a 0 and 0100 with a 1, so the right bound
+        # of the first rank lands on the second adjacent value equal to 1,
+        # and the search hops on to the interval's end.
+        x = BitSequence.from_text("0100")
+        levels, order = recplot._suffix_levels(x.bits)
+        order, adjacent = recplot._adjacent_lcp(levels, order, 0, 4)
+        right = recplot._smaller_bounds(adjacent)[1]
+        assert order.tolist() == [3, 2, 0, 1]
+        assert adjacent[0] == adjacent[right[0]] == 1
+        # Copies of the last 0 that start a far-edge run: at 0, and at 2,
+        # which follows a 1 where the last 0 follows a 0.
+        assert recplot._far_edge_runs(x.bits, order, adjacent, right).tolist() == [0, 2, 0, 0]
 
     @pytest.mark.parametrize("strict", [True, False])
     @pytest.mark.parametrize("step", [-1, 1])
     def test_nearest_below_matches_brute_force(self, step, strict):
-        for values in _adversarial_arrays():
-            expected = _nearest_below_oracle(values, step, strict)
-            array = np.array(values, dtype=np.int64)
-            assert recplot._nearest_below(array, step, strict).tolist() == expected, values
+        # The one search finds left strict and right non-strict bounds; on
+        # the reversed array its bounds are the other two tie rules.
+        reverse = (step > 0) == strict
+        rng = np.random.default_rng(5)
+        arrays = _adversarial_arrays() + [
+            rng.integers(0, top, size).tolist() for top in (2, 3, 9, 1000) for size in (5, 50, 257)
+        ]
+        for values in arrays:
+            left, right = recplot._smaller_bounds(
+                np.array(values[::-1] if reverse else values, dtype=np.int64)
+            )
+            got = left if (step < 0) != reverse else right
+            if reverse:
+                got = len(values) - 1 - got[::-1]
+            assert got.tolist() == _nearest_below_oracle(values, step, strict), values
 
     def test_pairs_by_lcp_on_adversarial_arrays(self):
         # Each pair of suffixes a < b in order shares min(adjacent[a:b]).
@@ -325,7 +376,8 @@ class TestSuffixKernel:
             expected = [0] * (top + 1)
             for a, b in itertools.combinations(range(len(values) + 1), 2):
                 expected[min(values[a:b])] += 1
-            got = recplot._pairs_by_lcp(np.array(values, dtype=np.int64), top)
+            array = np.array(values, dtype=np.int64)
+            got = recplot._pairs_by_lcp(array, *recplot._smaller_bounds(array), top)
             assert got.tolist() == expected, values
 
     def test_msb_is_exact_past_float_precision(self):
@@ -471,6 +523,14 @@ class TestInnerLines:
     )
     def test_counts_agree_on_long_repeats(self, text, n, lmax):
         x = BitSequence.from_text(text)
+        counts = inner_line_counts(x, n, lmax)
+        for length in range(1, lmax + 1):
+            assert counts[length] == len(inner_line_starts(x, length, n))
+
+    @pytest.mark.parametrize("word", ["0", "01", "001", "0110", "00000001"])
+    def test_counts_agree_on_periodic_texts(self, word):
+        n, lmax = 1 << 10, 8
+        x = BitSequence.from_text((word * (n + lmax + 1))[: n + lmax + 1])
         counts = inner_line_counts(x, n, lmax)
         for length in range(1, lmax + 1):
             assert counts[length] == len(inner_line_starts(x, length, n))

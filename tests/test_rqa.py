@@ -270,7 +270,7 @@ class TestSerialization:
 PLOT_REFERENCE = json.loads(
     (Path(__file__).parents[1] / "benchmarks" / "reference" / "finite-plot.json").read_text()
 )
-PLOT_PINNED_MAX_N = 1 << 13
+PLOT_SPECS = sorted({key.split("|")[0] for key in PLOT_REFERENCE})
 
 
 def _digest(value) -> str:
@@ -278,13 +278,14 @@ def _digest(value) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("spec", sorted({key.split("|")[0] for key in PLOT_REFERENCE}))
-def test_finite_plot_matches_reference(spec):
+def _check_plot_reference(spec: str, low: int, high: int) -> None:
+    checked = 0
     for key, want in sorted(PLOT_REFERENCE.items()):
         form, n, window = key.split("|")
         n, h = int(n), int(window)
-        if form != spec or n > PLOT_PINNED_MAX_N:
+        if form != spec or not low < n <= high:
             continue
+        checked += 1
         lmins = sorted(int(lmin) for lmin in want["lmin"])
         x = Substitution.parse(spec).fixed_point_prefix(n + max(lmins) + h + 1)
         hist = histogram(x, n, h)
@@ -295,3 +296,16 @@ def test_finite_plot_matches_reference(spec):
             measures = [str(report.RR), str(report.DET), str(report.Lavg)]
             measures.append(str(correlation_sum(x, n, lmin, h)))
             assert _digest(measures) == want["lmin"][str(lmin)][0], (key, lmin)
+    assert checked
+
+
+@pytest.mark.parametrize("spec", PLOT_SPECS)
+def test_finite_plot_matches_reference(spec):
+    _check_plot_reference(spec, 0, 1 << 13)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec", PLOT_SPECS)
+def test_large_finite_plot_matches_reference(spec):
+    # The sizes past 2^13, up to 2^15: the ones that set the benchmark's tail.
+    _check_plot_reference(spec, 1 << 13, 1 << 15)
