@@ -6,14 +6,17 @@ materialises the n-by-n matrix except the small renderers.  Line counts
 come from one suffix-order kernel: a maximal run on diagonal d that starts
 at s is the common prefix of suffixes s and s+d, so counting suffix pairs
 by exact common-prefix length counts lines.  Each plot builds one set of
-prefix-doubling keys that pack as many short ranks as fit 64 bits, so a
-sort covers several doublings (4 or 5 sorts at 2^14 letters, 8 at 2^20),
-and the last sort is the suffix order.  Common prefixes come from one XOR
-per level.  One pointer-jumping search finds the nearest smaller
-neighbours on both sides, which bound each pair count and each far-edge
-run: a few dozen rounds on fixed-point prefixes, but a round per step of
-each long rising run a periodic text has.  Each level costs one
-O(n log n) sort and O(n) uint64 memory, with no per-suffix Python loop.
+prefix-doubling keys: level 0 packs 64 - b one-bit letters, where b is
+the bit length of the position, and each later level as many short ranks
+as fit beside the position, so a sort covers several doublings (5 sorts
+at 2^14 letters, 8 or 9 at 2^20).  Each sort is a value sort of the key
+tagged with its position, and the last is the suffix order.  Common
+prefixes come from one XOR per level.  One pointer-jumping search finds
+the nearest smaller neighbours on both sides, which bound each pair
+count and each far-edge run: a few dozen rounds on fixed-point prefixes,
+but a round per step of each long rising run a periodic text has.  Each
+level costs one O(n log n) sort and O(n) uint64 memory, with no
+per-suffix Python loop.
 extract_lines and inner_line_starts keep the walk along each diagonal as
 the reference the kernel is tested against.  Two exact reductions collapse
 the parameter space:
@@ -40,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .substitution import BitSequence, sorted_ranks, window_classes
+from .substitution import BitSequence, window_classes
 
 __all__ = [
     "RENDER_CAP",
@@ -155,11 +158,10 @@ def _shift_or(high: np.ndarray, low: np.ndarray, shift: int, offset: int) -> np.
     return out
 
 
-def _pack(ranks: np.ndarray, span: int, width: int) -> _Level:
-    """Keys of 64 // width consecutive span-letter ranks: shift-or doubling,
+def _pack(ranks: np.ndarray, span: int, width: int, digits: int) -> _Level:
+    """Keys of `digits` consecutive span-letter ranks: shift-or doubling,
     and one more shift-or that appends a rank for each set bit of the digit
     count below its top."""
-    digits = 64 // width
     keys, packed = ranks, 1
     for bit in bin(digits)[3:]:
         keys = _shift_or(keys, keys, width * packed, span * packed)
@@ -175,49 +177,91 @@ def _suffix_levels(bits: np.ndarray) -> tuple[list[_Level], np.ndarray]:
     the empty one at position len(bits) included, with many digits per
     sort, and the suffix order.
 
-    Level 0 packs 32 letters, 2 bits each: letters 1 and 2 and end-of-text
-    0.  Each later level packs the dense ranks of the level below, as many
-    as fit 64 bits, so its span is the span below times that many.  Rank 0
-    is the empty suffix alone, and digits past the end are 0 too, so a
-    window cut short by the end sorts below every longer one; two windows
-    cut short at different positions differ in length, so equal keys mean
-    equal full windows.  Comparing keys compares their digits left to
-    right.  A fixed-point prefix has few distinct windows of each length,
-    so the ranks are short and each sort covers many doublings.  Levels
-    stop once no two suffixes tie, because the lift in _lcp starts on a
-    level on which none do; that level's argsort is the suffix order."""
-    ranks = np.append(bits.astype(np.uint64) + np.uint64(1), np.uint64(0))
-    size = ranks.size
-    levels = [_pack(ranks, 1, 2)]
+    Each level sorts its keys by value, with the reversed position
+    len(bits) - i in the low b = len(bits).bit_length() bits: a mask then
+    reads off the suffix order and a shift the sorted keys, with no
+    argsort and no gather.  Level 0 packs 64 - b letters, one bit each,
+    and 0 past the end.  A window cut short by the end has a smaller
+    reversed position than every window it is a prefix of, so it sorts
+    before them, and each suffix shorter than one key starts a class of
+    its own: rank 0 is the empty suffix alone.  Each later level packs the
+    dense ranks of the level below, as many as fit beside the position
+    when that is at least three, and as many as fit 64 bits, sorted by
+    argsort, when it is not (only past 2^16 letters).  Its span is the
+    span below times that many.  Digits past the end are 0, and a window
+    cut short ends in a rank that only its own position has, so on levels
+    above 0 equal keys mean equal full windows.  Comparing keys compares
+    their digits left to right.  A fixed-point prefix has few distinct
+    windows of each length, so the ranks are short and each sort covers
+    many doublings.  Levels stop once no two sorted neighbours tie,
+    because the lift in _lcp starts on a level on which none do, and that
+    level's sort is the suffix order."""
+    letters = bits.size
+    shift = letters.bit_length()
+    free = 64 - shift
+    tags = np.arange(letters, -1, -1, dtype=np.uint64)
+    ranks = np.append(bits.astype(np.uint64), np.uint64(0))
+    span, width, digits, tagged = 1, 1, free, True
+    levels = []
     while True:
-        order, ids = sorted_ranks(levels[-1].keys)
-        classes = int(ids[order[-1]]) + 1
-        if classes == size:
+        level = _pack(ranks, span, width, digits)
+        levels.append(level)
+        if tagged:
+            ordered = level.keys << np.uint64(shift)
+            ordered |= tags
+            ordered.sort()
+            order = (ordered & np.uint64((1 << shift) - 1)).view(np.int64)
+            np.subtract(letters, order, out=order)
+            ordered >>= np.uint64(shift)
+        else:
+            order = np.argsort(level.keys)
+            ordered = level.keys[order]
+        fresh = ordered[1:] != ordered[:-1]
+        if span == 1:
+            # A suffix shorter than one key is a class of its own.
+            fresh |= order[:-1] > letters - free
+        if fresh.all():
             return levels, order
-        width = (classes - 1).bit_length()
-        below = levels[-1]
-        levels.append(_pack(ids.astype(np.uint64), below.span * below.digits, width))
+        ids = np.cumsum(fresh, dtype=np.uint64)
+        ranks = np.empty(letters + 1, dtype=np.uint64)
+        ranks[letters] = 0  # the empty suffix, always first
+        ranks[order[1:]] = ids
+        span *= digits
+        width = int(ids[-1]).bit_length()
+        digits = free // width
+        tagged = digits >= 3
+        if not tagged:
+            digits = 64 // width
 
 
 def _msb(values: np.ndarray) -> np.ndarray:
-    """Index of the highest set bit of each nonzero uint64, from the
+    """Index of the highest set bit of each uint64, -1 for 0, from the
     float64 exponent.  It is exact: with the bit just below the highest
     cleared, rounding to float64 cannot carry into the next power of two."""
-    top = values & ~(values >> np.uint64(1))
+    top = values >> np.uint64(1)
+    np.invert(top, out=top)
+    top &= values
     return np.frexp(top.astype(np.float64))[1] - 1
 
 
 def _lcp(levels: list[_Level], i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Common-prefix lengths of the suffix pairs (i[t], j[t]), i[t] != j[t],
-    by lifting down the levels.  On each level the two keys at the match
-    so far differ, and the highest set bit of their XOR counts the equal
-    leading digits.  A match never runs past the end, where the empty
-    suffix differs from every other, so no index leaves the levels."""
+    by lifting down the levels.  On each level above 0 the two keys at the
+    match so far differ, and the highest set bit of their XOR counts the
+    equal leading digits; the match never runs past the end, so no index
+    leaves the levels.  Level 0 reads 0 past the end, so where the shorter
+    suffix is a prefix of the other, its count can run past that end, by
+    up to a whole key when the XOR is 0 (whose msb is -1); elsewhere it
+    stops at the first letter that differs.  So each match is clamped to
+    the length of the shorter suffix."""
     out = np.zeros(i.size, dtype=np.int64)
     for level in reversed(levels):
-        differ = _msb(level.keys[i + out] ^ level.keys[j + out]) // level.width
-        out += (level.digits - 1 - differ) * np.int64(level.span)
-    return out
+        differ = level.keys[i + out]
+        differ ^= level.keys[j + out]
+        out += (level.digits - 1 - _msb(differ) // level.width) * np.int64(level.span)
+    shorter = np.maximum(i, j)
+    np.subtract(levels[0].keys.size - 1, shorter, out=shorter)
+    return np.minimum(out, shorter, out=out)
 
 
 def _adjacent_lcp(
@@ -283,20 +327,21 @@ def _pairs_by_lcp(
 
 
 def _far_edge_runs(
-    bits: np.ndarray, order: np.ndarray, adjacent: np.ndarray, right: np.ndarray
+    bits: np.ndarray, order: np.ndarray, adjacent: np.ndarray, right: np.ndarray, zero: int
 ) -> np.ndarray:
     """nbd[L]: diagonals whose run ending on the far edge has length L, for
     L in [1, len(bits)), given the nonempty suffixes in suffix order, their
-    adjacent common prefixes and the right bounds of _smaller_bounds.  Such
-    a run is a copy of the last L letters, the suffix at p = len(bits) - L,
-    starting at some q < p that is 0 or whose preceding letter differs from
-    bits[p-1].  The suffixes that start with a copy fill p's suffix-order
-    interval, which starts at p's rank.  When there is such a q, p's
-    adjacent value is L, and the interval ends at the first rank after
-    p's whose adjacent value is below L.  The nearest value not above L
-    lands there or on the one other value equal to L in the interval: in a
-    binary text, the boundary between the copies followed by 0 and those
-    followed by 1.  The count is a difference of prefix sums."""
+    adjacent common prefixes, the right bounds of _smaller_bounds and the
+    rank of suffix 0.  Such a run is a copy of the last L letters, the
+    suffix at p = len(bits) - L, starting at some q < p that is 0 or whose
+    preceding letter differs from bits[p-1].  The suffixes that start with
+    a copy fill p's suffix-order interval, which starts at p's rank.  When
+    there is such a q, p's adjacent value is L, and the interval ends at
+    the first rank after p's whose adjacent value is below L.  The nearest
+    value not above L lands there or on the one other value equal to L in
+    the interval: in a binary text, the boundary between the copies
+    followed by 0 and those followed by 1.  The count is a difference of
+    prefix sums."""
     size = bits.size
     # The last rank has no neighbour: -1 ends every interval there.
     reach = np.append(adjacent, -1)
@@ -311,7 +356,6 @@ def _far_edge_runs(
     ones = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(np.append(False, bits[:-1] == 1)[order], out=ones[1:])
     within = ones[last + 1] - ones[first]
-    zero = np.flatnonzero(order == 0)[0]
     start = (first <= zero) & (zero <= last)
     nbd = np.zeros(size, dtype=np.int64)
     nbd[length] = np.where(bits[size - length - 1] == 1, last + 1 - first - within, within + start)
@@ -395,7 +439,8 @@ def histogram(x: BitSequence, n: int, h: int, *, m: int = 1) -> LineHistogram:
     size = n + window - 1
     bits = _require_prefix(x, size, f"plot of size {n} at window {window}")
     levels, order = _suffix_levels(bits)
-    order, adjacent = _adjacent_lcp(levels, order, 0, size)
+    order = order[1:]  # the empty suffix sorts first
+    adjacent = _lcp(levels, order[:-1], order[1:])
     del levels  # free the keys before the bound searches: peak memory
     place = int(np.flatnonzero(order == 0)[0])
     zero_runs = np.zeros(size, dtype=np.int64)
@@ -404,12 +449,13 @@ def histogram(x: BitSequence, n: int, h: int, *, m: int = 1) -> LineHistogram:
     zero_runs = zero_runs[1:]
     left, right = _smaller_bounds(adjacent)
     pairs = _pairs_by_lcp(adjacent, left, right, size)
-    nbd = _far_edge_runs(bits, order, adjacent, right)
+    nbd = _far_edge_runs(bits, order, adjacent, right, place)
     runs = pairs[:-1] - pairs[1:]
     zero = np.bincount(zero_runs[zero_runs < size - np.arange(1, size)], minlength=size)
-    buckets = 2 * np.stack([runs - zero - nbd, zero, nbd], axis=1)
     lengths = np.flatnonzero(runs[window:]) + window
-    counts = {int(r) - window + 1: tuple(buckets[r].tolist()) for r in lengths}
+    zero, nbd = zero[lengths], nbd[lengths]
+    buckets = 2 * np.stack([runs[lengths] - zero - nbd, zero, nbd], axis=1)
+    counts = {r - window + 1: tuple(row) for r, row in zip(lengths.tolist(), buckets.tolist())}
     return LineHistogram(n=n, h=h, m=m, counts=counts)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError
 from .recplot import LineHistogram, histogram
-from .substitution import BitSequence, window_classes
+from .substitution import BitSequence, window_labels
 
 __all__ = [
     "AsymptoticEstimate",
@@ -242,8 +242,11 @@ def correlation_sum(x: BitSequence, n: int, lmin: int, h: int, *, m: int = 1) ->
     stay within 2^-h of each other for lmin consecutive steps.
 
     Pairs agree exactly when their windows of width lmin+h+m-2 agree, so the
-    sum is the normalised sum of squared window-class sizes.  Windows near
-    position n read on into the prefix rather than being truncated.
+    sum is the normalised sum of squared window-class sizes.  A class is a
+    run of equal labels once the window labels are sorted, so one sort and
+    the gaps between the places where the label changes give the sizes.
+    Windows near position n read on into the prefix rather than being
+    truncated.
     """
     if lmin < 1:
         raise DomainError(f"minimum line length must be positive, got {lmin}")
@@ -257,8 +260,10 @@ def correlation_sum(x: BitSequence, n: int, lmin: int, h: int, *, m: int = 1) ->
         raise DomainError(
             f"correlation sum at n={n}, window {width} needs {need} letters, got {len(x)}"
         )
-    counts = np.bincount(window_classes(x.bits[:need], width))
-    return Fraction(int((counts * counts).sum()), n * n)
+    labels = np.sort(window_labels(x.bits[:need], width))
+    starts = np.flatnonzero(labels[1:] != labels[:-1])
+    sizes = np.diff(starts, prepend=-1, append=n - 1)
+    return Fraction(int((sizes * sizes).sum()), n * n)
 
 
 def corsum_from_histogram(

@@ -85,30 +85,27 @@ class BitSequence:
         return f"BitSequence({self[:32].to01()!r}..., len={len(self)})"
 
 
-def sorted_ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The argsort of `keys` and ids 0..k-1 that number their distinct
-    values in sorted order: the inverse of a sorted unique, from one
-    argsort, a compare with the sorted neighbour and a cumsum."""
+def dense_ranks(keys: np.ndarray) -> np.ndarray:
+    """Ids 0..k-1 that number the distinct values of `keys` in sorted
+    order: the inverse of a sorted unique, from one argsort, a compare
+    with the sorted neighbour and a cumsum."""
     order = np.argsort(keys)
     ordered = keys[order]
     fresh = np.zeros(keys.size, dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
     ids = np.empty(keys.size, dtype=np.intp)
     ids[order] = np.cumsum(fresh)
-    return order, ids
+    return ids
 
 
-def dense_ranks(keys: np.ndarray) -> np.ndarray:
-    """The ids of sorted_ranks alone."""
-    return sorted_ranks(keys)[1]
+def window_labels(bits: np.ndarray, width: int) -> np.ndarray:
+    """A label for every length-`width` window of `bits`, equal exactly
+    when the windows are equal letter by letter.
 
-
-def window_classes(bits: np.ndarray, width: int) -> np.ndarray:
-    """Class ids 0..k-1 of every length-`width` window of `bits`.
-
-    Each window is packed 64 letters to a uint64 word, and windows with
-    equal words share an id, so two ids are equal exactly when the windows
-    are equal letter by letter.  Requires 1 <= width <= len(bits).
+    Each window is packed 64 letters to a uint64 word.  A window of up to
+    64 letters is labelled by its word itself; a wider one by the dense
+    ranks of its words, combined one word at a time.  Requires
+    1 <= width <= len(bits).
     """
     if width < 1:
         raise DomainError(f"window width must be positive, got {width}")
@@ -119,10 +116,18 @@ def window_classes(bits: np.ndarray, width: int) -> np.ndarray:
     words = np.zeros((-(-width // 64), count), dtype=np.uint64)
     for t in range(width):
         words[t // 64] |= wide[t : t + count] << np.uint64(t % 64)
-    ids = dense_ranks(words[0])
+    labels = words[0]
     for word in words[1:]:
-        ids = dense_ranks(ids * count + dense_ranks(word))
-    return ids
+        labels = dense_ranks(labels) * count + dense_ranks(word)
+    return labels
+
+
+def window_classes(bits: np.ndarray, width: int) -> np.ndarray:
+    """Class ids 0..k-1 of every length-`width` window of `bits`: the dense
+    ranks of window_labels, so two ids are equal exactly when the windows
+    are equal letter by letter.  Requires 1 <= width <= len(bits).
+    """
+    return dense_ranks(window_labels(bits, width))
 
 
 class Normalization(str, enum.Enum):

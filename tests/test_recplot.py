@@ -30,6 +30,7 @@ from substrqa.recplot import (
     rp_entry,
     theta,
 )
+from substrqa.rqa import correlation_sum, residuals
 
 TM = Substitution("01", "10")
 PD = Substitution("01", "00")
@@ -236,20 +237,22 @@ class TestHistogram:
 
 
 def _kernel_texts() -> list[str]:
-    # Lengths on both sides of the 32 letters a level-0 key packs, and of
-    # the next spans: a Thue-Morse prefix's level-1 keys pack 9 ranks (288
-    # letters), and 0^321's pack 10 (320 letters), then 7.  0^30 1^30 has
-    # suffixes 0 and 30 complementary for 30 letters, so their level-0 keys
-    # XOR to at least 2^64 - 2^4, which a float64 rounds up to 2^64.  The
-    # last 0 of 0100 also starts 00 and 01 (see
-    # test_far_edge_interval_hops_over_a_letter_boundary).
+    # Lengths on both sides of 32, 64 and 128 letters, where the bits of
+    # the reversed position grow and a level-0 key loses a letter, and 59
+    # letters, one more than a level-0 key there.  Thue-Morse prefixes of
+    # 287-289 letters have level-1 keys of 6 ranks (330 letters), and
+    # 0^321's pack 9.  0^30 1^30 has suffixes 0 and 30 complementary for
+    # 30 letters, so their level-0 keys XOR to 2^58 - 1, which a float64
+    # rounds up to 2^58.  In 1 0^57 1 the last suffix, 1, pads to the key
+    # of suffix 0, which is one key long.  The last 0 of 0100 also starts
+    # 00 and 01 (see test_far_edge_interval_hops_over_a_letter_boundary).
     rng = np.random.default_rng(11)
     texts = []
-    for size in (1, 2, 31, 32, 33, 64, 65, 287, 288, 289):
+    for size in (1, 2, 31, 32, 33, 59, 63, 64, 65, 127, 128, 129, 287, 288, 289):
         texts += [(word * size)[:size] for word in ("0", "01", "001")]
         texts.append("".join(rng.choice(["0", "1"], size)))
     texts += [TM.fixed_point_prefix(size).to01()[:size] for size in (287, 288, 289)]
-    texts += ["0" * 321, "0" * 30 + "1" * 30, "0100"]
+    texts += ["0" * 321, "0" * 30 + "1" * 30, "1" + "0" * 57 + "1", "0100"]
     return texts
 
 
@@ -295,7 +298,15 @@ class TestSuffixKernel:
         levels, order = recplot._suffix_levels(BitSequence.from_text(text).bits)
         expected = sorted(range(len(text) + 1), key=lambda i: text[i:])
         assert order.tolist() == expected
-        assert np.unique(levels[-1].keys).size == len(text) + 1
+        top = levels[-1].keys
+        if len(levels) > 1:
+            assert np.unique(top).size == len(text) + 1
+        else:
+            # Level 0 pads with 0s, so a suffix shorter than one key can
+            # share the key of a suffix it is a prefix of, and no two others
+            # share one.
+            for a, b in zip(*np.nonzero(np.triu(top[:, None] == top[None, :], 1))):
+                assert len(text) - b < levels[0].digits and text[a:].startswith(text[b:])
 
     @pytest.mark.parametrize("text", _kernel_texts())
     def test_pairs_by_lcp_match_brute_force(self, text):
@@ -333,7 +344,8 @@ class TestSuffixKernel:
         levels, order = recplot._suffix_levels(x.bits)
         order, adjacent = recplot._adjacent_lcp(levels, order, 0, size)
         right = recplot._smaller_bounds(adjacent)[1]
-        assert recplot._far_edge_runs(x.bits, order, adjacent, right).tolist() == expected
+        place = int(np.flatnonzero(order == 0)[0])
+        assert recplot._far_edge_runs(x.bits, order, adjacent, right, place).tolist() == expected
 
     def test_far_edge_interval_hops_over_a_letter_boundary(self):
         # The interval of the last 0 of 0100 in suffix order is 0, 00,
@@ -348,7 +360,7 @@ class TestSuffixKernel:
         assert adjacent[0] == adjacent[right[0]] == 1
         # Copies of the last 0 that start a far-edge run: at 0, and at 2,
         # which follows a 1 where the last 0 follows a 0.
-        assert recplot._far_edge_runs(x.bits, order, adjacent, right).tolist() == [0, 2, 0, 0]
+        assert recplot._far_edge_runs(x.bits, order, adjacent, right, 2).tolist() == [0, 2, 0, 0]
 
     @pytest.mark.parametrize("strict", [True, False])
     @pytest.mark.parametrize("step", [-1, 1])
@@ -380,8 +392,35 @@ class TestSuffixKernel:
             got = recplot._pairs_by_lcp(array, *recplot._smaller_bounds(array), top)
             assert got.tolist() == expected, values
 
+    def test_wide_ranks_take_the_argsort_path(self):
+        # A random block written twice has about 2^15 distinct windows of
+        # each length, so at 65,608 letters the ranks above level 0 take 16
+        # bits, and two do not fit beside a 17-bit reversed position: those
+        # levels pack four ranks into 64 bits and sort by argsort.
+        rng = np.random.default_rng(23)
+        block = rng.integers(0, 2, (1 << 15) + 11, dtype=np.uint8)
+        bits = np.concatenate([block, block, rng.integers(0, 2, 50, dtype=np.uint8)])
+        levels, order = recplot._suffix_levels(bits)
+        free = 64 - bits.size.bit_length()
+        assert len(levels) > 1
+        assert all(level.digits * level.width > free for level in levels[1:])
+        # Sampled neighbours in suffix order, against direct slicing.
+        text = bits.tobytes()
+        ranks = rng.choice(bits.size, 10_000, replace=False)
+        common = recplot._lcp(levels, order[ranks], order[ranks + 1])
+        for p, q, shared in zip(order[ranks].tolist(), order[ranks + 1].tolist(), common.tolist()):
+            assert text[p:] < text[q:]
+            assert text[p : p + shared] == text[q : q + shared]
+            assert p + shared == len(text) or text[p + shared] != text[q + shared]
+        x = BitSequence(bits)
+        n = bits.size - 4
+        for h in (1, 3):
+            assert n * n * correlation_sum(x, n, 1, h) - n == histogram(x, n, h).recurrence_mass()
+        for lmin in (2, 3, 4):
+            assert residuals(x, n, lmin).satisfied()
+
     def test_msb_is_exact_past_float_precision(self):
-        values = [1, 2, 3, (1 << 32) - 1, 1 << 32, (1 << 53) - 1, 1 << 53, (1 << 53) + 1]
+        values = [0, 1, 2, 3, (1 << 32) - 1, 1 << 32, (1 << 53) - 1, 1 << 53, (1 << 53) + 1]
         values += [(1 << k) - 1 for k in range(54, 65)] + [(1 << 63) + 1, (1 << 64) - 1]
         got = recplot._msb(np.array(values, dtype=np.uint64))
         assert got.tolist() == [v.bit_length() - 1 for v in values]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from substrqa import BitSequence, DomainError, Substitution
+from substrqa import BitSequence, DomainError, Substitution, window_classes
 from substrqa.recplot import histogram
 from substrqa.rqa import (
     RQAReport,
@@ -156,6 +156,19 @@ class TestCorrelationSum:
             n = 100
             got = correlation_sum(BitSequence.from_text(text), n, width, 1)
             assert got == brute_corsum(text, n, width)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_sorted_labels_match_class_counts(self, data):
+        # Widths cross the 64- and 128-letter word boundaries; the oracle
+        # squares the sizes of the window classes.
+        width = data.draw(st.integers(1, 130), label="width")
+        letters = data.draw(st.lists(st.integers(0, 1), min_size=width, max_size=width + 300))
+        bits = np.array(letters, dtype=np.uint8)
+        n = bits.size - width + 1
+        sizes = np.bincount(window_classes(bits, width))
+        expected = Fraction(int((sizes * sizes).sum()), n * n)
+        assert correlation_sum(BitSequence(bits), n, width, 1) == expected
 
     def test_embedding_folds_into_window(self):
         x = TM.fixed_point_prefix(300)
