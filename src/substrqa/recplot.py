@@ -11,8 +11,10 @@ the bit length of the position, and each later level as many short ranks
 as fit beside the position, so a sort covers several doublings (5 sorts
 at 2^14 letters, 8 or 9 at 2^20).  Each sort is a value sort of the key
 tagged with its position, and the last is the suffix order.  Common
-prefixes come from one XOR per level.  One pointer-jumping search finds
-the nearest smaller neighbours on both sides, which bound each pair
+prefixes of suffix-order neighbours take one XOR per level, but only at
+the few dozen run heads of the Burrows-Wheeler transform; the rest
+follow from PLCP[i] = PLCP[i-1] - 1.  One pointer-jumping search finds the
+nearest smaller neighbours on both sides, which bound each pair
 count and each far-edge run: a few dozen rounds on fixed-point prefixes,
 but a round per step of each long rising run a periodic text has.  Each
 level costs one O(n log n) sort and O(n) uint64 memory, with no
@@ -246,9 +248,10 @@ def _msb(values: np.ndarray) -> np.ndarray:
 
 def _lcp(levels: list[_Level], i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Common-prefix lengths of the suffix pairs (i[t], j[t]), i[t] != j[t],
-    by lifting down the levels.  On each level above 0 the two keys at the
-    match so far differ, and the highest set bit of their XOR counts the
-    equal leading digits; the match never runs past the end, so no index
+    the empty suffix included, by lifting down the levels (plots lift only
+    BWT run heads, see _neighbour_lcp).  On each level above 0 the two keys
+    at the match so far differ, and the highest set bit of their XOR counts
+    the equal leading digits; the match never runs past the end, so no index
     leaves the levels.  Level 0 reads 0 past the end, so where the shorter
     suffix is a prefix of the other, its count can run past that end, by
     up to a whole key when the XOR is 0 (whose msb is -1); elsewhere it
@@ -264,13 +267,35 @@ def _lcp(levels: list[_Level], i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return np.minimum(out, shorter, out=out)
 
 
-def _adjacent_lcp(
-    levels: list[_Level], order: np.ndarray, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The positions [lo, hi) in suffix order, and the common-prefix lengths
-    of neighbours in that order."""
-    order = order[(order >= lo) & (order < hi)]
-    return order, _lcp(levels, order[:-1], order[1:])
+def _neighbour_lcp(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonempty suffixes of bits in suffix order, the letter before each
+    (2 before suffix 0), and each one's common prefix PLCP[i] with the
+    suffix p just before it (the empty suffix, so 0, for the first).  When
+    i and p follow one letter c, nothing sorts between c + suffix p and
+    c + suffix i, so PLCP[i] = PLCP[i-1] - 1 (Karkkainen, Manzini & Puglisi
+    2009).  So _lcp lifts only where the letters before change: the run
+    heads of the BWT of the text with an end marker, a few dozen on a
+    fixed-point prefix.  PLCP[i] + i never falls (Kasai et al. 2001), so it
+    is a running maximum between heads."""
+    levels, order = _suffix_levels(bits)
+    before = bits[order - 1]
+    before[order == 0] = 2
+    heads = np.flatnonzero(before[1:] != before[:-1]) + 1
+    lifted = _lcp(levels, order[heads - 1], order[heads])
+    del levels  # free the keys before the fill: peak memory
+    reach = np.zeros(order.size, dtype=np.int64)
+    reach[order[heads]] = lifted + order[heads]
+    np.maximum.accumulate(reach, out=reach)
+    order, before = order[1:], before[1:]  # the empty suffix sorts first
+    return order, before, reach[order] - order
+
+
+def _restricted_lcp(order: np.ndarray, common: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The common prefixes of neighbours in suffix order among positions
+    [lo, hi), given _neighbour_lcp's order and common prefixes: the least
+    value over the ranks between two kept ones."""
+    kept = np.flatnonzero((order >= lo) & (order < hi))
+    return np.minimum.reduceat(common[: kept[-1] + 1], kept[:-1] + 1) if kept.size else kept
 
 
 def _smaller_bounds(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -327,14 +352,15 @@ def _pairs_by_lcp(
 
 
 def _far_edge_runs(
-    bits: np.ndarray, order: np.ndarray, adjacent: np.ndarray, right: np.ndarray, zero: int
+    order: np.ndarray, before: np.ndarray, adjacent: np.ndarray, right: np.ndarray, zero: int
 ) -> np.ndarray:
     """nbd[L]: diagonals whose run ending on the far edge has length L, for
-    L in [1, len(bits)), given the nonempty suffixes in suffix order, their
-    adjacent common prefixes, the right bounds of _smaller_bounds and the
-    rank of suffix 0.  Such a run is a copy of the last L letters, the
-    suffix at p = len(bits) - L, starting at some q < p that is 0 or whose
-    preceding letter differs from bits[p-1].  The suffixes that start with
+    L in [1, n), given the n nonempty suffixes of the text in suffix order,
+    the letters before them and their adjacent common prefixes (see
+    _neighbour_lcp), the right bounds of _smaller_bounds and the rank of
+    suffix 0.  Such a run is a copy of the last L letters, the suffix at
+    p = n - L, starting at some q < p that is 0 or whose preceding letter
+    differs from the one before p.  The suffixes that start with
     a copy fill p's suffix-order interval, which starts at p's rank.  When
     there is such a q, p's adjacent value is L, and the interval ends at
     the first rank after p's whose adjacent value is below L.  The nearest
@@ -342,7 +368,7 @@ def _far_edge_runs(
     the interval: in a binary text, the boundary between the copies
     followed by 0 and those followed by 1.  The count is a difference of
     prefix sums."""
-    size = bits.size
+    size = order.size
     # The last rank has no neighbour: -1 ends every interval there.
     reach = np.append(adjacent, -1)
     first = np.flatnonzero(adjacent == size - order[:-1])
@@ -354,11 +380,11 @@ def _far_edge_runs(
         hop = hop[reach[last[hop]] == length[hop]]
     # ones[r]: ranks below r whose suffix follows a 1.
     ones = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.append(False, bits[:-1] == 1)[order], out=ones[1:])
+    np.cumsum(before == 1, out=ones[1:])
     within = ones[last + 1] - ones[first]
     start = (first <= zero) & (zero <= last)
     nbd = np.zeros(size, dtype=np.int64)
-    nbd[length] = np.where(bits[size - length - 1] == 1, last + 1 - first - within, within + start)
+    nbd[length] = np.where(before[first] == 1, last + 1 - first - within, within + start)
     return nbd
 
 
@@ -438,18 +464,17 @@ def histogram(x: BitSequence, n: int, h: int, *, m: int = 1) -> LineHistogram:
         raise DomainError(f"plot size must be at least 2, got {n}")
     size = n + window - 1
     bits = _require_prefix(x, size, f"plot of size {n} at window {window}")
-    levels, order = _suffix_levels(bits)
-    order = order[1:]  # the empty suffix sorts first
-    adjacent = _lcp(levels, order[:-1], order[1:])
-    del levels  # free the keys before the bound searches: peak memory
-    place = int(np.flatnonzero(order == 0)[0])
+    order, before, common = _neighbour_lcp(bits)
+    adjacent = common[1:]
+    place = int(np.flatnonzero(before == 2)[0])
+    left, right = _smaller_bounds(adjacent)
+    pairs = _pairs_by_lcp(adjacent, left, right, size)
+    nbd = _far_edge_runs(order, before, adjacent, right, place)
+    # After the bound search, which sets the peak memory of smaller plots.
     zero_runs = np.zeros(size, dtype=np.int64)
     zero_runs[order[place + 1 :]] = np.minimum.accumulate(adjacent[place:])
     zero_runs[order[:place]] = np.minimum.accumulate(adjacent[:place][::-1])[::-1]
     zero_runs = zero_runs[1:]
-    left, right = _smaller_bounds(adjacent)
-    pairs = _pairs_by_lcp(adjacent, left, right, size)
-    nbd = _far_edge_runs(bits, order, adjacent, right, place)
     runs = pairs[:-1] - pairs[1:]
     zero = np.bincount(zero_runs[zero_runs < size - np.arange(1, size)], minlength=size)
     lengths = np.flatnonzero(runs[window:]) + window
@@ -531,10 +556,9 @@ def inner_line_counts(x: BitSequence, n: int, max_length: int) -> np.ndarray:
     bits = _require_prefix(
         x, n + max_length + 1, f"inner-line scan up to length {max_length}, bound {n}"
     )
-    levels, order = _suffix_levels(bits)
-    adjacent_starts = _adjacent_lcp(levels, order, 1, n)[1]
-    adjacent_shifted = _adjacent_lcp(levels, order, 0, n - 1)[1]
-    del levels  # free the keys before the bound searches: peak memory
+    order, _, common = _neighbour_lcp(bits)
+    adjacent_starts = _restricted_lcp(order, common, 1, n)
+    adjacent_shifted = _restricted_lcp(order, common, 0, n - 1)
     starts = _pairs_by_lcp(adjacent_starts, *_smaller_bounds(adjacent_starts), bits.size)
     shifted = _pairs_by_lcp(adjacent_shifted, *_smaller_bounds(adjacent_shifted), bits.size)
     counts = np.zeros(max_length + 1, dtype=np.int64)

@@ -256,6 +256,44 @@ def _kernel_texts() -> list[str]:
     return texts
 
 
+# The finite-plot benchmark's pool: the goldens TM, PD and q5, then five
+# primitive aperiodic forms with q = 5.
+PLOT_POOL = [
+    "01,10",
+    "01,00",
+    "01110,01010",
+    "00111,10011",
+    "01110,11010",
+    "01011,10011",
+    "01010,00100",
+    "00001,10100",
+]
+
+
+def _assert_neighbour_lcp(bits: np.ndarray) -> None:
+    # The permuted fill against lifting every pair of neighbours, and the
+    # letters before each suffix against the text.
+    levels, full = recplot._suffix_levels(bits)
+    order, before, common = recplot._neighbour_lcp(bits)
+    assert order.tolist() == full[1:].tolist()
+    assert common.tolist() == recplot._lcp(levels, full[:-1], full[1:]).tolist()
+    assert before.tolist() == [int(bits[i - 1]) if i else 2 for i in order.tolist()]
+
+
+def _record_lifts(monkeypatch, run) -> list[tuple[int, int]]:
+    # The suffix pairs that _lcp lifts while run() works.
+    pairs = []
+    lcp = recplot._lcp
+
+    def recording(levels, i, j):
+        pairs.extend(zip(i.tolist(), j.tolist()))
+        return lcp(levels, i, j)
+
+    monkeypatch.setattr(recplot, "_lcp", recording)
+    run()
+    return pairs
+
+
 def _common_prefix(a: str, b: str) -> int:
     return next((t for t, (u, v) in enumerate(zip(a, b)) if u != v), min(len(a), len(b)))
 
@@ -311,7 +349,7 @@ class TestSuffixKernel:
     @pytest.mark.parametrize("text", _kernel_texts())
     def test_pairs_by_lcp_match_brute_force(self, text):
         size = len(text)
-        levels, order = recplot._suffix_levels(BitSequence.from_text(text).bits)
+        order, _, common = recplot._neighbour_lcp(BitSequence.from_text(text).bits)
         shared = {
             (i, j): _common_prefix(text[i:], text[j:])
             for i, j in itertools.combinations(range(size), 2)
@@ -320,9 +358,71 @@ class TestSuffixKernel:
             expected = [0] * (size + 1)
             for i, j in itertools.combinations(range(lo, hi), 2):
                 expected[shared[i, j]] += 1
-            adjacent = recplot._adjacent_lcp(levels, order, lo, hi)[1]
+            adjacent = recplot._restricted_lcp(order, common, lo, hi)
             bounds = recplot._smaller_bounds(adjacent)
             assert recplot._pairs_by_lcp(adjacent, *bounds, size).tolist() == expected
+        assert recplot._restricted_lcp(order, common, 0, size).tolist() == common[1:].tolist()
+
+    @pytest.mark.parametrize("text", _kernel_texts())
+    def test_neighbour_lcp_matches_lifting_every_neighbour(self, text):
+        _assert_neighbour_lcp(BitSequence.from_text(text).bits)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.text("01", min_size=1, max_size=300),
+            st.builds(
+                lambda word, size: (word * size)[:size],
+                st.text("01", min_size=1, max_size=9),
+                st.integers(1, 300),
+            ),
+        )
+    )
+    def test_neighbour_lcp_on_random_and_periodic_texts(self, text):
+        _assert_neighbour_lcp(BitSequence.from_text(text).bits)
+
+    @pytest.mark.parametrize("spec", PLOT_POOL)
+    def test_neighbour_lcp_on_pool_forms(self, spec):
+        _assert_neighbour_lcp(Substitution.parse(spec).fixed_point_prefix(1 << 12).bits)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("spec", ["01,10", "01110,01010", "01"])
+    def test_neighbour_lcp_at_two_to_the_eighteen(self, spec):
+        # TM, q5 and the periodic (01)^k.
+        size = 1 << 18
+        if "," in spec:
+            bits = Substitution.parse(spec).fixed_point_prefix(size).bits
+        else:
+            bits = BitSequence.from_text((spec * size)[:size]).bits
+        _assert_neighbour_lcp(bits)
+
+    @pytest.mark.parametrize("text", _kernel_texts())
+    def test_lifts_only_at_bwt_run_boundaries(self, text, monkeypatch):
+        # The Burrows-Wheeler transform of the text with an end marker $:
+        # the letter before each suffix in sorted order, the empty one
+        # included, with $ before suffix 0.
+        ranked = sorted(range(len(text) + 1), key=lambda i: text[i:])
+        bwt = [text[i - 1] if i else "$" for i in ranked]
+        boundaries = [r for r in range(1, len(bwt)) if bwt[r] != bwt[r - 1]]
+        bits = BitSequence.from_text(text).bits
+        lifted = _record_lifts(monkeypatch, lambda: recplot._neighbour_lcp(bits))
+        assert lifted == [(ranked[r - 1], ranked[r]) for r in boundaries]
+
+    @pytest.mark.parametrize("sub", [TM, PD, Substitution("01110", "01010")], ids=str)
+    def test_plot_lifts_few_pairs(self, sub, monkeypatch):
+        # Outputs stay right if every neighbour is lifted, so only this
+        # count shows a return to lifting all n of them: one lift per BWT
+        # run after the first, at most 64 at 2^14 letters.
+        x = sub.fixed_point_prefix(1 << 14)
+        lifted = _record_lifts(monkeypatch, lambda: histogram(x, 1 << 14, 1))
+        _, order = recplot._suffix_levels(x.bits)
+        text = x.bits.tobytes()
+        # The order is sorted: each suffix is below the next, by direct slicing.
+        assert sorted(order.tolist()) == list(range(len(text) + 1))
+        assert all(text[p:] < text[q:] for p, q in zip(order[:-1].tolist(), order[1:].tolist()))
+        bwt = [text[i - 1] if i else 2 for i in order.tolist()]
+        runs = 1 + sum(a != b for a, b in zip(bwt, bwt[1:]))
+        assert len(lifted) == runs - 1 <= 64
 
     @pytest.mark.parametrize("text", _kernel_texts())
     def test_lifts_match_brute_force(self, text):
@@ -341,11 +441,11 @@ class TestSuffixKernel:
         for line in extract_lines(x, size, 1):
             if Boundary.N_BOUNDARY in line.boundary and line.i < line.j:
                 expected[line.length] += 1
-        levels, order = recplot._suffix_levels(x.bits)
-        order, adjacent = recplot._adjacent_lcp(levels, order, 0, size)
+        order, before, common = recplot._neighbour_lcp(x.bits)
+        adjacent = common[1:]
         right = recplot._smaller_bounds(adjacent)[1]
         place = int(np.flatnonzero(order == 0)[0])
-        assert recplot._far_edge_runs(x.bits, order, adjacent, right, place).tolist() == expected
+        assert recplot._far_edge_runs(order, before, adjacent, right, place).tolist() == expected
 
     def test_far_edge_interval_hops_over_a_letter_boundary(self):
         # The interval of the last 0 of 0100 in suffix order is 0, 00,
@@ -353,14 +453,14 @@ class TestSuffixKernel:
         # of the first rank lands on the second adjacent value equal to 1,
         # and the search hops on to the interval's end.
         x = BitSequence.from_text("0100")
-        levels, order = recplot._suffix_levels(x.bits)
-        order, adjacent = recplot._adjacent_lcp(levels, order, 0, 4)
+        order, before, common = recplot._neighbour_lcp(x.bits)
+        adjacent = common[1:]
         right = recplot._smaller_bounds(adjacent)[1]
         assert order.tolist() == [3, 2, 0, 1]
         assert adjacent[0] == adjacent[right[0]] == 1
         # Copies of the last 0 that start a far-edge run: at 0, and at 2,
         # which follows a 1 where the last 0 follows a 0.
-        assert recplot._far_edge_runs(x.bits, order, adjacent, right, 2).tolist() == [0, 2, 0, 0]
+        assert recplot._far_edge_runs(order, before, adjacent, right, 2).tolist() == [0, 2, 0, 0]
 
     @pytest.mark.parametrize("strict", [True, False])
     @pytest.mark.parametrize("step", [-1, 1])
