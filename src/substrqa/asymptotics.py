@@ -302,9 +302,7 @@ def closed_form(
 # -- degenerate substitutions ------------------------------------------------
 
 
-def _degenerate(
-    cls: Classification, m: int, lmin: int, eps, note: str
-) -> AsymptoticQuantifiers:
+def _degenerate(m: int, lmin: int, eps, note: str) -> AsymptoticQuantifiers:
     _validate_inputs(m, lmin, 1)
     h = quantize_eps(eps)
     one = Fraction(1)
@@ -340,9 +338,7 @@ def nonprimitive_quantifiers(
         raise DomainError(
             f"nonprimitive_quantifiers needs a constant-image substitution, got {cls.kind.value}"
         )
-    return _degenerate(
-        cls, m, lmin, eps, "constant-image substitution: line lengths are unbounded"
-    )
+    return _degenerate(m, lmin, eps, "constant-image substitution: line lengths are unbounded")
 
 
 def fixed_point_period(sub: Substitution) -> int:
@@ -365,13 +361,8 @@ def periodic_quantifiers(
             f"periodic_quantifiers needs a periodic fixed point, got {cls.kind.value}"
         )
     period = fixed_point_period(cls.normalized)
-    return _degenerate(
-        cls,
-        m,
-        lmin,
-        eps,
-        f"periodic fixed point (period {period}): every diagonal line is infinite",
-    )
+    note = f"periodic fixed point (period {period}): every diagonal line is infinite"
+    return _degenerate(m, lmin, eps, note)
 
 
 # -- dispatch ----------------------------------------------------------------

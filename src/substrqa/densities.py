@@ -12,11 +12,13 @@ length R.
 A start pair is two occurrences of one inner word w with opposite flanking
 letters on both sides, so for a table t of (l+2)-block values the start
 pairs at length l weigh 2 * sum over w of t(0w0)t(1w1) + t(0w1)t(1w0).
-With t the block frequencies of the invariant measure (letter frequencies,
-a closed form for the two-blocks, desubstitution for longer blocks) this is
-the exact base density; with t the counts of blocks starting in [0, q^k),
-desubstituted k steps down to the fixed point's first block, it is the
-exact number of start pairs in [1, q^k + 1)^2.
+Both tables are integers, built by one desubstitution sum.  With t the
+numerators of the invariant measure's block frequencies over one
+denominator D (letters and two-blocks from closed forms; a longer length
+has D = q * the lcm of its source lengths' D) it gives D^2 times the exact
+base density; with t the counts of blocks starting in [0, q^k),
+desubstituted k steps down to the fixed point's first block, the exact
+number of start pairs in [1, q^k + 1)^2.
 
 reconstruct_base certifies each base length by exact checks at the plot
 sizes q^(k-1) + 1 and q^k + 1 (the least k with q^k >= 2048): the
@@ -31,6 +33,7 @@ process only; nothing is stored on disk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -98,26 +101,31 @@ def _two_block_frequencies(sub: Substitution) -> dict[str, Fraction]:
     return {w: freqs[w] for w in support}
 
 
+def _desubstituted(sub: Substitution, length: int, source) -> tuple[int, dict[str, int]]:
+    """Sum source values over desubstitute; `source(s)` gives (D, {s-word: N}).
+    Returns (L, sums) with every N rescaled to the lcm L of the D's."""
+    tables = {s: source(s) for s in {-(-(r + length) // sub.q) for r in range(sub.q)}}
+    lcm = math.lcm(*(d for d, _ in tables.values()))
+    scaled = {s: t if d == lcm else {w: n * (lcm // d) for w, n in t.items()} for s, (d, t) in tables.items()}
+    acc: dict[str, int] = {}
+    for _, value, target in desubstitute(sub, length, scaled.__getitem__):
+        acc[target] = acc.get(target, 0) + value
+    return lcm, acc
+
+
 @lru_cache(maxsize=4096)
-def _block_frequencies_cached(sub: Substitution, length: int) -> dict[str, Fraction]:
-    if length == 1:
-        f0, f1 = letter_frequencies(sub)
-        return {"0": f0, "1": f1}
-    if length == 2:
-        return _two_block_frequencies(sub)
-    # Each occurrence comes from a unique shorter occurrence (desubstitute).
-    acc: dict[str, Fraction] = {}
-    for _, freq, target in desubstitute(sub, length, lambda s: _block_frequencies_cached(sub, s)):
-        acc[target] = acc.get(target, Fraction(0)) + freq
-    total = Fraction(0)
-    out = {}
-    for word, freq in acc.items():
-        value = freq / sub.q
-        out[word] = value
-        total += value
-    if total != 1:
-        raise DiscrepancyError(f"block frequencies at length {length} sum to {total}, not 1")
-    return out
+def _block_frequencies_cached(sub: Substitution, length: int) -> tuple[int, dict[str, int]]:
+    """(D, {word: N}): each word of the given length has frequency N/D."""
+    if length <= 2:
+        freqs = _two_block_frequencies(sub) if length == 2 else dict(zip("01", letter_frequencies(sub)))
+        D = math.lcm(*(f.denominator for f in freqs.values()))
+        return D, {w: f.numerator * (D // f.denominator) for w, f in freqs.items()}
+    # Each occurrence comes from a unique shorter occurrence, so a frequency
+    # is 1/q times a sum of source frequencies.
+    lcm, out = _desubstituted(sub, length, lambda s: _block_frequencies_cached(sub, s))
+    if (total := sum(out.values())) != sub.q * lcm:
+        raise DiscrepancyError(f"block frequencies at length {length} sum to {total}/{sub.q * lcm}, not 1")
+    return sub.q * lcm, out
 
 
 def block_frequencies(sub: Substitution, length: int) -> dict[str, Fraction]:
@@ -125,17 +133,16 @@ def block_frequencies(sub: Substitution, length: int) -> dict[str, Fraction]:
     require_normalized_aperiodic(sub)
     if length < 1:
         raise DomainError(f"block length must be positive, got {length}")
-    return dict(_block_frequencies_cached(sub, length))
+    D, table = _block_frequencies_cached(sub, length)
+    return {w: Fraction(n, D) for w, n in table.items()}
 
 
-def _start_pairs(blocks: dict[str, Fraction] | dict[str, int]) -> Fraction | int:
+def _start_pairs(blocks: dict[str, int]) -> int:
     """2 * sum over inner words w of t(0w0)t(1w1) + t(0w1)t(1w0), for a
-    table t of block values of one length (frequencies or counts)."""
-    total = 0
-    for w in {v[1:-1] for v in blocks}:
-        total += blocks.get(f"0{w}0", 0) * blocks.get(f"1{w}1", 0)
-        total += blocks.get(f"0{w}1", 0) * blocks.get(f"1{w}0", 0)
-    return 2 * total
+    table t of integer block values of one length (numerators or counts)."""
+    # 0w0 pairs with 1w1 and 0w1 with 1w0: flip both ends.
+    flip = {"0": "1", "1": "0"}
+    return 2 * sum(n * blocks.get(f"1{v[1:-1]}{flip[v[-1]]}", 0) for v, n in blocks.items() if v[0] == "0")
 
 
 def density_from_frequencies(sub: Substitution, length: int) -> Fraction:
@@ -144,7 +151,8 @@ def density_from_frequencies(sub: Substitution, length: int) -> Fraction:
     require_normalized_aperiodic(sub)
     if length < 1:
         raise DomainError(f"length must be positive, got {length}")
-    return Fraction(_start_pairs(_block_frequencies_cached(sub, length + 2)))
+    D, table = _block_frequencies_cached(sub, length + 2)
+    return Fraction(_start_pairs(table), D * D)
 
 
 @lru_cache(maxsize=4096)
@@ -155,10 +163,7 @@ def _prefix_counts(sub: Substitution, length: int, k: int) -> dict[str, int]:
     come k steps down from the fixed point's own prefix."""
     if k == 0:
         return {sub.fixed_point_prefix(length).to01(): 1}
-    acc: dict[str, int] = {}
-    for _, count, target in desubstitute(sub, length, lambda s: _prefix_counts(sub, s, k - 1)):
-        acc[target] = acc.get(target, 0) + count
-    return acc
+    return _desubstituted(sub, length, lambda s: (1, _prefix_counts(sub, s, k - 1)))[1]
 
 
 # -- empirical counterpart ---------------------------------------------------
@@ -199,13 +204,15 @@ def _check_shift_invariance(sub: Substitution, length: int) -> None:
     # Both (length-1)-marginals of the length-blocks must be the
     # (length-1)-blocks; since the blocks come from desubstitution, this
     # also makes them the Perron vector of the induced block substitution.
-    blocks = _block_frequencies_cached(sub, length)
-    shorter = _block_frequencies_cached(sub, length - 1)
+    D, blocks = _block_frequencies_cached(sub, length)
+    d, shorter = _block_frequencies_cached(sub, length - 1)
+    # marginal/D == shorter/d, word by word.
+    want = {w: n * D for w, n in shorter.items()}
     for side in (slice(1, None), slice(None, -1)):
-        marginal: dict[str, Fraction] = {}
-        for w, f in blocks.items():
-            marginal[w[side]] = marginal.get(w[side], 0) + f
-        if marginal != shorter:
+        marginal: dict[str, int] = {}
+        for w, n in blocks.items():
+            marginal[w[side]] = marginal.get(w[side], 0) + n
+        if {w: n * d for w, n in marginal.items()} != want:
             raise ReconstructionError(
                 f"block frequencies at length {length} are not shift invariant"
             )

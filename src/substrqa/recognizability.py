@@ -91,9 +91,13 @@ def desubstitute(sub: Substitution, length: int, source):
     """
     q = sub.q
     images = str.maketrans({"0": sub.image0, "1": sub.image1})
+    cut: dict[int, list] = {}  # each source length's (value, image of u), made once
     for r in range(q):
-        for u, value in source(-(-(r + length) // q)).items():
-            yield r, value, u.translate(images)[r : r + length]
+        s = -(-(r + length) // q)
+        if s not in cut:
+            cut[s] = [(value, u.translate(images)) for u, value in source(s).items()]
+        for value, image in cut[s]:
+            yield r, value, image[r : r + length]
 
 
 def _two_words(sub: Substitution) -> dict[str, None]:

@@ -397,14 +397,12 @@ def quantize_eps(eps) -> int:
     """
     try:
         frac = Fraction(eps)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"threshold must be a number, got {eps!r}") from exc
     if not 0 < frac < 1:
         raise DomainError(f"threshold must lie strictly between 0 and 1, got {eps!r}")
-    h = 1
-    while Fraction(1, 2**h) > frac:
-        h += 1
-    return h
+    # 2^-h <= eps exactly when 2^h >= ceil(1/eps).
+    return (-(-frac.denominator // frac.numerator) - 1).bit_length()
 
 
 def rp_entry(x: BitSequence, i: int, j: int, h: int) -> bool:

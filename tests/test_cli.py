@@ -121,6 +121,12 @@ class TestAnalyze:
         result = invoke(runner, "analyze", TM, "--asymptotic", "-h", "1", "--eps", "0.3")
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("eps", ["inf", "-inf"])
+    def test_infinite_eps_is_a_usage_error(self, runner, eps):
+        result = invoke(runner, "analyze", TM, "--asymptotic", "--eps", eps)
+        assert result.exit_code == 2
+        assert "error: threshold must be a number" in result.stderr
+
     def test_eps_quantization_note(self, runner):
         result = invoke(runner, "analyze", TM, "--asymptotic", "--eps", "0.3", "--no-cache")
         assert result.exit_code == 0

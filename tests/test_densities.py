@@ -1,7 +1,9 @@
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -29,7 +31,7 @@ from substrqa.densities import (
     table_to_json_dict,
 )
 from substrqa.densities import _prefix_counts, _start_pairs
-from substrqa.recognizability import language_slice, recognizability_constants
+from substrqa.recognizability import desubstitute, language_slice, recognizability_constants
 from substrqa.recplot import inner_line_counts, inner_line_starts
 
 TM = Substitution("01", "10")
@@ -42,6 +44,20 @@ BASE_TABLES = {
     PD: {1: Fraction(1, 9), 2: Fraction(1, 18)},
     Q5: {1: Fraction(7, 50), 2: Fraction(3, 50), 3: Fraction(1, 50), 4: Fraction(13, 1250)},
 }
+
+
+@lru_cache(maxsize=None)
+def _fraction_frequencies(sub, length):
+    # Reference: the block-frequency recursion in plain Fractions, one
+    # gcd per addition, that the integer engine replaced.
+    if length == 1:
+        return dict(zip("01", letter_frequencies(sub)))
+    if length == 2:
+        return densities._two_block_frequencies(sub)
+    acc = {}
+    for _, freq, target in desubstitute(sub, length, lambda s: _fraction_frequencies(sub, s)):
+        acc[target] = acc.get(target, Fraction(0)) + freq
+    return {w: f / sub.q for w, f in acc.items()}
 
 
 def _normalized_forms(qs):
@@ -126,6 +142,22 @@ class TestBlockFrequencies:
             for w, f in freqs.items():
                 brute = sum(text[i : i + length] == w for i in range(windows))
                 assert abs(Fraction(brute, windows) - f) < Fraction(1, 256)
+
+    def test_equals_the_fraction_recursion(self):
+        # Word order too, so printed tables stay byte for byte the same.
+        sample = random.Random(5).sample(_normalized_forms((2, 3, 4)), 40)
+        for sub in GOLDEN + sample:
+            for length in range(1, recognizability_constants(sub).R + 2):
+                want = list(_fraction_frequencies(sub, length).items())
+                assert list(block_frequencies(sub, length).items()) == want, (sub, length)
+
+    @pytest.mark.parametrize("sub", GOLDEN, ids=str)
+    def test_engine_holds_integers(self, sub):
+        # Outputs stay right if the engine slips back to Fractions; only
+        # this sees it.
+        for length in range(1, recognizability_constants(sub).R + 3):
+            D, table = densities._block_frequencies_cached(sub, length)
+            assert type(D) is int and all(type(n) is int for n in table.values()), length
 
     def test_rejects_bad_input(self):
         with pytest.raises(DomainError):
@@ -248,13 +280,15 @@ class TestGateRefuses:
         original = densities._block_frequencies_cached
 
         def skewed(sub, length):
-            freqs = dict(original(sub, length))
+            # Moves one unit of numerator mass between two 4-blocks; the
+            # denominator, and so the total, stays.
+            D, freqs = original(sub, length)
+            freqs = dict(freqs)
             if length == 4:
                 a, b = sorted(freqs)[:2]
-                shift = min(freqs[a], freqs[b]) / 2
-                freqs[a] += shift
-                freqs[b] -= shift
-            return freqs
+                freqs[a] += 1
+                freqs[b] -= 1
+            return D, freqs
 
         monkeypatch.setattr(densities, "_block_frequencies_cached", skewed)
         with pytest.raises(ReconstructionError, match="length 4 are not shift invariant"):
@@ -298,6 +332,22 @@ class TestSweep:
         # 3807405/33550336, more than 16/8192 away.
         sub = Substitution("00001", "10110")
         assert reconstruct_base(sub).base[1] == Fraction(26, 225)
+
+    def test_seeded_large_q_forms_certify(self):
+        # Twelve forms with q in 6..16 whose image of 0 starts with 0, and
+        # twelve whose images start 1/0, so they normalize to squares with
+        # q in 36..144 (R up to 193 at this seed).
+        rng = random.Random(13)
+        for first, lo, hi in (("00", 6, 16), ("10", 6, 12)):
+            drawn = 0
+            while drawn < 12:
+                q = rng.randint(lo, hi)
+                a, b = (f + "".join(rng.choice("01") for _ in range(q - 1)) for f in first)
+                cls = Substitution(a, b).classify()
+                if cls.kind is SubshiftKind.PRIMITIVE_APERIODIC:
+                    assert cls.normalized.q == (q if first == "00" else q * q)
+                    _certifies(cls.normalized)
+                    drawn += 1
 
     @pytest.mark.slow
     def test_every_form_with_q5_certifies(self):

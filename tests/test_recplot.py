@@ -604,6 +604,37 @@ class TestQuantize:
         with pytest.raises(DomainError):
             quantize_eps("half")
 
+    @staticmethod
+    def _counted(frac):
+        # Reference: raise h until 2^-h <= eps, one power at a time.
+        h = 1
+        while Fraction(1, 2**h) > frac:
+            h += 1
+        return h
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 2**80), st.integers(1, 2**80))
+    @example(1, 2**40 + 1)
+    @example(2**40 - 1, 2**80)
+    def test_matches_counting(self, a, b):
+        eps = Fraction(min(a, b), max(a, b) + 1)
+        assert quantize_eps(eps) == self._counted(eps)
+
+    def test_matches_counting_next_to_powers_of_two(self):
+        for h in range(1, 300):
+            for nudge in (Fraction(1, 10**90), Fraction(1, 10**120)):
+                for eps in (Fraction(1, 2**h) + nudge, Fraction(1, 2**h) - nudge):
+                    if 0 < eps < 1:
+                        assert quantize_eps(eps) == self._counted(eps), (h, eps)
+
+    def test_deep_threshold_without_a_loop(self):
+        assert quantize_eps(Fraction(1, 2**60000)) == 60000
+
+    @pytest.mark.parametrize("eps", [float("inf"), float("-inf"), float("nan")])
+    def test_rejects_non_finite(self, eps):
+        with pytest.raises(DomainError):
+            quantize_eps(eps)
+
 
 # -- inner lines of the infinite plot ---------------------------------------
 
