@@ -93,9 +93,11 @@ def _validate_inputs(m: int, lmin: int, h: int) -> None:
 
 
 def _family_first_step(base: int, c: Fraction, q: int, lprime: int) -> int:
-    k = 0
-    while q**k * (base + c) - c < lprime:
-        k += 1
+    # q^k (base + c) - c < lprime, times the denominator of c.
+    cn, cd = c.numerator, c.denominator
+    k, reach = 0, base * cd + cn
+    while reach < lprime * cd + cn:
+        k, reach = k + 1, reach * q
     return k
 
 

@@ -377,13 +377,14 @@ def closed_form_indices(constants: RecogConstants, lprime: int) -> tuple[int, in
     base whose j-step image does."""
     if lprime < constants.R0:
         raise DomainError(f"target length must be at least R0={constants.R0}, got {lprime}")
-    c = constants.c
-    q = constants.q
-    j = 0
-    while (constants.R - 1) * q**j + c * (q**j - 1) < lprime:
-        j += 1
+    # l0 q^j + c (q^j - 1) >= lprime, times the denominator of c.
+    cn, cd = constants.c.numerator, constants.c.denominator
+    target = lprime * cd + cn
+    j, scale = 0, 1
+    while ((constants.R - 1) * cd + cn) * scale < target:
+        j, scale = j + 1, scale * constants.q
     for l0 in range(constants.R0, constants.R):
-        if l0 * q**j + c * (q**j - 1) >= lprime:
+        if (l0 * cd + cn) * scale >= target:
             return j, l0
     raise DiscrepancyError(
         f"no base length reaches {lprime} in {j} steps; constants inconsistent"

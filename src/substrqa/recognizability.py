@@ -112,8 +112,9 @@ def _two_words(sub: Substitution) -> dict[str, None]:
 
 
 @lru_cache(maxsize=256)
-def _residues(sub: Substitution, length: int) -> dict[str, frozenset[int]]:
-    """Map each allowed word of the given length to its residues mod q.
+def _residues(sub: Substitution, length: int) -> dict[str, int]:
+    """Map each allowed word of the given length to its residues mod q, as
+    a mask whose bit r is set when the word occurs at residue r.
 
     Only length 2 has source words as long as its own, the 2-word closure;
     from length 3 on every source word is shorter, so the recursion ends at
@@ -124,10 +125,10 @@ def _residues(sub: Substitution, length: int) -> dict[str, frozenset[int]]:
             return _LETTERS
         return _two_words(sub) if s == length else _residues(sub, s)
 
-    found: dict[str, set[int]] = {}
+    found: dict[str, int] = {}
     for r, _, w in desubstitute(sub, length, source):
-        found.setdefault(w, set()).add(r)
-    return {w: frozenset(rs) for w, rs in found.items()}
+        found[w] = found.get(w, 0) | 1 << r
+    return found
 
 
 def language_slice(sub: Substitution, length: int) -> LanguageSlice:
@@ -161,12 +162,12 @@ def is_recognizable_word(sub: Substitution, word: str) -> int | None:
     bad = set(word) - set(ALPHABET)
     if bad:
         raise ParseError(f"word contains {sorted(bad)!r}; only 0 and 1 are allowed")
-    residues = _residues(sub, len(word)).get(word)
-    if residues is None:
+    mask = _residues(sub, len(word)).get(word)
+    if mask is None:
         raise DomainError(f"word {word!r} does not occur in the subshift")
-    if len(residues) == 1:
-        return next(iter(residues))
-    return None
+    if mask & (mask - 1):
+        return None
+    return mask.bit_length() - 1
 
 
 @lru_cache(maxsize=64)
@@ -183,13 +184,13 @@ def recognizability_constants(sub: Substitution) -> RecogConstants:
     q = sub.q
 
     R = alpha + beta + 1
-    while any(len(res) > 1 for res in _residues(sub, R).values()):
+    while any(m & (m - 1) for m in _residues(sub, R).values()):
         R += 1
 
     # A window is decisive when no word occurs both at a multiple of q and
     # away from one.
     window = 2
-    while any(0 in res and len(res) > 1 for res in _residues(sub, window).values()):
+    while any(m & 1 and m & (m - 1) for m in _residues(sub, window).values()):
         window += 1
     K = window - 1
 

@@ -7,9 +7,10 @@ come from one suffix-order kernel: a maximal run on diagonal d that starts
 at s is the common prefix of suffixes s and s+d, so counting suffix pairs
 by exact common-prefix length counts lines.  Each plot builds one set of
 prefix-doubling keys: level 0 packs 64 - b one-bit letters, where b is
-the bit length of the position, and each later level as many short ranks
-as fit beside the position, so a sort covers several doublings (5 sorts
-at 2^14 letters, 8 or 9 at 2^20).  Each sort is a value sort of the key
+the bit length of the position, read off np.packbits bytes with one shift
+per bit offset, and each later level as many short ranks as fit beside
+the position, so a sort covers several doublings (5 sorts at 2^14
+letters, 8 or 9 at 2^20).  Each sort is a value sort of the key
 tagged with its position, and the last is the suffix order.  Common
 prefixes of suffix-order neighbours take one XOR per level, but only at
 the few dozen run heads of the Burrows-Wheeler transform; the rest
@@ -161,9 +162,9 @@ def _shift_or(high: np.ndarray, low: np.ndarray, shift: int, offset: int) -> np.
 
 
 def _pack(ranks: np.ndarray, span: int, width: int, digits: int) -> _Level:
-    """Keys of `digits` consecutive span-letter ranks: shift-or doubling,
-    and one more shift-or that appends a rank for each set bit of the digit
-    count below its top."""
+    """Keys of `digits` consecutive span-letter ranks, for the levels above
+    0: shift-or doubling, and one more shift-or that appends a rank for
+    each set bit of the digit count below its top."""
     keys, packed = ranks, 1
     for bit in bin(digits)[3:]:
         keys = _shift_or(keys, keys, width * packed, span * packed)
@@ -183,10 +184,13 @@ def _suffix_levels(bits: np.ndarray) -> tuple[list[_Level], np.ndarray]:
     len(bits) - i in the low b = len(bits).bit_length() bits: a mask then
     reads off the suffix order and a shift the sorted keys, with no
     argsort and no gather.  Level 0 packs 64 - b letters, one bit each,
-    and 0 past the end.  A window cut short by the end has a smaller
-    reversed position than every window it is a prefix of, so it sorts
-    before them, and each suffix shorter than one key starts a class of
-    its own: rank 0 is the empty suffix alone.  Each later level packs the
+    and 0 past the end: the big-endian word of the eight np.packbits
+    bytes at each byte offset, shifted left by all eight bit offsets in
+    one broadcast and then right by b, two passes over the keys where
+    _pack's doubling takes six or seven.  A window cut short by the end
+    has a smaller reversed position than every window it is a prefix of,
+    so it sorts before them, and each suffix shorter than one key starts
+    a class of its own: rank 0 is the empty suffix alone.  Each later level packs the
     dense ranks of the level below, as many as fit beside the position
     when that is at least three, and as many as fit 64 bits, sorted by
     argsort, when it is not (only past 2^16 letters).  Its span is the
@@ -202,12 +206,16 @@ def _suffix_levels(bits: np.ndarray) -> tuple[list[_Level], np.ndarray]:
     shift = letters.bit_length()
     free = 64 - shift
     tags = np.arange(letters, -1, -1, dtype=np.uint64)
-    ranks = np.append(bits.astype(np.uint64), np.uint64(0))
+    packed = np.zeros(letters // 8 + 8, dtype=np.uint8)
+    packed[: -(-letters // 8)] = np.packbits(bits)
+    # The big-endian word at every byte offset: a view with a 1-byte stride.
+    words = np.ndarray((letters // 8 + 1, 1), ">u8", packed, strides=(1, 8))
+    keys = words.astype(np.uint64) << np.arange(8, dtype=np.uint64)
+    keys >>= np.uint64(shift)
     span, width, digits, tagged = 1, 1, free, True
-    levels = []
+    levels = [_Level(keys.reshape(-1)[: letters + 1], span, digits, width)]
     while True:
-        level = _pack(ranks, span, width, digits)
-        levels.append(level)
+        level = levels[-1]
         if tagged:
             ordered = level.keys << np.uint64(shift)
             ordered |= tags
@@ -234,6 +242,7 @@ def _suffix_levels(bits: np.ndarray) -> tuple[list[_Level], np.ndarray]:
         tagged = digits >= 3
         if not tagged:
             digits = 64 // width
+        levels.append(_pack(ranks, span, width, digits))
 
 
 def _msb(values: np.ndarray) -> np.ndarray:
@@ -278,8 +287,7 @@ def _neighbour_lcp(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     fixed-point prefix.  PLCP[i] + i never falls (Kasai et al. 2001), so it
     is a running maximum between heads."""
     levels, order = _suffix_levels(bits)
-    before = bits[order - 1]
-    before[order == 0] = 2
+    before = np.concatenate(([np.uint8(2)], bits))[order]
     heads = np.flatnonzero(before[1:] != before[:-1]) + 1
     lifted = _lcp(levels, order[heads - 1], order[heads])
     del levels  # free the keys before the fill: peak memory
@@ -302,7 +310,8 @@ def _smaller_bounds(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each t, the nearest s < t with values[s] < values[t] (-1 where
     there is none) and the nearest s > t with values[s] <= values[t]
     (values.size where there is none).  Values must be non-negative
-    integers.
+    integers below 2^31: the search compares int32 copies and indexes
+    with intp, which numpy gathers by without a cast.
 
     One pointer-jumping search (Berkman, Schieber & Vishkin 1993) answers
     both sides: the right side looks for a value below values + 1 in
@@ -317,7 +326,7 @@ def _smaller_bounds(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     text, takes a round per step of the run."""
     count = values.size
     half = count + 1
-    reach = np.concatenate((values, [-1], values[::-1], [-1]))
+    reach = np.concatenate((values, [-1], values[::-1], [-1]), dtype=np.int32)
     below = reach.copy()
     below[:count] += 1
     # The first round compares neighbours; the -1s look for nothing.
@@ -469,12 +478,11 @@ def histogram(x: BitSequence, n: int, h: int, *, m: int = 1) -> LineHistogram:
     pairs = _pairs_by_lcp(adjacent, left, right, size)
     nbd = _far_edge_runs(order, before, adjacent, right, place)
     # After the bound search, which sets the peak memory of smaller plots.
-    zero_runs = np.zeros(size, dtype=np.int64)
-    zero_runs[order[place + 1 :]] = np.minimum.accumulate(adjacent[place:])
-    zero_runs[order[:place]] = np.minimum.accumulate(adjacent[:place][::-1])[::-1]
-    zero_runs = zero_runs[1:]
+    # lcp(0, d) for each d != 0 in rank order, a running minimum outwards.
+    ahead = np.minimum.accumulate(adjacent[:place][::-1])[::-1]
+    zero_runs = np.concatenate((ahead, np.minimum.accumulate(adjacent[place:])))
     runs = pairs[:-1] - pairs[1:]
-    zero = np.bincount(zero_runs[zero_runs < size - np.arange(1, size)], minlength=size)
+    zero = np.bincount(zero_runs[zero_runs < size - np.delete(order, place)], minlength=size)
     lengths = np.flatnonzero(runs[window:]) + window
     zero, nbd = zero[lengths], nbd[lengths]
     buckets = 2 * np.stack([runs[lengths] - zero - nbd, zero, nbd], axis=1)

@@ -318,8 +318,9 @@ class Substitution:
         """First n letters of the fixed point grown from the letter 0.
 
         Requires the image of 0 to start with 0 (see normalize()).  Grows by
-        substituting a numpy letter array in place, truncating intermediate
-        stages so memory stays near n letters.
+        taking the image rows of a numpy letter array (one np.take per
+        step), truncating intermediate stages so memory stays near n
+        letters.
         """
         if n < 0:
             raise DomainError("prefix length must be nonnegative")
@@ -337,7 +338,7 @@ class Substitution:
             limit = -(-n // self.q)
             if seq.size > limit:
                 seq = seq[:limit]
-            seq = table[seq].reshape(-1)
+            seq = np.take(table, seq, axis=0).reshape(-1)
         return BitSequence(seq[:n])
 
 

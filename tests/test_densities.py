@@ -16,6 +16,7 @@ from substrqa import (
     closed_form,
     densities,
 )
+from substrqa.asymptotics import _family_first_step
 from substrqa.densities import (
     BaseEvidence,
     Decomposition,
@@ -455,6 +456,30 @@ class TestDensKAndIndices:
                 assert reach(k.R - 1, j - 1) < target
             if l0 > k.R0:
                 assert reach(l0 - 1, j) < target
+
+    @pytest.mark.slow
+    def test_integer_comparisons_match_the_fraction_formulas(self):
+        # Both functions compared the Fraction q^j (base + c) - c with
+        # lprime before; for an integer lprime, x < lprime exactly when
+        # floor(x) < lprime, so each reach is floored once per step here.
+        forms = _normalized_forms((2, 3, 4, 5))
+        assert len(forms) == 897
+        for sub in forms:
+            k = recognizability_constants(sub)
+            bases = range(k.R0, k.R)
+            top = k.R + 40
+            reach = {}
+            for base in bases:
+                reach[base] = [base]
+                while reach[base][-1] < top:
+                    steps = len(reach[base])
+                    reach[base].append(math.floor(k.q**steps * (base + k.c) - k.c))
+            for lprime in range(k.R0, top + 1):
+                first = [next(j for j, r in enumerate(reach[b]) if r >= lprime) for b in bases]
+                assert [_family_first_step(b, k.c, k.q, lprime) for b in bases] == first
+                j = first[-1]
+                l0 = next(b for b in bases if reach[b][j] >= lprime)
+                assert closed_form_indices(k, lprime) == (j, l0), (sub, lprime)
 
 
 class TestTableSerialization:

@@ -330,7 +330,36 @@ def _adversarial_arrays() -> list[list[int]]:
     return arrays
 
 
+def _packed_letters(bits: np.ndarray) -> np.ndarray:
+    # Level 0 as _pack builds it from one uint64 letter per position.
+    ranks = np.append(bits.astype(np.uint64), np.uint64(0))
+    return recplot._pack(ranks, 1, 1, 64 - bits.size.bit_length()).keys
+
+
 class TestSuffixKernel:
+    def test_level0_keys_from_packed_bytes(self):
+        rng = np.random.default_rng(29)
+        texts = [rng.integers(0, 2, size, dtype=np.uint8) for size in range(1, 401)]
+        texts += [BitSequence.from_text(text).bits for text in _kernel_texts()]
+        for bits in texts:
+            level = recplot._suffix_levels(bits)[0][0]
+            assert (level.span, level.digits, level.width) == (1, 64 - bits.size.bit_length(), 1)
+            assert level.keys.tolist() == _packed_letters(bits).tolist(), bits.size
+
+    @given(st.lists(st.integers(0, 1), min_size=1, max_size=400))
+    def test_level0_keys_from_packed_bytes_on_random_texts(self, letters):
+        bits = np.array(letters, dtype=np.uint8)
+        keys = recplot._suffix_levels(bits)[0][0].keys
+        assert keys.tolist() == _packed_letters(bits).tolist()
+
+    @pytest.mark.parametrize("sub", [TM, PD, Substitution("01110", "01010")], ids=str)
+    def test_plot_takes_five_sorts(self, sub):
+        # Outputs stay right with a narrower level 0, but the plot takes
+        # one more sort, so only this count shows it.
+        levels, _ = recplot._suffix_levels(sub.fixed_point_prefix(1 << 14).bits)
+        assert len(levels) == 5
+        assert levels[0].digits == 64 - (1 << 14).bit_length()
+
     @pytest.mark.parametrize("text", _kernel_texts())
     def test_last_level_sorts_suffixes(self, text):
         levels, order = recplot._suffix_levels(BitSequence.from_text(text).bits)
@@ -480,6 +509,20 @@ class TestSuffixKernel:
             if reverse:
                 got = len(values) - 1 - got[::-1]
             assert got.tolist() == _nearest_below_oracle(values, step, strict), values
+
+    @given(
+        st.one_of(
+            st.lists(st.sampled_from([0, 0, 0, 1, 2]), max_size=80),
+            st.lists(st.integers(0, 1000), max_size=80),
+            st.builds(lambda value, size: [value] * size, st.integers(0, 9), st.integers(0, 80)),
+            st.integers(0, 80).map(lambda size: list(range(size))),
+        )
+    )
+    def test_nearest_below_matches_brute_force_on_random_arrays(self, values):
+        left, right = recplot._smaller_bounds(np.array(values, dtype=np.int64))
+        assert left.dtype == right.dtype == np.intp
+        assert left.tolist() == _nearest_below_oracle(values, -1, True)
+        assert right.tolist() == _nearest_below_oracle(values, 1, False)
 
     def test_pairs_by_lcp_on_adversarial_arrays(self):
         # Each pair of suffixes a < b in order shares min(adjacent[a:b]).

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -191,6 +193,18 @@ class TestFixedPoint:
         normalized, _ = sub.normalize()
         short = normalized.fixed_point_prefix(n).to01()
         assert normalized.fixed_point_prefix(n * normalized.q).to01() == normalized.apply(short)[: n * normalized.q]
+
+    def test_prefix_equals_the_string_fixed_point(self):
+        # Every substitution with q <= 4 whose image of 0 starts with 0.
+        for q in (2, 3, 4):
+            words = ["".join(t) for t in itertools.product("01", repeat=q)]
+            for a, b in itertools.product(words, repeat=2):
+                if a[0] != "0":
+                    continue
+                sub = Substitution(a, b)
+                fixed = sub.iterate(5)
+                for n in range(q**4 + 4):
+                    assert sub.fixed_point_prefix(n).to01() == fixed[:n], (sub, n)
 
     @given(st.integers(min_value=1, max_value=200))
     def test_prefix_lengths_consistent(self, n):
