@@ -11,15 +11,15 @@ the bit length of the position, read off np.packbits bytes with one shift
 per bit offset, and each later level as many short ranks as fit beside
 the position, so a sort covers several doublings (5 sorts at 2^14
 letters, 8 or 9 at 2^20).  Each sort is a value sort of the key
-tagged with its position, and the last is the suffix order.  Common
-prefixes of suffix-order neighbours take one XOR per level, but only at
-the few dozen run heads of the Burrows-Wheeler transform; the rest
-follow from PLCP[i] = PLCP[i-1] - 1.  One pointer-jumping search finds the
-nearest smaller neighbours on both sides, which bound each pair
-count and each far-edge run: a few dozen rounds on fixed-point prefixes,
-but a round per step of each long rising run a periodic text has.  Each
-level costs one O(n log n) sort and O(n) uint64 memory, with no
-per-suffix Python loop.
+tagged with its position, and the last is the suffix order.  A level
+keeps only the ranks its keys pack, and common prefixes of suffix-order
+neighbours compare two keys' digits per level, but only at the few dozen
+run heads of the Burrows-Wheeler transform; the rest follow from
+PLCP[i] = PLCP[i-1] - 1.  One pointer-jumping search finds the nearest
+smaller neighbours on both sides, which bound each pair count and each
+far-edge run: a few dozen rounds on fixed-point prefixes, but a round
+per step of each long rising run a periodic text has.  A level costs one
+O(n log n) sort and 1 to 4 bytes a letter, with no per-suffix Python loop.
 extract_lines and inner_line_starts keep the walk along each diagonal as
 the reference the kernel is tested against.  Two exact reductions collapse
 the parameter space:
@@ -144,14 +144,17 @@ def _match_runs(bits: np.ndarray, d: int, span: int) -> tuple[np.ndarray, np.nda
 
 
 class _Level(NamedTuple):
-    """One prefix-doubling level: keys[i] packs `digits` ranks, `width`
+    """One prefix-doubling level: its key at i packs `digits` ranks, `width`
     bits each and the first in the highest bits, of the windows of `span`
-    letters that start at i, i + span, ... ."""
+    letters that start at i, i + span, ... .  Its keys are read back from
+    `ranks`: on level 0 the word at each byte offset of the packed letters,
+    later the level below's dense ranks in the narrowest unsigned dtype."""
 
-    keys: np.ndarray
+    ranks: np.ndarray
     span: int
     digits: int
     width: int
+    offsets: np.ndarray | None = None
 
 
 def _shift_or(high: np.ndarray, low: np.ndarray, shift: int, offset: int) -> np.ndarray:
@@ -161,18 +164,31 @@ def _shift_or(high: np.ndarray, low: np.ndarray, shift: int, offset: int) -> np.
     return out
 
 
-def _pack(ranks: np.ndarray, span: int, width: int, digits: int) -> _Level:
-    """Keys of `digits` consecutive span-letter ranks, for the levels above
-    0: shift-or doubling, and one more shift-or that appends a rank for
-    each set bit of the digit count below its top."""
-    keys, packed = ranks, 1
+def _pack(ranks: np.ndarray, span: int, width: int, digits: int) -> np.ndarray:
+    """uint64 keys of `digits` consecutive span-letter ranks, for the levels
+    above 0: shift-or doubling from a uint64 copy (numpy shifts narrow
+    arrays more slowly), and one more shift-or that appends a rank for each
+    set bit of the digit count below its top."""
+    keys, packed = ranks.astype(np.uint64), 1
     for bit in bin(digits)[3:]:
         keys = _shift_or(keys, keys, width * packed, span * packed)
         packed *= 2
         if bit == "1":
             keys = _shift_or(keys, ranks, width, span * packed)
             packed += 1
-    return _Level(keys, span, digits, width)
+    return keys
+
+
+def _letter_keys(level: _Level, at: np.ndarray) -> np.ndarray:
+    """Level 0's keys at positions `at` (any shape, none past the end), as
+    _suffix_levels builds them from the word at byte at // 8."""
+    return (level.ranks[at >> 3] << (at & 7).view(np.uint64)) >> np.uint64(64 - level.digits)
+
+
+def _digits(level: _Level, at: np.ndarray) -> np.ndarray:
+    """The digits of a later level's keys at positions `at`, along a new
+    last axis: mode "clip" reads the empty suffix's rank 0 past the end."""
+    return level.ranks.take(at[..., None] + level.offsets, mode="clip")
 
 
 def _suffix_levels(bits: np.ndarray) -> tuple[list[_Level], np.ndarray]:
@@ -201,7 +217,8 @@ def _suffix_levels(bits: np.ndarray) -> tuple[list[_Level], np.ndarray]:
     windows of each length, so the ranks are short and each sort covers
     many doublings.  Levels stop once no two sorted neighbours tie,
     because the lift in _lcp starts on a level on which none do, and that
-    level's sort is the suffix order."""
+    level's sort is the suffix order.  Keys and sort scratch are dropped
+    before the next level is packed (a 571-582 KiB peak at 2^14 letters)."""
     letters = bits.size
     shift = letters.bit_length()
     free = 64 - shift
@@ -209,40 +226,43 @@ def _suffix_levels(bits: np.ndarray) -> tuple[list[_Level], np.ndarray]:
     packed = np.zeros(letters // 8 + 8, dtype=np.uint8)
     packed[: -(-letters // 8)] = np.packbits(bits)
     # The big-endian word at every byte offset: a view with a 1-byte stride.
-    words = np.ndarray((letters // 8 + 1, 1), ">u8", packed, strides=(1, 8))
-    keys = words.astype(np.uint64) << np.arange(8, dtype=np.uint64)
+    words = np.ndarray(letters // 8 + 1, ">u8", packed, strides=(1,)).astype(np.uint64)
+    keys = (words[:, None] << np.arange(8, dtype=np.uint64)).reshape(-1)[: letters + 1]
     keys >>= np.uint64(shift)
-    span, width, digits, tagged = 1, 1, free, True
-    levels = [_Level(keys.reshape(-1)[: letters + 1], span, digits, width)]
+    levels = [_Level(words, 1, free, 1)]
+    tagged = True
     while True:
         level = levels[-1]
         if tagged:
-            ordered = level.keys << np.uint64(shift)
-            ordered |= tags
-            ordered.sort()
-            order = (ordered & np.uint64((1 << shift) - 1)).view(np.int64)
+            keys <<= np.uint64(shift)
+            keys |= tags
+            keys.sort()
+            order = (keys & np.uint64((1 << shift) - 1)).view(np.int64)
             np.subtract(letters, order, out=order)
-            ordered >>= np.uint64(shift)
+            keys >>= np.uint64(shift)
         else:
-            order = np.argsort(level.keys)
-            ordered = level.keys[order]
-        fresh = ordered[1:] != ordered[:-1]
-        if span == 1:
+            order = np.argsort(keys)
+            keys = keys[order]
+        fresh = keys[1:] != keys[:-1]
+        del keys
+        if level.span == 1:
             # A suffix shorter than one key is a class of its own.
             fresh |= order[:-1] > letters - free
         if fresh.all():
             return levels, order
-        ids = np.cumsum(fresh, dtype=np.uint64)
-        ranks = np.empty(letters + 1, dtype=np.uint64)
+        top = int(np.count_nonzero(fresh))
+        ranks = np.empty(letters + 1, dtype=np.min_scalar_type(top))
         ranks[letters] = 0  # the empty suffix, always first
-        ranks[order[1:]] = ids
-        span *= digits
-        width = int(ids[-1]).bit_length()
+        ranks[order[1:]] = np.cumsum(fresh, dtype=ranks.dtype)
+        del order, fresh
+        span = level.span * level.digits
+        width = top.bit_length()
         digits = free // width
         tagged = digits >= 3
         if not tagged:
             digits = 64 // width
-        levels.append(_pack(ranks, span, width, digits))
+        levels.append(_Level(ranks, span, digits, width, np.arange(0, digits * span, span)))
+        keys = _pack(ranks, span, width, digits)
 
 
 def _msb(values: np.ndarray) -> np.ndarray:
@@ -255,24 +275,26 @@ def _msb(values: np.ndarray) -> np.ndarray:
     return np.frexp(top.astype(np.float64))[1] - 1
 
 
-def _lcp(levels: list[_Level], i: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _lcp(levels: list[_Level], i: np.ndarray, j: np.ndarray, letters: int) -> np.ndarray:
     """Common-prefix lengths of the suffix pairs (i[t], j[t]), i[t] != j[t],
-    the empty suffix included, by lifting down the levels (plots lift only
-    BWT run heads, see _neighbour_lcp).  On each level above 0 the two keys
-    at the match so far differ, and the highest set bit of their XOR counts
-    the equal leading digits; the match never runs past the end, so no index
-    leaves the levels.  Level 0 reads 0 past the end, so where the shorter
-    suffix is a prefix of the other, its count can run past that end, by
-    up to a whole key when the XOR is 0 (whose msb is -1); elsewhere it
-    stops at the first letter that differs.  So each match is clamped to
-    the length of the shorter suffix."""
+    the empty suffix included, of a `letters`-letter text, by lifting down
+    the levels (plots lift only BWT run heads, see _neighbour_lcp).  On each
+    level above 0 the two keys at the match so far differ, and the first of
+    their digits that differs counts the equal ones.  On level 0 the highest
+    set bit of the keys' XOR counts equal letters, reading 0 past the end,
+    so where the shorter suffix is a prefix of the other, its count can run
+    past that end, by up to a whole key when the XOR is 0 (whose msb is
+    -1); elsewhere it stops at the first letter that differs.  So each
+    match is clamped to the length of the shorter suffix."""
+    pairs = np.array((i, j))
     out = np.zeros(i.size, dtype=np.int64)
-    for level in reversed(levels):
-        differ = level.keys[i + out]
-        differ ^= level.keys[j + out]
-        out += (level.digits - 1 - _msb(differ) // level.width) * np.int64(level.span)
+    for level in reversed(levels[1:]):
+        digits = _digits(level, pairs + out)
+        out += (digits[0] != digits[1]).argmax(axis=-1) * level.span
+    keys = _letter_keys(levels[0], pairs + out)
+    out += levels[0].digits - 1 - _msb(keys[0] ^ keys[1])
     shorter = np.maximum(i, j)
-    np.subtract(levels[0].keys.size - 1, shorter, out=shorter)
+    np.subtract(letters, shorter, out=shorter)
     return np.minimum(out, shorter, out=out)
 
 
@@ -289,8 +311,8 @@ def _neighbour_lcp(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     levels, order = _suffix_levels(bits)
     before = np.concatenate(([np.uint8(2)], bits))[order]
     heads = np.flatnonzero(before[1:] != before[:-1]) + 1
-    lifted = _lcp(levels, order[heads - 1], order[heads])
-    del levels  # free the keys before the fill: peak memory
+    lifted = _lcp(levels, order[heads - 1], order[heads], bits.size)
+    del levels  # free the ranks before the fill: peak memory
     reach = np.zeros(order.size, dtype=np.int64)
     reach[order[heads]] = lifted + order[heads]
     np.maximum.accumulate(reach, out=reach)
@@ -329,17 +351,20 @@ def _smaller_bounds(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     reach = np.concatenate((values, [-1], values[::-1], [-1]), dtype=np.int32)
     below = reach.copy()
     below[:count] += 1
-    # The first round compares neighbours; the -1s look for nothing.
-    passed = reach[1:] >= below[:-1]
-    passed[count] = False
-    active = np.flatnonzero(passed)
+    # Two rounds by slicing leave 5/8 to 3/4 of the indices one would, for
+    # the first gather: a plot's peak memory.  The -1s look for nothing.
+    near = reach[1:] >= below[:-1]
+    near[count] = False
+    far = near[:-1] & (reach[2:] >= below[:-2])
     target = np.arange(1, 2 * half + 1)
-    target[active] += 1
+    target[:-1] += near
+    target[:-2] += far
+    target[:-3] += far[:-1] & near[2:]
+    active = np.flatnonzero(far)
+    del near, far
     while active.size:
-        hop = target[active]
-        passed = reach[hop] >= below[active]
-        active = active[passed]
-        target[active] = target[hop[passed]]
+        active = active.compress(reach[target[active]] >= below[active])
+        target[active] = target[target[active]]
     # Index u of the reversed half holds position 2 * count - u.
     return 2 * count - target[half:-1][::-1], target[:count].copy()
 
@@ -356,7 +381,7 @@ def _pairs_by_lcp(
     right to just before the nearest value not larger."""
     index = np.arange(adjacent.size)
     pairs = np.zeros(size + 1, dtype=np.int64)
-    np.add.at(pairs, adjacent, (index - left) * (right - index))
+    np.add.at(pairs, adjacent, np.multiply(index - left, right - index, out=index))
     return pairs
 
 
@@ -379,14 +404,15 @@ def _far_edge_runs(
     prefix sums."""
     size = order.size
     # The last rank has no neighbour: -1 ends every interval there.
-    reach = np.append(adjacent, -1)
+    reach = np.concatenate((adjacent, [-1]))
     first = np.flatnonzero(adjacent == size - order[:-1])
     length = size - order[first]
     last = right[first]
     hop = np.flatnonzero(reach[last] == length)
     while hop.size:
         last[hop] = right[last[hop]]
-        hop = hop[reach[last[hop]] == length[hop]]
+        hop = hop.compress(reach[last[hop]] == length[hop])
+    del reach
     # ones[r]: ranks below r whose suffix follows a 1.
     ones = np.zeros(size + 1, dtype=np.int64)
     np.cumsum(before == 1, out=ones[1:])
@@ -476,17 +502,20 @@ def histogram(x: BitSequence, n: int, h: int, *, m: int = 1) -> LineHistogram:
     place = int(np.flatnonzero(before == 2)[0])
     left, right = _smaller_bounds(adjacent)
     pairs = _pairs_by_lcp(adjacent, left, right, size)
+    del left  # each full-length array is dropped once read: peak memory
     nbd = _far_edge_runs(order, before, adjacent, right, place)
-    # After the bound search, which sets the peak memory of smaller plots.
+    del right
     # lcp(0, d) for each d != 0 in rank order, a running minimum outwards.
-    ahead = np.minimum.accumulate(adjacent[:place][::-1])[::-1]
-    zero_runs = np.concatenate((ahead, np.minimum.accumulate(adjacent[place:])))
+    zero_runs = np.empty_like(adjacent)
+    np.minimum.accumulate(adjacent[:place][::-1], out=zero_runs[:place][::-1])
+    np.minimum.accumulate(adjacent[place:], out=zero_runs[place:])
+    kept = zero_runs < size - np.delete(order, place)
+    zero = np.bincount(zero_runs.compress(kept), minlength=size)
     runs = pairs[:-1] - pairs[1:]
-    zero = np.bincount(zero_runs[zero_runs < size - np.delete(order, place)], minlength=size)
     lengths = np.flatnonzero(runs[window:]) + window
     zero, nbd = zero[lengths], nbd[lengths]
-    buckets = 2 * np.stack([runs[lengths] - zero - nbd, zero, nbd], axis=1)
-    counts = {r - window + 1: tuple(row) for r, row in zip(lengths.tolist(), buckets.tolist())}
+    buckets = 2 * np.array([runs[lengths] - zero - nbd, zero, nbd])
+    counts = {r - window + 1: tuple(row) for r, row in zip(lengths.tolist(), buckets.T.tolist())}
     return LineHistogram(n=n, h=h, m=m, counts=counts)
 
 

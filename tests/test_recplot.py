@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -276,7 +277,7 @@ def _assert_neighbour_lcp(bits: np.ndarray) -> None:
     levels, full = recplot._suffix_levels(bits)
     order, before, common = recplot._neighbour_lcp(bits)
     assert order.tolist() == full[1:].tolist()
-    assert common.tolist() == recplot._lcp(levels, full[:-1], full[1:]).tolist()
+    assert common.tolist() == recplot._lcp(levels, full[:-1], full[1:], bits.size).tolist()
     assert before.tolist() == [int(bits[i - 1]) if i else 2 for i in order.tolist()]
 
 
@@ -285,9 +286,9 @@ def _record_lifts(monkeypatch, run) -> list[tuple[int, int]]:
     pairs = []
     lcp = recplot._lcp
 
-    def recording(levels, i, j):
+    def recording(levels, i, j, letters):
         pairs.extend(zip(i.tolist(), j.tolist()))
-        return lcp(levels, i, j)
+        return lcp(levels, i, j, letters)
 
     monkeypatch.setattr(recplot, "_lcp", recording)
     run()
@@ -333,7 +334,30 @@ def _adversarial_arrays() -> list[list[int]]:
 def _packed_letters(bits: np.ndarray) -> np.ndarray:
     # Level 0 as _pack builds it from one uint64 letter per position.
     ranks = np.append(bits.astype(np.uint64), np.uint64(0))
-    return recplot._pack(ranks, 1, 1, 64 - bits.size.bit_length()).keys
+    return recplot._pack(ranks, 1, 1, 64 - bits.size.bit_length())
+
+
+def _rebuilt_keys(level, letters: int) -> list[int]:
+    # A level's keys at every position, the empty suffix's included, from
+    # what the level keeps: level 0's packed letters, or each later level's
+    # digits packed here with Python ints.
+    at = np.arange(letters + 1)
+    if level.offsets is None:
+        return recplot._letter_keys(level, at).tolist()
+    shifts = [level.width * (level.digits - 1 - k) for k in range(level.digits)]
+    return [sum(d << s for d, s in zip(row, shifts)) for row in recplot._digits(level, at).tolist()]
+
+
+def _assert_levels_rebuild_their_keys(bits: np.ndarray) -> None:
+    # Each level above 0 keeps the ranks of the level below in the narrowest
+    # unsigned dtype, and its digits, read past the end as 0, pack to the
+    # keys _pack sorted it by, the last span included.
+    levels, _ = recplot._suffix_levels(bits)
+    for level in levels[1:]:
+        assert level.ranks.dtype == np.min_scalar_type((1 << level.width) - 1)
+        assert int(level.ranks.max()).bit_length() == level.width
+        packed = recplot._pack(level.ranks, level.span, level.width, level.digits)
+        assert _rebuilt_keys(level, bits.size) == packed.tolist()
 
 
 class TestSuffixKernel:
@@ -344,13 +368,33 @@ class TestSuffixKernel:
         for bits in texts:
             level = recplot._suffix_levels(bits)[0][0]
             assert (level.span, level.digits, level.width) == (1, 64 - bits.size.bit_length(), 1)
-            assert level.keys.tolist() == _packed_letters(bits).tolist(), bits.size
+            keys = recplot._letter_keys(level, np.arange(bits.size + 1))
+            assert keys.tolist() == _packed_letters(bits).tolist(), bits.size
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=400))
     def test_level0_keys_from_packed_bytes_on_random_texts(self, letters):
         bits = np.array(letters, dtype=np.uint8)
-        keys = recplot._suffix_levels(bits)[0][0].keys
+        level = recplot._suffix_levels(bits)[0][0]
+        keys = recplot._letter_keys(level, np.arange(bits.size + 1))
         assert keys.tolist() == _packed_letters(bits).tolist()
+
+    @pytest.mark.parametrize("text", _kernel_texts())
+    def test_levels_rebuild_their_keys(self, text):
+        _assert_levels_rebuild_their_keys(BitSequence.from_text(text).bits)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.text("01", min_size=1, max_size=400),
+            st.builds(
+                lambda word, size: (word * size)[:size],
+                st.text("01", min_size=1, max_size=9),
+                st.integers(1, 400),
+            ),
+        )
+    )
+    def test_levels_rebuild_their_keys_on_random_and_periodic_texts(self, text):
+        _assert_levels_rebuild_their_keys(BitSequence.from_text(text).bits)
 
     @pytest.mark.parametrize("sub", [TM, PD, Substitution("01110", "01010")], ids=str)
     def test_plot_takes_five_sorts(self, sub):
@@ -365,7 +409,7 @@ class TestSuffixKernel:
         levels, order = recplot._suffix_levels(BitSequence.from_text(text).bits)
         expected = sorted(range(len(text) + 1), key=lambda i: text[i:])
         assert order.tolist() == expected
-        top = levels[-1].keys
+        top = np.array(_rebuilt_keys(levels[-1], len(text)), dtype=np.uint64)
         if len(levels) > 1:
             assert np.unique(top).size == len(text) + 1
         else:
@@ -458,7 +502,7 @@ class TestSuffixKernel:
         # Every pair of positions, the empty suffix at len(text) included.
         levels, _ = recplot._suffix_levels(BitSequence.from_text(text).bits)
         i, j = np.triu_indices(len(text) + 1, 1)
-        assert recplot._lcp(levels, i, j).tolist() == [
+        assert recplot._lcp(levels, i, j, len(text)).tolist() == [
             _common_prefix(text[a:], text[b:]) for a, b in zip(i, j)
         ]
 
@@ -550,7 +594,7 @@ class TestSuffixKernel:
         # Sampled neighbours in suffix order, against direct slicing.
         text = bits.tobytes()
         ranks = rng.choice(bits.size, 10_000, replace=False)
-        common = recplot._lcp(levels, order[ranks], order[ranks + 1])
+        common = recplot._lcp(levels, order[ranks], order[ranks + 1], bits.size)
         for p, q, shared in zip(order[ranks].tolist(), order[ranks + 1].tolist(), common.tolist()):
             assert text[p:] < text[q:]
             assert text[p : p + shared] == text[q : q + shared]
@@ -567,6 +611,48 @@ class TestSuffixKernel:
         values += [(1 << k) - 1 for k in range(54, 65)] + [(1 << 63) + 1, (1 << 64) - 1]
         got = recplot._msb(np.array(values, dtype=np.uint64))
         assert got.tolist() == [v.bit_length() - 1 for v in values]
+
+
+def _traced_peak(run) -> int:
+    # Bytes live at the peak of run(), over those live before it: numpy's
+    # data allocations are traced, so the figure repeats exactly.
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+# Bounds on the traced peaks, in KiB, of histogram(x, n, 1) and of
+# _suffix_levels alone, about 8% over the highest of TM, PD and q5.  At
+# 2^14 letters they were 1,042 and 571-582 KiB; keeping every level's
+# uint64 keys took 1,429 KiB for both, the earlier bound search took the
+# plot to 1,218 KiB, and one gather-free round instead of two to 1,138-1,145.
+# At 2^20 they were 65.0-74.6 and 50.1-54.1 MiB, against 113-121 MiB for
+# both with the keys kept.
+PEAK_BOUNDS_KIB = {14: (1125, 630), 20: (82_000, 60_000)}
+
+
+class TestPeakMemory:
+    @staticmethod
+    def _check(sub, exponent):
+        n = 1 << exponent
+        x = sub.fixed_point_prefix(n)
+        plot, levels = PEAK_BOUNDS_KIB[exponent]
+        assert _traced_peak(lambda: histogram(x, n, 1)) <= plot * 1024
+        assert _traced_peak(lambda: recplot._suffix_levels(x.bits)) <= levels * 1024
+
+    @pytest.mark.parametrize("sub", [TM, PD, Substitution("01110", "01010")], ids=str)
+    def test_plot_peak_at_two_to_the_fourteen(self, sub):
+        self._check(sub, 14)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("sub", [TM, PD, Substitution("01110", "01010")], ids=str)
+    def test_plot_peak_at_two_to_the_twenty(self, sub):
+        self._check(sub, 20)
 
 
 # -- reductions --------------------------------------------------------------
