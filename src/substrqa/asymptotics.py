@@ -7,7 +7,10 @@ arithmetico-geometric series with ratio 1/q^2.  Two independent routes are
 implemented: term-grouped tail summation (the reference), and closed
 forms driven by cumulative tables over the base lengths; the closed-form
 route recomputes the reference on every call and refuses to answer if the
-two disagree.
+two disagree.  Both sum in the number format of the density table: the
+base densities become integer numerators over D, the lcm of their
+denominators, each tail sum is one integer over D times a power of q, and
+one Fraction is built per sum.  The entropy stays a float.
 
 Degenerate substitutions short-circuit: when some image is constant the
 limit plot is dominated by an unbounded solid block, and when the fixed
@@ -17,7 +20,6 @@ rate, determinism and correlation sum 1 with infinite average line length.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,46 +103,51 @@ def _family_first_step(base: int, c: Fraction, q: int, lprime: int) -> int:
     return k
 
 
+def _numerators(table: DensityTable) -> tuple[int, dict[int, int]]:
+    # The base densities as integer numerators over D, their lcm denominator.
+    D = math.lcm(*(d.denominator for d in table.base.values()))
+    return D, {l: d.numerator * (D // d.denominator) for l, d in table.base.items()}
+
+
 def _tail_sums(table: DensityTable, lprime: int) -> tuple[Fraction, Fraction, float]:
     """(sum of dens, sum of length*dens, -sum of dens*log dens) over all
-    lengths >= lprime with positive start-pair density."""
+    lengths >= lprime with positive start-pair density.
+
+    s0 and s1 are integer numerators over D*unit, unit = cd*q^(2K)*(q^2 - 1),
+    with D from _numerators, c = cn/cd and K the largest first step of a
+    family.  The entropy's tail factors are integer true divisions, which
+    round exactly as float(Fraction) does.
+    """
     constants = table.constants
-    q = constants.q
-    c = constants.c
-    x = Fraction(1, q * q)
-    s0 = Fraction(0)
-    s1 = Fraction(0)
-    neg_slog = 0.0
+    q, qq = constants.q, constants.q**2
+    cn, cd = constants.c.numerator, constants.c.denominator
+    D, nums = _numerators(table)
+    families = [base for base in range(constants.R0, constants.R) if nums[base]]
+    steps = {base: _family_first_step(base, constants.c, q, lprime) for base in families}
+    K = max(steps.values(), default=0)
+    unit = cd * q ** (2 * K) * (qq - 1)
+    s0, s1, neg_slog = 0, 0, 0.0
     for lone in range(lprime, constants.R0):
-        d = table.base[lone]
-        if d:
-            s0 += d
-            s1 += lone * d
+        if nums[lone]:
+            s0 += nums[lone] * unit
+            s1 += lone * nums[lone] * unit
+            d = table.base[lone]
             neg_slog -= float(d) * _log_fraction(d)
-    for base in range(constants.R0, constants.R):
+    for base, k0 in steps.items():
+        # d * x^k0 / (1 - x) with x = 1/q^2 is nums[base] * cd * tail over D*unit.
+        tail = q ** (2 * (K - k0 + 1))
+        s0 += nums[base] * cd * tail
+        s1 += nums[base] * ((base * cd + cn) * (q + 1) * q ** (2 * K - k0 + 1) - cn * tail)
+        step = q ** (2 * k0) * (qq - 1)
         d = table.base[base]
-        if not d:
-            continue
-        k0 = _family_first_step(base, c, q, lprime)
-        tail = x**k0 / (1 - x)
-        tail_weighted = (k0 * x**k0 - (k0 - 1) * x ** (k0 + 1)) / (1 - x) ** 2
-        s0 += d * tail
-        s1 += d * ((base + c) * Fraction(1, q) ** k0 * Fraction(q, q - 1) - c * tail)
         neg_slog -= float(d) * (
-            _log_fraction(d) * float(tail) - 2.0 * math.log(q) * float(tail_weighted)
+            _log_fraction(d) * (qq / step)
+            - 2.0 * math.log(q) * ((k0 * qq - k0 + 1) * qq / (step * (qq - 1)))
         )
-    return s0, s1, neg_slog
+    return Fraction(s0, D * unit), Fraction(s1, D * unit), neg_slog
 
 
-def _assemble(
-    table: DensityTable,
-    m: int,
-    lmin: int,
-    h: int,
-    tails,
-    linedens: Fraction,
-    note: str | None = None,
-) -> AsymptoticQuantifiers:
+def _assemble(m: int, lmin: int, h: int, tails, linedens: Fraction) -> AsymptoticQuantifiers:
     offset = m + h - 2
     lprime = lmin + offset
     s0, s1, neg_slog = tails(lprime)
@@ -165,7 +172,6 @@ def _assemble(
         Lavg=rr / s0,
         C=rr - (lmin - 1) * s0,
         ENT=_log_fraction(s0) + neg_slog / float(s0),
-        note=note,
     )
 
 
@@ -175,14 +181,12 @@ def quantifiers_via_sums(
     """Reference evaluation by exact tail summation.
 
     The exact-length density is taken as a difference of adjacent tails, so
-    this route never consults the scaling decomposition directly.  Each
-    distinct tail is summed once per call.
+    this route never consults the scaling decomposition directly.
     """
     _validate_inputs(m, lmin, h)
     lprime = lmin + m + h - 2
-    tails = functools.cache(lambda lp: _tail_sums(table, lp))
-    linedens = tails(lprime)[0] - tails(lprime + 1)[0]
-    return _assemble(table, m, lmin, h, tails, linedens)
+    linedens = _tail_sums(table, lprime)[0] - _tail_sums(table, lprime + 1)[0]
+    return _assemble(m, lmin, h, lambda lp: _tail_sums(table, lp), linedens)
 
 
 # -- second route: cumulative base tables ------------------------------------
@@ -205,64 +209,63 @@ class NuTables:
 
 
 def nu_tables(table: DensityTable) -> NuTables:
+    """The cumulative tables, summed as integer prefix sums over D (see
+    _numerators) and handed out as Fractions."""
     constants = table.constants
-    nu_n: dict[int, Fraction] = {}
-    nu_rr: dict[int, Fraction] = {}
+    D, nums = _numerators(table)
+    nu_n: dict[int, int] = {}
+    nu_rr: dict[int, int] = {}
     nu_ent: dict[int, float] = {}
-    acc_n, acc_rr, acc_ent = Fraction(0), Fraction(0), 0.0
+    acc_n, acc_rr, acc_ent = 0, 0, 0.0
     for l in range(constants.R0, constants.R + 1):
         nu_n[l], nu_rr[l], nu_ent[l] = acc_n, acc_rr, acc_ent
-        if l < constants.R:
+        if l < constants.R and nums[l]:
+            acc_n += nums[l]
+            acc_rr += l * nums[l]
             d = table.base[l]
-            acc_n += d
-            acc_rr += l * d
-            if d:
-                acc_ent -= float(d) * _log_fraction(d)
-    total_n, total_rr, total_ent = nu_n[constants.R], nu_rr[constants.R], nu_ent[constants.R]
+            acc_ent -= float(d) * _log_fraction(d)
     return NuTables(
         R0=constants.R0,
         R=constants.R,
-        nu_N=nu_n,
-        nu_RR=nu_rr,
+        nu_N={l: Fraction(v, D) for l, v in nu_n.items()},
+        nu_RR={l: Fraction(v, D) for l, v in nu_rr.items()},
         nu_ENT=nu_ent,
-        tilde_N={l: total_n - v for l, v in nu_n.items()},
-        tilde_RR={l: total_rr - v for l, v in nu_rr.items()},
-        tilde_ENT={l: total_ent - v for l, v in nu_ent.items()},
+        tilde_N={l: Fraction(acc_n - v, D) for l, v in nu_n.items()},
+        tilde_RR={l: Fraction(acc_rr - v, D) for l, v in nu_rr.items()},
+        tilde_ENT={l: acc_ent - v for l, v in nu_ent.items()},
     )
 
 
 def _closed_tail(
     table: DensityTable, nut: NuTables, lprime: int
 ) -> tuple[Fraction, Fraction, float]:
+    # s0 and s1 are integer numerators over D*unit, unit = cd*q^(2j)*(q^2 - 1);
+    # the table entries at l0 are read back as numerators over D.
     constants = table.constants
-    q = constants.q
-    c = constants.c
-    if lprime < constants.R0:
-        # Peel lone lengths one at a time below the closed-form floor.
-        s0, s1, neg_slog = _closed_tail(table, nut, constants.R0)
-        for lone in range(lprime, constants.R0):
-            d = table.base[lone]
-            if d:
-                s0 += d
-                s1 += lone * d
-                neg_slog -= float(d) * _log_fraction(d)
-        return s0, s1, neg_slog
-    j, l0 = closed_form_indices(constants, lprime)
-    qq = q * q
-    scale2 = q ** (2 * j) * (qq - 1)
-    nu_n, tilde_n = nut.nu_N[l0], nut.tilde_N[l0]
-    s0 = (nu_n + qq * tilde_n) / scale2
-    s1 = (
-        (nut.nu_RR[l0] + c * nu_n) + q * (nut.tilde_RR[l0] + c * tilde_n)
-    ) / (q**j * (q - 1)) - c * s0
-    neg_slog = (
-        2.0
-        * math.log(q)
-        / float(q ** (2 * j) * (qq - 1) ** 2)
-        * float(((j + 1) * qq - j) * nu_n + qq * (j * qq - j + 1) * tilde_n)
-        + (nut.nu_ENT[l0] + qq * nut.tilde_ENT[l0]) / scale2
+    q, qq = constants.q, constants.q**2
+    cn, cd = constants.c.numerator, constants.c.denominator
+    D, nums = _numerators(table)
+    # Below the closed-form floor R0, lone lengths are peeled one at a time.
+    j, l0 = closed_form_indices(constants, max(lprime, constants.R0))
+    nu_n, tilde_n, nu_rr, tilde_rr = (
+        f[l0].numerator * (D // f[l0].denominator)
+        for f in (nut.nu_N, nut.tilde_N, nut.nu_RR, nut.tilde_RR)
     )
-    return s0, s1, neg_slog
+    scale2 = q ** (2 * j) * (qq - 1)
+    unit = cd * scale2
+    s0 = cd * (nu_n + qq * tilde_n)
+    s1 = (cd * nu_rr + cn * nu_n + q * (cd * tilde_rr + cn * tilde_n)) * q**j * (q + 1)
+    s1 -= cn * (nu_n + qq * tilde_n)
+    neg_slog = 2.0 * math.log(q) / float(scale2 * (qq - 1)) * (
+        (((j + 1) * qq - j) * nu_n + qq * (j * qq - j + 1) * tilde_n) / D
+    ) + (nut.nu_ENT[l0] + qq * nut.tilde_ENT[l0]) / scale2
+    for lone in range(lprime, constants.R0):
+        if nums[lone]:
+            s0 += nums[lone] * unit
+            s1 += lone * nums[lone] * unit
+            d = table.base[lone]
+            neg_slog -= float(d) * _log_fraction(d)
+    return Fraction(s0, D * unit), Fraction(s1, D * unit), neg_slog
 
 
 def closed_form(
@@ -270,21 +273,16 @@ def closed_form(
 ) -> AsymptoticQuantifiers:
     """Closed-form evaluation via the cumulative tables, cross-checked.
 
-    Every call recomputes the reference tail sums and demands exact
-    rational agreement (1e-9 for the entropy); disagreement raises
-    DiscrepancyError rather than returning either value.
+    The tails scale the tables' integer numerators over D by powers of q,
+    and add the lone lengths below R0 one at a time.  Every call recomputes
+    the reference tail sums and demands exact rational agreement (1e-9 for
+    the entropy); disagreement raises DiscrepancyError rather than
+    returning either value.
     """
     _validate_inputs(m, lmin, h)
     nut = nu_tables(table)
     lprime = lmin + m + h - 2
-    result = _assemble(
-        table,
-        m,
-        lmin,
-        h,
-        lambda lp: _closed_tail(table, nut, lp),
-        dens_K(table, lprime),
-    )
+    result = _assemble(m, lmin, h, lambda lp: _closed_tail(table, nut, lp), dens_K(table, lprime))
     reference = quantifiers_via_sums(table, m, lmin, h)
     for field in ("linedens", "lineDens", "RR", "RR1", "DET", "Lavg", "C"):
         mine, ref = getattr(result, field), getattr(reference, field)
@@ -394,17 +392,14 @@ def determinism_limit_scan(
     """Exact determinism at thresholds 2^-h for each h in h_range.
 
     Degenerate substitutions scan constantly at 1; primitive aperiodic ones
-    approach 1 with dips wherever the density support has gaps.
+    approach 1 with dips wherever the density support has gaps.  Every row
+    checks m, lmin and h as the single-point evaluations do.
     """
     cls = sub.classify()
+    aperiodic = cls.kind is SubshiftKind.PRIMITIVE_APERIODIC
+    table = reconstruct_base(cls.normalized) if aperiodic else None
     rows: list[tuple[int, Fraction]] = []
-    if cls.kind is SubshiftKind.PRIMITIVE_APERIODIC:
-        table = reconstruct_base(cls.normalized)
-        for h in h_range:
-            rows.append((h, quantifiers_via_sums(table, m, lmin, h).DET))
-    else:
-        for h in h_range:
-            if h < 1:
-                raise DomainError(f"thresholds need h >= 1, got {h}")
-            rows.append((h, Fraction(1)))
+    for h in h_range:
+        _validate_inputs(m, lmin, h)
+        rows.append((h, quantifiers_via_sums(table, m, lmin, h).DET if aperiodic else Fraction(1)))
     return rows

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -6,6 +7,8 @@ import pytest
 from substrqa import DiscrepancyError, DomainError, Substitution
 from substrqa.asymptotics import (
     AsymptoticQuantifiers,
+    _family_first_step,
+    _tail_sums,
     asymptotic_quantifiers,
     closed_form,
     determinism_limit_scan,
@@ -17,7 +20,8 @@ from substrqa.asymptotics import (
 )
 from substrqa.densities import reconstruct_base
 from substrqa.recplot import histogram
-from substrqa.rqa import RQAReport, measures_from_histogram
+from substrqa.rqa import RQAReport, _log_fraction, measures_from_histogram
+from test_densities import _normalized_forms
 
 TM = Substitution("01", "10")
 PD = Substitution("01", "00")
@@ -27,6 +31,48 @@ GOLDEN = [TM, PD, Q5]
 
 def table_of(sub):
     return reconstruct_base(sub)
+
+
+def _fraction_tail_sums(table, lprime):
+    # Reference: the tail sums in plain Fractions, one gcd per addition,
+    # that the integer numerators over one denominator replaced.
+    constants = table.constants
+    q = constants.q
+    c = constants.c
+    x = Fraction(1, q * q)
+    s0 = Fraction(0)
+    s1 = Fraction(0)
+    neg_slog = 0.0
+    for lone in range(lprime, constants.R0):
+        d = table.base[lone]
+        if d:
+            s0 += d
+            s1 += lone * d
+            neg_slog -= float(d) * _log_fraction(d)
+    for base in range(constants.R0, constants.R):
+        d = table.base[base]
+        if not d:
+            continue
+        k0 = _family_first_step(base, c, q, lprime)
+        tail = x**k0 / (1 - x)
+        tail_weighted = (k0 * x**k0 - (k0 - 1) * x ** (k0 + 1)) / (1 - x) ** 2
+        s0 += d * tail
+        s1 += d * ((base + c) * Fraction(1, q) ** k0 * Fraction(q, q - 1) - c * tail)
+        neg_slog -= float(d) * (
+            _log_fraction(d) * float(tail) - 2.0 * math.log(q) * float(tail_weighted)
+        )
+    return s0, s1, neg_slog
+
+
+def _assert_tails_match_fractions(sub):
+    t = table_of(sub)
+    for lprime in range(1, t.constants.R + 12):
+        s0, s1, neg_slog = _tail_sums(t, lprime)
+        r0, r1, ref_slog = _fraction_tail_sums(t, lprime)
+        assert (s0, s1) == (r0, r1), (sub, lprime)
+        assert type(s0) is type(s1) is Fraction
+        # The same float, not a close one: the entropy's bytes are pinned.
+        assert neg_slog == ref_slog, (sub, lprime)
 
 
 class TestAnchors:
@@ -128,6 +174,42 @@ class TestClosedForm:
                 assert a.Lavg >= a.lmin
 
 
+class TestIntegerTailSums:
+    def test_match_fractions_on_every_form_up_to_q4(self):
+        forms = _normalized_forms((2, 3, 4))
+        assert len(forms) == 194
+        for sub in forms:
+            _assert_tails_match_fractions(sub)
+
+    @pytest.mark.parametrize("spec", ["10001,00011", "11100,01110", "11111,01100"])
+    def test_match_fractions_on_q25_squares(self, spec):
+        sub = Substitution.parse(spec).classify().normalized
+        assert sub.q == 25
+        _assert_tails_match_fractions(sub)
+
+    @pytest.mark.slow
+    def test_match_fractions_on_every_form_with_q5(self):
+        forms = _normalized_forms((5,))
+        assert len(forms) == 703
+        for sub in forms:
+            _assert_tails_match_fractions(sub)
+
+    @pytest.mark.slow
+    def test_grid_output_bytes_are_pinned(self):
+        # One digest over the reprs of closed_form on the grid and of the
+        # DET scan, for every form with q <= 4; it pins the ENT floats,
+        # which the routes' cross-check compares only to 1e-9.
+        digest = hashlib.sha256()
+        for sub in _normalized_forms((2, 3, 4)):
+            t = table_of(sub)
+            for lmin in range(1, 7):
+                for m in (1, 2):
+                    for h in range(1, 4):
+                        digest.update(repr(closed_form(t, m, lmin, h)).encode())
+            digest.update(repr(determinism_limit_scan(sub, 1, 3, range(1, 25))).encode())
+        assert digest.hexdigest()[:16] == "878009aa18dcd917"
+
+
 class TestNuTables:
     @pytest.mark.parametrize("sub", GOLDEN, ids=str)
     def test_boundary_and_monotonicity(self, sub):
@@ -215,6 +297,20 @@ class TestScan:
         for text in ("010,111", "00,11", "010,101"):
             rows = determinism_limit_scan(Substitution.parse(text), 1, 2, range(1, 9))
             assert [v for _, v in rows] == [1] * 8
+
+    @pytest.mark.parametrize("text", ["01,11", "010,101"])
+    def test_degenerate_scans_check_inputs(self, text):
+        # A nonprimitive and a periodic form: the same DomainError as the
+        # single-point evaluation and the aperiodic scan.
+        sub = Substitution.parse(text)
+        with pytest.raises(DomainError):
+            asymptotic_quantifiers(sub, 0, -1)
+        with pytest.raises(DomainError):
+            determinism_limit_scan(sub, 0, -1, range(1, 4))
+        with pytest.raises(DomainError):
+            determinism_limit_scan(sub, 1, 0, range(1, 4))
+        with pytest.raises(DomainError):
+            determinism_limit_scan(sub, 1, 2, range(0, 4))
 
     def test_empty_range(self):
         assert determinism_limit_scan(TM, 1, 2, range(0)) == []
