@@ -8,9 +8,9 @@ implemented: term-grouped tail summation (the reference), and closed
 forms driven by cumulative tables over the base lengths; the closed-form
 route recomputes the reference on every call and refuses to answer if the
 two disagree.  Both sum in the number format of the density table: the
-base densities become integer numerators over D, the lcm of their
-denominators, each tail sum is one integer over D times a power of q, and
-one Fraction is built per sum.  The entropy stays a float.
+base densities as integer numerators over D, the lcm of their denominators,
+built once per table; each tail sum is one integer over D times a power of
+q, and one Fraction is built per sum.  The entropy stays a float.
 
 Degenerate substitutions short-circuit: when some image is constant the
 limit plot is dominated by an unbounded solid block, and when the fixed
@@ -103,25 +103,19 @@ def _family_first_step(base: int, c: Fraction, q: int, lprime: int) -> int:
     return k
 
 
-def _numerators(table: DensityTable) -> tuple[int, dict[int, int]]:
-    # The base densities as integer numerators over D, their lcm denominator.
-    D = math.lcm(*(d.denominator for d in table.base.values()))
-    return D, {l: d.numerator * (D // d.denominator) for l, d in table.base.items()}
-
-
 def _tail_sums(table: DensityTable, lprime: int) -> tuple[Fraction, Fraction, float]:
     """(sum of dens, sum of length*dens, -sum of dens*log dens) over all
     lengths >= lprime with positive start-pair density.
 
     s0 and s1 are integer numerators over D*unit, unit = cd*q^(2K)*(q^2 - 1),
-    with D from _numerators, c = cn/cd and K the largest first step of a
-    family.  The entropy's tail factors are integer true divisions, which
-    round exactly as float(Fraction) does.
+    with D from DensityTable._integer_terms (built once per table), c = cn/cd
+    and K the largest first step of a family.  The entropy's tail factors
+    are integer true divisions, which round exactly as float(Fraction) does.
     """
     constants = table.constants
     q, qq = constants.q, constants.q**2
     cn, cd = constants.c.numerator, constants.c.denominator
-    D, nums = _numerators(table)
+    D, nums, floats = table._integer_terms
     families = [base for base in range(constants.R0, constants.R) if nums[base]]
     steps = {base: _family_first_step(base, constants.c, q, lprime) for base in families}
     K = max(steps.values(), default=0)
@@ -131,17 +125,17 @@ def _tail_sums(table: DensityTable, lprime: int) -> tuple[Fraction, Fraction, fl
         if nums[lone]:
             s0 += nums[lone] * unit
             s1 += lone * nums[lone] * unit
-            d = table.base[lone]
-            neg_slog -= float(d) * _log_fraction(d)
+            fd, log_d = floats[lone]
+            neg_slog -= fd * log_d
     for base, k0 in steps.items():
         # d * x^k0 / (1 - x) with x = 1/q^2 is nums[base] * cd * tail over D*unit.
         tail = q ** (2 * (K - k0 + 1))
         s0 += nums[base] * cd * tail
         s1 += nums[base] * ((base * cd + cn) * (q + 1) * q ** (2 * K - k0 + 1) - cn * tail)
         step = q ** (2 * k0) * (qq - 1)
-        d = table.base[base]
-        neg_slog -= float(d) * (
-            _log_fraction(d) * (qq / step)
+        fd, log_d = floats[base]
+        neg_slog -= fd * (
+            log_d * (qq / step)
             - 2.0 * math.log(q) * ((k0 * qq - k0 + 1) * qq / (step * (qq - 1)))
         )
     return Fraction(s0, D * unit), Fraction(s1, D * unit), neg_slog
@@ -210,9 +204,9 @@ class NuTables:
 
 def nu_tables(table: DensityTable) -> NuTables:
     """The cumulative tables, summed as integer prefix sums over D (see
-    _numerators) and handed out as Fractions."""
+    DensityTable._integer_terms) and handed out as Fractions."""
     constants = table.constants
-    D, nums = _numerators(table)
+    D, nums, floats = table._integer_terms
     nu_n: dict[int, int] = {}
     nu_rr: dict[int, int] = {}
     nu_ent: dict[int, float] = {}
@@ -222,8 +216,8 @@ def nu_tables(table: DensityTable) -> NuTables:
         if l < constants.R and nums[l]:
             acc_n += nums[l]
             acc_rr += l * nums[l]
-            d = table.base[l]
-            acc_ent -= float(d) * _log_fraction(d)
+            fd, log_d = floats[l]
+            acc_ent -= fd * log_d
     return NuTables(
         R0=constants.R0,
         R=constants.R,
@@ -244,7 +238,7 @@ def _closed_tail(
     constants = table.constants
     q, qq = constants.q, constants.q**2
     cn, cd = constants.c.numerator, constants.c.denominator
-    D, nums = _numerators(table)
+    D, nums, floats = table._integer_terms
     # Below the closed-form floor R0, lone lengths are peeled one at a time.
     j, l0 = closed_form_indices(constants, max(lprime, constants.R0))
     nu_n, tilde_n, nu_rr, tilde_rr = (
@@ -263,8 +257,8 @@ def _closed_tail(
         if nums[lone]:
             s0 += nums[lone] * unit
             s1 += lone * nums[lone] * unit
-            d = table.base[lone]
-            neg_slog -= float(d) * _log_fraction(d)
+            fd, log_d = floats[lone]
+            neg_slog -= fd * log_d
     return Fraction(s0, D * unit), Fraction(s1, D * unit), neg_slog
 
 

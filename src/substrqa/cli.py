@@ -22,6 +22,7 @@ from pathlib import Path
 
 import click
 
+# Eager on purpose: a tracer installed after `import substrqa.cli` patches only loaded layers.
 from .asymptotics import asymptotic_quantifiers, closed_form, quantifiers_via_sums
 from .densities import (
     dens_K,

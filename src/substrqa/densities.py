@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DiscrepancyError, DomainError, ReconstructionError
 from .recognizability import (
@@ -47,6 +47,7 @@ from .recognizability import (
     require_normalized_aperiodic,
 )
 from .recplot import inner_line_counts
+from .rqa import _log_fraction
 from .substitution import BitSequence, Substitution
 
 __all__ = [
@@ -198,6 +199,17 @@ class DensityTable:
     constants: RecogConstants
     base: dict[int, Fraction]
     evidence: dict[int, BaseEvidence]
+
+    @cached_property
+    def _integer_terms(self) -> tuple[int, dict[int, int], dict[int, tuple[float, float]]]:
+        """(D, numerators, floats): D is the lcm of the base densities'
+        denominators, numerators[l] is base[l] * D, and floats[l] holds
+        float(d) and log d for each positive d = base[l].  The limit sums
+        read them on every call; they are built once per table."""
+        D = math.lcm(*(d.denominator for d in self.base.values()))
+        numerators = {l: d.numerator * (D // d.denominator) for l, d in self.base.items()}
+        floats = {l: (float(d), _log_fraction(d)) for l, d in self.base.items() if d}
+        return D, numerators, floats
 
 
 def _check_shift_invariance(sub: Substitution, length: int) -> None:

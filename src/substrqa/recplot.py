@@ -543,7 +543,11 @@ def reduce_embedding(m: int, eps):
     """Threshold seen by the raw sequence in place of its m-letter embedding."""
     if m < 1:
         raise DomainError(f"embedding dimension m must be >= 1, got {m}")
-    if not 0 < eps < 1:
+    try:
+        inside = 0 < eps < 1
+    except TypeError as exc:
+        raise DomainError(f"threshold must be a number, got {eps!r}") from exc
+    if not inside:
         raise DomainError(f"threshold must lie strictly between 0 and 1, got {eps!r}")
     return eps / (1 << (m - 1))
 

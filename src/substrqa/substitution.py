@@ -42,9 +42,19 @@ class BitSequence:
     __slots__ = ("bits",)
 
     def __init__(self, bits) -> None:
-        arr = np.array(bits, dtype=np.uint8, copy=True)
-        if arr.ndim != 1:
+        try:
+            raw = np.asarray(bits)
+        except (TypeError, ValueError) as exc:
+            raise ParseError("bit sequence must be one-dimensional") from exc
+        if raw.ndim != 1:
             raise ParseError("bit sequence must be one-dimensional")
+        # Other dtypes are checked before the cast, which would wrap -1 and
+        # 256 and truncate 0.7; a uint8 array is checked once, after it.
+        if raw.dtype != np.uint8 and (
+            raw.dtype.kind not in "biuf" or not ((raw == 0) | (raw == 1)).all()
+        ):
+            raise ParseError("bit sequence entries must be 0 or 1")
+        arr = raw.astype(np.uint8)
         if arr.size and int(arr.max()) > 1:
             raise ParseError("bit sequence entries must be 0 or 1")
         arr.setflags(write=False)
@@ -168,8 +178,8 @@ class Substitution:
         for letter, img in enumerate((self.image0, self.image1)):
             if not isinstance(img, str) or not img:
                 raise ParseError(f"image of {letter} must be a nonempty string")
-            bad = set(img) - set(ALPHABET)
-            if bad:
+            if img.strip(ALPHABET):
+                bad = set(img) - set(ALPHABET)
                 raise ParseError(f"image of {letter} contains {sorted(bad)!r}; only 0 and 1 are allowed")
         if len(self.image0) != len(self.image1):
             raise ParseError(
@@ -220,8 +230,8 @@ class Substitution:
     # -- word actions -------------------------------------------------------
 
     def apply(self, word: str) -> str:
-        bad = set(word) - set(ALPHABET)
-        if bad:
+        if word.strip(ALPHABET):
+            bad = set(word) - set(ALPHABET)
             raise ParseError(f"word contains {sorted(bad)!r}; only 0 and 1 are allowed")
         return word.translate(str.maketrans({"0": self.image0, "1": self.image1}))
 
@@ -256,9 +266,11 @@ class Substitution:
         return np.array([[a, b], [self.q - a, self.q - b]], dtype=np.int64)
 
     def is_primitive(self) -> bool:
-        # For 2x2 nonnegative matrices, primitivity shows up by the square.
-        m = self.composition_matrix()
-        return bool((m @ m > 0).all())
+        # For 2x2 nonnegative matrices, primitivity shows up by the square,
+        # here of [[a, b], [c, d]] = composition_matrix() in plain integers.
+        a, b = self.zero_counts()
+        c, d = self.q - a, self.q - b
+        return min(a * a + b * c, (a + d) * b, (a + d) * c, b * c + d * d) > 0
 
     def normalize(self) -> tuple["Substitution", Normalization]:
         """Equivalent substitution whose image of 0 starts with 0.

@@ -1,0 +1,87 @@
+"""The package namespace is lazy: a name loads its module on first use.
+
+Each check runs in a fresh interpreter, because the test session itself
+has long since imported every module.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import substrqa
+
+ENV = {**os.environ, "PYTHONPATH": str(Path(substrqa.__file__).parents[1])}
+LAYERS = ("asymptotics", "densities", "errors", "recognizability", "recplot", "rqa", "substitution")
+
+
+def _run(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args], env=ENV, capture_output=True, text=True, timeout=120
+    )
+
+
+def _check(code: str) -> None:
+    proc = _run("-c", "import sys\nimport substrqa\n" + code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_no_submodule_and_no_numpy():
+    _check(
+        "loaded = [m for m in sys.modules if m.startswith('substrqa.') or m == 'numpy']\n"
+        "assert not loaded, loaded\n"
+    )
+
+
+def test_a_name_loads_only_its_module_and_what_that_imports():
+    _check(
+        "substrqa.histogram\n"
+        "assert 'substrqa.recplot' in sys.modules\n"
+        "for name in ('densities', 'asymptotics', 'recognizability'):\n"
+        "    assert 'substrqa.' + name not in sys.modules, name\n"
+    )
+
+
+def test_every_exported_name_is_its_modules_object():
+    _check(
+        "import importlib\n"
+        f"layers = {LAYERS!r}\n"
+        "for layer in layers:\n"
+        "    module = importlib.import_module('substrqa.' + layer)\n"
+        "    assert getattr(substrqa, layer) is module\n"
+        "    for name in getattr(module, '__all__', ()):\n"
+        "        assert substrqa._OWNER[name] == layer, name\n"
+        "for name in substrqa.__all__:\n"
+        "    module = sys.modules['substrqa.' + substrqa._OWNER[name]]\n"
+        "    assert getattr(substrqa, name) is getattr(module, name), name\n"
+        "assert set(substrqa.__all__) <= set(dir(substrqa))\n"
+        "assert set(layers) <= set(dir(substrqa))\n"
+    )
+
+
+def test_star_import_binds_every_exported_name():
+    _check(
+        "scope = {}\n"
+        "exec('from substrqa import *', scope)\n"
+        "missing = [name for name in substrqa.__all__ if name not in scope]\n"
+        "assert not missing, missing\n"
+    )
+
+
+def test_unknown_name_raises_attribute_error():
+    _check(
+        "try:\n"
+        "    substrqa.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert 'no_such_name' in str(exc)\n"
+        "else:\n"
+        "    raise SystemExit('no AttributeError')\n"
+        "assert not hasattr(substrqa, 'cli_main')\n"
+    )
+
+
+def test_cli_runs_clean_with_warnings_as_errors():
+    proc = _run("-W", "error", "-m", "substrqa.cli", "classify", "01,10")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout

@@ -902,3 +902,10 @@ class TestParams:
         hist = histogram(EXAMPLE, 6, 1)
         assert isinstance(hist, LineHistogram)
         assert isinstance(extract_lines(EXAMPLE, 6, 1)[0], LineTriple)
+
+
+class TestThresholdTypes:
+    @pytest.mark.parametrize("eps", ["x", None, [0.5]])
+    def test_reduce_embedding_rejects_non_numbers(self, eps):
+        with pytest.raises(DomainError, match="threshold must be a number"):
+            reduce_embedding(1, eps)

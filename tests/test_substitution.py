@@ -280,3 +280,52 @@ class TestBitSequence:
             window_classes(bits, 0)
         with pytest.raises(DomainError):
             window_classes(bits, 101)
+
+
+class TestPlainIntegerChecks:
+    def test_primitivity_matches_the_matrix_square(self):
+        # Every substitution with 2 <= q <= 6: 4^2 + ... + 4^6 = 5,456 of them.
+        count = 0
+        for q in range(2, 7):
+            words = ["".join(w) for w in itertools.product("01", repeat=q)]
+            for image0, image1 in itertools.product(words, repeat=2):
+                sub = Substitution(image0, image1)
+                m = sub.composition_matrix()
+                assert sub.is_primitive() is bool((m @ m > 0).all()), sub
+                count += 1
+        assert count == 5456
+
+    def test_bad_image_message(self):
+        want = r"^image of 1 contains \['2', 'a'\]; only 0 and 1 are allowed$"
+        with pytest.raises(ParseError, match=want):
+            Substitution("010", "0a2")
+
+    def test_bad_word_message(self):
+        with pytest.raises(ParseError, match=r"^word contains \['2'\]; only 0 and 1 are allowed$"):
+            TM.apply("0120")
+
+    @pytest.mark.parametrize(
+        "bits",
+        [[0.7, 1.2], [0.5], [-1], [256], [2.0], ["a"], ["1"], [None], [float("nan")], [[0], [1, 0]]],
+    )
+    def test_bit_sequence_rejects_with_parse_error(self, bits):
+        with pytest.raises(ParseError):
+            BitSequence(bits)
+
+    @pytest.mark.parametrize(
+        "bits",
+        [[0, 1, 1], [False, True, True], [0.0, 1.0, 1.0], np.array([0, 1, 1], dtype=np.uint8),
+         np.array([0, 1, 1], dtype=np.int64), np.array([False, True, True])],
+    )
+    def test_bit_sequence_accepts_zeros_and_ones(self, bits):
+        seq = BitSequence(bits)
+        assert seq.to01() == "011"
+        assert seq.bits.dtype == np.uint8
+
+    def test_bit_sequence_copies_a_uint8_array(self):
+        arr = np.array([0, 1], dtype=np.uint8)
+        seq = BitSequence(arr)
+        arr[0] = 1
+        assert seq.to01() == "01"
+        with pytest.raises(ParseError):
+            BitSequence(np.array([0, 2], dtype=np.uint8))
