@@ -370,6 +370,29 @@ PINNED = {
     "classify 01,10 --format json": "4066d691267ed178",
     "densities 01,00 --format json": "7b41eafaa4d38922",
     "verify --format json": "66496b85e4f4f275",
+    "classify 01,10 --format csv": "495bf4d199246297",
+    "classify 010,111 --format csv": "8de46c8727e8c67e",
+    "classify 11,10": "b89b818fd9619033",
+    "classify 10,01": "7380346ef8dadd99",
+    "analyze 01,10 --asymptotic": "7ef91bb512b8998a",
+    "analyze 01,10 --asymptotic --log-base 2": "fb3ce27794cc652f",
+    "analyze 01,10 --asymptotic --eps 0.3": "e097d655ee19c716",
+    "analyze 01,10 --n 64 --format json": "2ed0a02612c22727",
+    "analyze 01,10 --n 64 --format csv": "8fbb3e5c71a091da",
+    "densities 01,00 --format csv": "a29418e5c9add273",
+    "densities 10,00 --lmax 8 --format json": "ca8d20cab3b325f4",
+    "densities 10,00 --lmax 8": "c2b47cd12578ad22",
+    "verify --format csv": "ea6d9e43532be305",
+    "convergence 01,10 --scales 64,128 --format json --eps 0.3": "7fd27aaa50e55cbb",
+    "render 01,10 --n 16": "9aec2257bd2dcb0d",
+    "render 01,10 --n 16 --format pgm": "42dd3656297f20f2",
+}
+# Refusals: exit code and a digest of stderr; stdout stays empty.
+PINNED_ERRORS = {
+    "classify banana": (2, "2c7334c8220b0f6a"),  # ParseError
+    "densities 010,111": (2, "20645077e017bdc7"),  # DomainError
+    "render 01,10 --n 5000": (3, "72bcb1747bee4142"),  # ResourceLimitError
+    "analyze 01,10 --n 100000000": (3, "48c3ef39c596a6e7"),
 }
 
 
@@ -387,6 +410,23 @@ def test_output_matches_reference(runner, op):
 @pytest.mark.parametrize("op", sorted(PINNED))
 def test_output_matches_pinned_digest(runner, op):
     assert _stdout_digest(runner, op) == (0, PINNED[op])
+
+
+@pytest.mark.parametrize("op", sorted(PINNED_ERRORS))
+def test_refusal_matches_pinned_digest(runner, op):
+    result = runner.invoke(main, op.split())
+    digest = hashlib.sha256(result.stderr_bytes).hexdigest()[:16]
+    assert (result.exit_code, digest) == PINNED_ERRORS[op]
+    assert result.stdout_bytes == b""
+
+
+def test_failed_check_matches_pinned_digest(runner, monkeypatch):
+    def tampered(sub):
+        table = reconstruct_base(sub)
+        return dataclasses.replace(table, base={**table.base, 2: Fraction(1, 19)})
+
+    monkeypatch.setattr(cli, "reconstruct_base", tampered)
+    assert _stdout_digest(runner, "verify --filter thue-morse") == (1, "89a0c3161c058680")
 
 
 def test_names_the_benchmark_reads_resolve():
