@@ -11,12 +11,13 @@ result or to run (reconstruction, resource limit, or cross-check failure).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
 import random
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .densities import (
     table_to_json_dict,
 )
 from .errors import DomainError, ParseError, SubstRQAError
-from .recognizability import recognizability_constants
+from .recognizability import RecogConstants, recognizability_constants
 from .recplot import _require_renderable, histogram, quantize_eps, render_ascii, render_pgm
 from .rqa import (
     RQAReport,
@@ -45,12 +46,68 @@ from .substitution import Normalization, Substitution, SubshiftKind
 # -h is the dyadic threshold exponent everywhere, so help is --help only.
 HELP_SETTINGS = {"help_option_names": ["--help"]}
 
-FORMATS = click.Choice(["text", "json", "csv"])
 QUANTITIES = ("RR", "DET", "Lavg", "ENT", "C")
+# alpha beta c K R R0 q, in print order; only classify prints q.
+CONSTANTS = tuple(f.name for f in fields(RecogConstants))
+
+# Options shared by several subcommands, declared once.
+SPEC = click.argument("spec")
+M = click.option("-m", "m", type=int, default=1, help="Embedding window length.")
+LMIN = click.option("-l", "--lmin", "lmin", type=int, default=1, help="Minimum line length.")
+H = click.option("-h", "h", type=int, default=None, help="Dyadic threshold exponent (eps = 2^-h).")
+EPS = click.option(
+    "--eps", type=float, default=None, help="Raw threshold; quantized to a power of two."
+)
+FORMAT = click.option(
+    "--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text",
+    help="Output format.",
+)
 # Kept so existing invocations (`verify --no-cache`) still parse.
 NO_CACHE = click.option(
     "--no-cache", is_flag=True, help="Accepted and ignored; nothing is cached on disk."
 )
+
+
+@click.group(context_settings=HELP_SETTINGS)
+def main():
+    """Recurrence quantification of binary constant-length substitutions."""
+
+
+def _subcommand(body):
+    """Register `body` as a subcommand of `main`.  The one place where
+    errors become exit codes: 2 for a parse or domain problem, 3 for any
+    other refusal, and a nonzero return value (verify's 1) as it is."""
+
+    @functools.wraps(body)
+    def command(no_cache=False, **params):  # --no-cache is parsed and dropped
+        try:
+            code = body(**params)
+        except SubstRQAError as exc:
+            click.echo(f"error: {exc}", err=True)
+            raise SystemExit(2 if isinstance(exc, (ParseError, DomainError)) else 3)
+        if code:
+            raise SystemExit(code)
+
+    return main.command()(command)
+
+
+def _emit(fmt: str, payload: dict, header: tuple[str, ...], rows: list, lines=()) -> None:
+    """Print the one format asked for: indented JSON, CSV under a header
+    row, or text lines."""
+    if fmt == "json":
+        click.echo(json.dumps(payload, indent=2))
+    elif fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        click.echo(buffer.getvalue(), nl=False)
+    else:
+        for line in lines:
+            click.echo(line)
+
+
+# -- shared plumbing ---------------------------------------------------------
 
 
 def _threshold(
@@ -70,19 +127,6 @@ def _threshold(
         h = quantize_eps(eps)
         return h, f"threshold {eps} quantized to 2^-{h}"
     return (h if h is not None else 1), None
-
-
-def _dispatch(runner, *args) -> None:
-    try:
-        code = runner(*args)
-    except SubstRQAError as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(2 if isinstance(exc, (ParseError, DomainError)) else 3)
-    if code:
-        raise SystemExit(code)
-
-
-# -- shared plumbing ---------------------------------------------------------
 
 
 def _empirical_report(
@@ -149,130 +193,107 @@ def _value_gap(a, b):
     return abs(fa - fb)
 
 
-def _csv_out(rows: list[tuple[str, ...]], header: tuple[str, ...]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+def _constants_text(constants: RecogConstants, names=CONSTANTS) -> str:
+    return " ".join(f"{name}={getattr(constants, name)}" for name in names)
 
 
-# -- subcommand bodies -------------------------------------------------------
+# -- subcommands -------------------------------------------------------------
 
 
-def run_classify(spec: str, fmt: str) -> int:
+@_subcommand
+@SPEC
+@FORMAT
+def classify(spec: str, fmt: str) -> None:
+    """Classify SPEC and print its combinatorial constants."""
     sub = Substitution.parse(spec)
     cls = sub.classify()
     constants = None
     if cls.kind is SubshiftKind.PRIMITIVE_APERIODIC:
         constants = recognizability_constants(cls.normalized)
-    if fmt == "json":
-        payload = {
-            "substitution": str(sub),
-            "kind": cls.kind.value,
-            "normalization": cls.normalization.value,
-            "normalized": str(cls.normalized),
-            "absorbing_letter": cls.absorbing_letter,
-            "constants": None
-            if constants is None
-            else {
-                "alpha": constants.alpha,
-                "beta": constants.beta,
-                "c": _frac_json(constants.c),
-                "K": constants.K,
-                "R": constants.R,
-                "R0": constants.R0,
-                "q": constants.q,
-            },
-        }
-        click.echo(json.dumps(payload, indent=2))
-        return 0
-    if fmt == "csv":
-        fields = {
-            "substitution": sub,
-            "kind": cls.kind.value,
-            "normalization": cls.normalization.value,
-            "normalized": cls.normalized,
-            "absorbing_letter": cls.absorbing_letter,
-        }
-        for name in ("alpha", "beta", "c", "K", "R", "R0", "q"):
-            fields[name] = None if constants is None else getattr(constants, name)
-        row = tuple("" if value is None else str(value) for value in fields.values())
-        click.echo(_csv_out([row], tuple(fields)), nl=False)
-        return 0
-    click.echo(f"substitution : {sub}")
-    click.echo(f"kind         : {cls.kind.value}")
-    click.echo(f"normalization: {cls.normalization.value} -> {cls.normalized}")
-    if cls.absorbing_letter is not None:
-        click.echo(f"absorbing    : {cls.absorbing_letter}")
+    info = {
+        "substitution": str(sub),
+        "kind": cls.kind.value,
+        "normalization": cls.normalization.value,
+        "normalized": str(cls.normalized),
+        "absorbing_letter": cls.absorbing_letter,
+    }
+    values = {name: None if constants is None else getattr(constants, name) for name in CONSTANTS}
+    payload = {**info, "constants": None}
     if constants is not None:
-        click.echo(
-            f"constants    : alpha={constants.alpha} beta={constants.beta} "
-            f"c={constants.c} K={constants.K} R={constants.R} R0={constants.R0} "
-            f"q={constants.q}"
-        )
-    return 0
+        payload["constants"] = {
+            name: _frac_json(v) if isinstance(v, Fraction) else v for name, v in values.items()
+        }
+    row = tuple("" if v is None else str(v) for v in (*info.values(), *values.values()))
+    lines = [
+        f"substitution : {sub}",
+        f"kind         : {cls.kind.value}",
+        f"normalization: {cls.normalization.value} -> {cls.normalized}",
+    ]
+    if cls.absorbing_letter is not None:
+        lines.append(f"absorbing    : {cls.absorbing_letter}")
+    if constants is not None:
+        lines.append(f"constants    : {_constants_text(constants)}")
+    _emit(fmt, payload, (*info, *CONSTANTS), [row], lines)
 
 
-def run_analyze(spec, m, lmin, h, eps, n, asymptotic, fmt, log_base) -> int:
+@_subcommand
+@SPEC
+@M
+@LMIN
+@H
+@EPS
+@click.option("--n", "n", type=int, default=None, help="Finite plot size for the empirical report.")
+@click.option("--asymptotic", is_flag=True, help="Also (or only) compute the exact limit.")
+@FORMAT
+@click.option("--log-base", type=click.Choice(["e", "2"]), default="e", help="Entropy display base.")
+@NO_CACHE
+def analyze(spec, m, lmin, h, eps, n, asymptotic, fmt, log_base) -> None:
+    """Compute recurrence quantifiers of SPEC, finite-size and/or limiting."""
     h, eps_note = _threshold(m, lmin, h, eps, n)
     sub = Substitution.parse(spec)
     if n is None and not asymptotic:
         raise DomainError("pass --n for a finite plot, --asymptotic, or both")
     notes = [eps_note] if eps_note else []
-    empirical = limit = None
+    payload = {"notes": notes}
+    reports = []
     if n is not None:
         empirical, more = _empirical_report(sub, n, m, lmin, h)
         notes.extend(more)
+        payload["empirical"] = empirical.to_json_dict()
+        reports.append(empirical)
     if asymptotic:
         exact = asymptotic_quantifiers(sub, m, lmin, Fraction(1, 2**h))
         if exact.note:
             notes.append(exact.note)
         limit = exact.to_report()
-    gap = None
-    if empirical is not None and limit is not None:
-        gap = {
-            key: _value_gap(getattr(empirical, key), getattr(limit, key))
-            for key in QUANTITIES
+        payload["asymptotic"] = limit.to_json_dict()
+        reports.append(limit)
+    rows = [report.to_csv_row() for report in reports]
+    lines = [f"note: {note}" for note in notes]
+    for report in reports:
+        lines.extend(_report_text(report, log_base))
+    if len(reports) == 2:
+        gap = {key: _value_gap(getattr(empirical, key), getattr(limit, key)) for key in QUANTITIES}
+        payload["gap"] = {
+            k: (None if v is None else ("inf" if math.isinf(v) else v)) for k, v in gap.items()
         }
-
-    if fmt == "json":
-        payload = {"notes": notes}
-        if empirical is not None:
-            payload["empirical"] = empirical.to_json_dict()
-        if limit is not None:
-            payload["asymptotic"] = limit.to_json_dict()
-        if gap is not None:
-            payload["gap"] = {
-                k: (None if v is None else ("inf" if math.isinf(v) else v))
-                for k, v in gap.items()
-            }
-        click.echo(json.dumps(payload, indent=2))
-        return 0
-    if fmt == "csv":
-        rows = [r.to_csv_row() for r in (empirical, limit) if r is not None]
-        if gap is not None:
-            rows.append(
-                ("gap", "", str(m), str(h), str(lmin))
-                + tuple(_number_text(gap[k]) for k in QUANTITIES)
-            )
-        click.echo(_csv_out(rows, RQAReport.CSV_HEADER), nl=False)
-        return 0
-    for note in notes:
-        click.echo(f"note: {note}")
-    for report in (empirical, limit):
-        if report is not None:
-            for line in _report_text(report, log_base):
-                click.echo(line)
-    if gap is not None:
+        rows.append(
+            ("gap", "", str(m), str(h), str(lmin)) + tuple(_number_text(gap[k]) for k in QUANTITIES)
+        )
         shown = ", ".join(
             f"{k}={'absent' if v is None else format(v, '.3g')}" for k, v in gap.items()
         )
-        click.echo(f"gap (|empirical - limit|): {shown}")
-    return 0
+        lines.append(f"gap (|empirical - limit|): {shown}")
+    _emit(fmt, payload, RQAReport.CSV_HEADER, rows, lines)
 
 
-def run_densities(spec: str, lmax: int, fmt: str) -> int:
+@_subcommand
+@SPEC
+@click.option("--lmax", type=int, default=64, help="Largest length to tabulate.")
+@FORMAT
+@NO_CACHE
+def densities(spec: str, lmax: int, fmt: str) -> None:
+    """Exact start-pair densities of SPEC up to a length bound."""
     if lmax < 1:
         raise DomainError(f"lmax must be >= 1, got {lmax}")
     sub = Substitution.parse(spec)
@@ -284,92 +305,91 @@ def run_densities(spec: str, lmax: int, fmt: str) -> int:
         )
     table = reconstruct_base(cls.normalized)
     values = {l: dens_K(table, l) for l in range(1, lmax + 1)}
-    if fmt == "json":
-        payload = {
-            "table": table_to_json_dict(table),
-            "densities": {str(l): _frac_json(v) for l, v in values.items()},
-        }
-        click.echo(json.dumps(payload, indent=2))
-        return 0
-    if fmt == "csv":
-        rows = [
-            (str(l), str(v.numerator), str(v.denominator), repr(float(v)))
-            for l, v in values.items()
-        ]
-        click.echo(_csv_out(rows, ("length", "numerator", "denominator", "approx")), nl=False)
-        return 0
-    k = table.constants
+    payload = {
+        "table": table_to_json_dict(table),
+        "densities": {str(l): _frac_json(v) for l, v in values.items()},
+    }
+    rows = [
+        (str(l), str(v.numerator), str(v.denominator), repr(float(v))) for l, v in values.items()
+    ]
     origin = "" if table.subst == sub else f" (normalized from {sub})"
-    click.echo(f"substitution : {table.subst}{origin}")
-    click.echo(
-        f"constants    : alpha={k.alpha} beta={k.beta} c={k.c} K={k.K} R={k.R} R0={k.R0}"
-    )
-    click.echo("base table   : " + "  ".join(f"{l}:{v}" for l, v in sorted(table.base.items())))
-    support = {l: v for l, v in values.items() if v}
-    click.echo(f"start-pair densities up to {lmax} (zero lengths omitted):")
-    for l, v in support.items():
-        click.echo(f"  {l:4d}  {v}  (~{float(v):.3e})")
-    return 0
+    lines = [
+        f"substitution : {table.subst}{origin}",
+        f"constants    : {_constants_text(table.constants, CONSTANTS[:-1])}",
+        "base table   : " + "  ".join(f"{l}:{v}" for l, v in sorted(table.base.items())),
+        f"start-pair densities up to {lmax} (zero lengths omitted):",
+    ]
+    lines.extend(f"  {l:4d}  {v}  (~{float(v):.3e})" for l, v in values.items() if v)
+    _emit(fmt, payload, ("length", "numerator", "denominator", "approx"), rows, lines)
 
 
-def run_convergence(spec, quantity, scales, m, lmin, h, eps, fmt) -> int:
+def _scales_callback(ctx, param, value):
+    if not value:
+        return ()
+    try:
+        return tuple(int(part) for part in value.split(","))
+    except ValueError as exc:
+        raise click.BadParameter(f"expected comma-separated integers, got {value!r}") from exc
+
+
+@_subcommand
+@SPEC
+@click.option("--quantity", type=click.Choice(QUANTITIES), default="RR", help="Tracked quantifier.")
+@click.option("--scales", callback=_scales_callback, default="", help="Comma-separated plot sizes.")
+@M
+@LMIN
+@H
+@EPS
+@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@NO_CACHE
+def convergence(spec, quantity, scales, m, lmin, h, eps, fmt) -> None:
+    """Sweep plot sizes and chart the gap to the exact limit."""
     h, eps_note = _threshold(m, lmin, h, eps)
     sub = Substitution.parse(spec)
-    if quantity not in QUANTITIES:
-        raise DomainError(f"quantity must be one of {QUANTITIES}, got {quantity}")
     scales = tuple(scales) or (256, 512, 1024, 2048, 4096)
     if any(n < 2 for n in scales):
         raise DomainError(f"every scale must be at least 2, got {scales}")
     target = getattr(asymptotic_quantifiers(sub, m, lmin, Fraction(1, 2**h)), quantity)
-    rows = []
+    sweep = []
     for n in sorted(scales):
         report, _ = _empirical_report(sub, n, m, lmin, h)
         value = getattr(report, quantity)
-        rows.append((n, value, _value_gap(value, target)))
-
-    if fmt == "json":
-        payload = {
-            "quantity": quantity,
-            "asymptotic": None
-            if target is None
-            else (_frac_json(target) if isinstance(target, Fraction) else _number_text(target)),
-            "rows": [
-                {"n": n, "empirical": _number_text(v), "gap": _number_text(g)}
-                for n, v, g in rows
-            ],
-        }
-        if eps_note:
-            payload["note"] = eps_note
-        click.echo(json.dumps(payload, indent=2))
-        return 0
-    table_rows = [
-        (str(n), _number_text(v), _number_text(target), _number_text(g)) for n, v, g in rows
-    ]
-    click.echo(
-        _csv_out(table_rows, ("n", "empirical", "asymptotic", "gap")), nl=False
-    )
-    return 0
+        sweep.append((n, value, _value_gap(value, target)))
+    payload = {
+        "quantity": quantity,
+        "asymptotic": None
+        if target is None
+        else (_frac_json(target) if isinstance(target, Fraction) else _number_text(target)),
+        "rows": [
+            {"n": n, "empirical": _number_text(v), "gap": _number_text(g)} for n, v, g in sweep
+        ],
+    }
+    if eps_note:
+        payload["note"] = eps_note
+    rows = [(str(n), _number_text(v), _number_text(target), _number_text(g)) for n, v, g in sweep]
+    _emit(fmt, payload, ("n", "empirical", "asymptotic", "gap"), rows)
 
 
-def run_render(spec, n, m, h, eps, render_format, output) -> int:
+@_subcommand
+@SPEC
+@click.option("--n", "n", type=int, required=True, help="Plot size.")
+@M
+@H
+@EPS
+@click.option("--format", "fmt", type=click.Choice(["ascii", "pgm"]), default="ascii")
+@click.option("-o", "--output", default=None, help="Write to a file instead of stdout.")
+def render(spec, n, m, h, eps, fmt, output) -> None:
+    """Render the recurrence plot of SPEC."""
     h, _ = _threshold(m, 1, h, eps, n)
     norm, _ = Substitution.parse(spec).normalize()
     _require_renderable(n)  # before the prefix: up to 2^26 letters for nothing
     x = norm.fixed_point_prefix(n + h + m)
-    if render_format == "pgm":
-        data = render_pgm(x, n, h, m=m)
-        if output:
-            Path(output).write_bytes(data)
-        else:
-            sys.stdout.buffer.write(data)
-            sys.stdout.buffer.flush()
-        return 0
-    text = render_ascii(x, n, h, m=m)
+    data = render_pgm(x, n, h, m=m) if fmt == "pgm" else render_ascii(x, n, h, m=m).encode()
     if output:
-        Path(output).write_text(text)
+        Path(output).write_bytes(data)
     else:
-        click.echo(text, nl=False)
-    return 0
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
 
 
 # -- the golden verification suite -------------------------------------------
@@ -466,14 +486,7 @@ def _verify_golden(golden: _Golden, seed: int) -> list[tuple[str, bool, str]]:
     name = golden.name
 
     constants = recognizability_constants(cls.normalized)
-    got = (
-        constants.alpha,
-        constants.beta,
-        constants.c,
-        constants.K,
-        constants.R,
-        constants.R0,
-    )
+    got = tuple(getattr(constants, name) for name in CONSTANTS[:-1])
     checks.append((f"{name}/constants", got == golden.constants, f"{got} vs {golden.constants}"))
 
     table = reconstruct_base(cls.normalized)
@@ -540,9 +553,15 @@ def _verify_golden(golden: _Golden, seed: int) -> list[tuple[str, bool, str]]:
     return checks
 
 
-def run_verify(filter_: str | None, fmt: str, seed: int) -> int:
+@_subcommand
+@click.option("--filter", "filter_", default=None, help="Only goldens whose name contains this.")
+@FORMAT
+@click.option("--seed", type=int, default=0, help="Seed for the randomized spot checks.")
+@NO_CACHE
+def verify(filter_: str | None, fmt: str, seed: int) -> int:
+    """Check every pinned golden value; exit 1 on any failure."""
     checks: list[tuple[str, bool, str]] = []
-    if filter_ is None:
+    if not filter_:
         checks.extend(_verify_example())
     for golden in _GOLDENS:
         if filter_ and filter_ not in golden.name:
@@ -551,118 +570,23 @@ def run_verify(filter_: str | None, fmt: str, seed: int) -> int:
     if not checks:
         raise DomainError(f"filter {filter_!r} matched no golden case")
     failures = [c for c in checks if not c[1]]
-    if fmt == "json":
-        payload = {
-            "checks": [
-                {"name": name, "status": "pass" if ok else "fail", "detail": detail}
-                for name, ok, detail in checks
-            ],
-            "failures": len(failures),
-        }
-        click.echo(json.dumps(payload, indent=2))
-        return 1 if failures else 0
-    if fmt == "csv":
-        rows = [(name, "pass" if ok else "fail", detail) for name, ok, detail in checks]
-        click.echo(_csv_out(rows, ("name", "status", "detail")), nl=False)
-        return 1 if failures else 0
-    for name, ok, detail in checks:
-        mark = "PASS" if ok else "FAIL"
-        suffix = "" if ok else f": {detail}"
-        click.echo(f"{mark} {name}{suffix}")
-    click.echo(
+    status = {True: "pass", False: "fail"}
+    payload = {
+        "checks": [
+            {"name": name, "status": status[ok], "detail": detail} for name, ok, detail in checks
+        ],
+        "failures": len(failures),
+    }
+    rows = [(name, status[ok], detail) for name, ok, detail in checks]
+    lines = [
+        f"PASS {name}" if ok else f"FAIL {name}: {detail}" for name, ok, detail in checks
+    ]
+    lines.append(
         f"{len(checks) - len(failures)}/{len(checks)} checks passed"
         + (f", {len(failures)} FAILED" if failures else "")
     )
+    _emit(fmt, payload, ("name", "status", "detail"), rows, lines)
     return 1 if failures else 0
-
-
-# -- click wiring ------------------------------------------------------------
-
-
-def _scales_callback(ctx, param, value):
-    if not value:
-        return ()
-    try:
-        return tuple(int(part) for part in value.split(","))
-    except ValueError as exc:
-        raise click.BadParameter(f"expected comma-separated integers, got {value!r}") from exc
-
-
-@click.group(context_settings=HELP_SETTINGS)
-def main():
-    """Recurrence quantification of binary constant-length substitutions."""
-
-
-@main.command()
-@click.argument("spec")
-@click.option("--format", "fmt", type=FORMATS, default="text", help="Output format.")
-def classify(spec, fmt):
-    """Classify SPEC and print its combinatorial constants."""
-    _dispatch(run_classify, spec, fmt)
-
-
-@main.command()
-@click.argument("spec")
-@click.option("-m", "m", type=int, default=1, help="Embedding window length.")
-@click.option("-l", "--lmin", "lmin", type=int, default=1, help="Minimum line length.")
-@click.option("-h", "h", type=int, default=None, help="Dyadic threshold exponent (eps = 2^-h).")
-@click.option("--eps", type=float, default=None, help="Raw threshold; quantized to a power of two.")
-@click.option("--n", "n", type=int, default=None, help="Finite plot size for the empirical report.")
-@click.option("--asymptotic", is_flag=True, help="Also (or only) compute the exact limit.")
-@click.option("--format", "fmt", type=FORMATS, default="text", help="Output format.")
-@click.option("--log-base", type=click.Choice(["e", "2"]), default="e", help="Entropy display base.")
-@NO_CACHE
-def analyze(spec, m, lmin, h, eps, n, asymptotic, fmt, log_base, no_cache):
-    """Compute recurrence quantifiers of SPEC, finite-size and/or limiting."""
-    _dispatch(run_analyze, spec, m, lmin, h, eps, n, asymptotic, fmt, log_base)
-
-
-@main.command()
-@click.argument("spec")
-@click.option("--lmax", type=int, default=64, help="Largest length to tabulate.")
-@click.option("--format", "fmt", type=FORMATS, default="text", help="Output format.")
-@NO_CACHE
-def densities(spec, lmax, fmt, no_cache):
-    """Exact start-pair densities of SPEC up to a length bound."""
-    _dispatch(run_densities, spec, lmax, fmt)
-
-
-@main.command()
-@click.argument("spec")
-@click.option("--quantity", type=click.Choice(QUANTITIES), default="RR", help="Tracked quantifier.")
-@click.option("--scales", callback=_scales_callback, default="", help="Comma-separated plot sizes.")
-@click.option("-m", "m", type=int, default=1, help="Embedding window length.")
-@click.option("-l", "--lmin", "lmin", type=int, default=1, help="Minimum line length.")
-@click.option("-h", "h", type=int, default=None, help="Dyadic threshold exponent.")
-@click.option("--eps", type=float, default=None, help="Raw threshold; quantized.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@NO_CACHE
-def convergence(spec, quantity, scales, m, lmin, h, eps, fmt, no_cache):
-    """Sweep plot sizes and chart the gap to the exact limit."""
-    _dispatch(run_convergence, spec, quantity, scales, m, lmin, h, eps, fmt)
-
-
-@main.command()
-@click.argument("spec")
-@click.option("--n", "n", type=int, required=True, help="Plot size.")
-@click.option("-m", "m", type=int, default=1, help="Embedding window length.")
-@click.option("-h", "h", type=int, default=None, help="Dyadic threshold exponent.")
-@click.option("--eps", type=float, default=None, help="Raw threshold; quantized.")
-@click.option("--format", "render_format", type=click.Choice(["ascii", "pgm"]), default="ascii")
-@click.option("-o", "--output", default=None, help="Write to a file instead of stdout.")
-def render(spec, n, m, h, eps, render_format, output):
-    """Render the recurrence plot of SPEC."""
-    _dispatch(run_render, spec, n, m, h, eps, render_format, output)
-
-
-@main.command()
-@click.option("--filter", "filter_", default=None, help="Only goldens whose name contains this.")
-@click.option("--format", "fmt", type=FORMATS, default="text", help="Output format.")
-@click.option("--seed", type=int, default=0, help="Seed for the randomized spot checks.")
-@NO_CACHE
-def verify(filter_, fmt, seed, no_cache):
-    """Check every pinned golden value; exit 1 on any failure."""
-    _dispatch(run_verify, filter_, fmt, seed)
 
 
 if __name__ == "__main__":

@@ -242,11 +242,9 @@ def correlation_sum(x: BitSequence, n: int, lmin: int, h: int, *, m: int = 1) ->
     stay within 2^-h of each other for lmin consecutive steps.
 
     Pairs agree exactly when their windows of width lmin+h+m-2 agree, so the
-    sum is the normalised sum of squared window-class sizes.  A class is a
-    run of equal labels once the window labels are sorted, so one sort and
-    the gaps between the places where the label changes give the sizes.
-    Windows near position n read on into the prefix rather than being
-    truncated.
+    sum is the normalised sum of squared window-class sizes, which one
+    np.unique over the window labels counts.  Windows near position n read
+    on into the prefix rather than being truncated.
     """
     if lmin < 1:
         raise DomainError(f"minimum line length must be positive, got {lmin}")
@@ -260,9 +258,7 @@ def correlation_sum(x: BitSequence, n: int, lmin: int, h: int, *, m: int = 1) ->
         raise DomainError(
             f"correlation sum at n={n}, window {width} needs {need} letters, got {len(x)}"
         )
-    labels = np.sort(window_labels(x.bits[:need], width))
-    starts = np.flatnonzero(labels[1:] != labels[:-1])
-    sizes = np.diff(starts, prepend=-1, append=n - 1)
+    sizes = np.unique(window_labels(x.bits[:need], width), return_counts=True)[1]
     return Fraction(int((sizes * sizes).sum()), n * n)
 
 

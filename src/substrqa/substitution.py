@@ -97,15 +97,8 @@ class BitSequence:
 
 def dense_ranks(keys: np.ndarray) -> np.ndarray:
     """Ids 0..k-1 that number the distinct values of `keys` in sorted
-    order: the inverse of a sorted unique, from one argsort, a compare
-    with the sorted neighbour and a cumsum."""
-    order = np.argsort(keys)
-    ordered = keys[order]
-    fresh = np.zeros(keys.size, dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
-    ids = np.empty(keys.size, dtype=np.intp)
-    ids[order] = np.cumsum(fresh)
-    return ids
+    order: the inverse of a sorted unique."""
+    return np.unique(keys, return_inverse=True)[1]
 
 
 def window_labels(bits: np.ndarray, width: int) -> np.ndarray:

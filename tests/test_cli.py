@@ -7,6 +7,7 @@ import importlib.util
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,6 +20,7 @@ import substrqa
 from substrqa import cli
 from substrqa.cli import main
 from substrqa.densities import reconstruct_base
+from substrqa.errors import DiscrepancyError, ReconstructionError
 from substrqa.recplot import histogram, render_ascii
 from substrqa.rqa import RQAReport, correlation_sum
 from substrqa.substitution import Substitution
@@ -311,6 +313,12 @@ class TestVerify:
         result = invoke(runner, "verify", "--filter", "nope", "--no-cache")
         assert result.exit_code == 2
 
+    def test_empty_filter_is_no_filter(self, runner):
+        result = invoke(runner, "verify", "--filter", "")
+        assert result.exit_code == 0
+        assert result.output.endswith("33/33 checks passed\n")
+        assert result.output == invoke(runner, "verify").output
+
     def test_tampered_table_fails_by_name(self, runner, monkeypatch):
         def tampered(sub):
             table = reconstruct_base(sub)
@@ -427,6 +435,51 @@ def test_failed_check_matches_pinned_digest(runner, monkeypatch):
 
     monkeypatch.setattr(cli, "reconstruct_base", tampered)
     assert _stdout_digest(runner, "verify --filter thue-morse") == (1, "89a0c3161c058680")
+
+
+@pytest.mark.parametrize("error", [ReconstructionError, DiscrepancyError])
+@pytest.mark.parametrize(
+    "layer, args",
+    [
+        ("asymptotic_quantifiers", ["analyze", TM, "--n", "64", "--asymptotic"]),
+        ("reconstruct_base", ["densities", TM]),
+        ("asymptotic_quantifiers", ["convergence", TM, "--scales", "64"]),
+        ("reconstruct_base", ["verify"]),
+    ],
+)
+def test_refused_computation_exits_3(runner, monkeypatch, layer, args, error):
+    def refuse(*args, **kwargs):
+        raise error("refused on purpose")
+
+    monkeypatch.setattr(cli, layer, refuse)
+    result = invoke(runner, *args)
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == "error: refused on purpose\n"
+
+
+def _readme_examples() -> dict[str, str]:
+    """Output of each `$ substrqa` example in README's command line block
+    whose output is shown in full: not elided with `...` and not empty (the
+    render examples print no text)."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = {}
+    for chunk in block.split("\n$ ")[1:]:
+        command, *output = chunk.split("\n\n", 1)[0].splitlines()
+        if command.startswith("substrqa ") and output and "..." not in output:
+            examples[command] = "".join(line + "\n" for line in output)
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("command", sorted(README_EXAMPLES))
+def test_readme_example_output(runner, command):
+    result = runner.invoke(main, shlex.split(command)[1:])
+    assert result.exit_code == 0, result.stderr
+    assert result.stdout == README_EXAMPLES[command]
 
 
 def test_names_the_benchmark_reads_resolve():
