@@ -5,12 +5,12 @@ geometric families (one per base length) plus finitely many lone lengths,
 so every tail sum over line lengths collapses to geometric and
 arithmetico-geometric series with ratio 1/q^2.  Two independent routes are
 implemented: term-grouped tail summation (the reference), and closed
-forms driven by cumulative tables over the base lengths; the closed-form
+forms driven by cumulative sums over the base lengths; the closed-form
 route recomputes the reference on every call and refuses to answer if the
-two disagree.  Both sum in the number format of the density table: the
-base densities as integer numerators over D, the lcm of their denominators,
-built once per table; each tail sum is one integer over D times a power of
-q, and one Fraction is built per sum.  The entropy stays a float.
+two disagree.  Both sum in the density table's number format, built once
+per table: the base densities as integer numerators over D, the lcm of their
+denominators, and their cumulative sums; each tail sum is one integer over D
+times a power of q, one Fraction per sum.  The entropy stays a float.
 
 Degenerate substitutions short-circuit: when some image is constant the
 limit plot is dominated by an unbounded solid block, and when the fixed
@@ -115,7 +115,7 @@ def _tail_sums(table: DensityTable, lprime: int) -> tuple[Fraction, Fraction, fl
     constants = table.constants
     q, qq = constants.q, constants.q**2
     cn, cd = constants.c.numerator, constants.c.denominator
-    D, nums, floats = table._integer_terms
+    D, nums, floats, _ = table._integer_terms
     families = [base for base in range(constants.R0, constants.R) if nums[base]]
     steps = {base: _family_first_step(base, constants.c, q, lprime) for base in families}
     K = max(steps.values(), default=0)
@@ -141,11 +141,11 @@ def _tail_sums(table: DensityTable, lprime: int) -> tuple[Fraction, Fraction, fl
     return Fraction(s0, D * unit), Fraction(s1, D * unit), neg_slog
 
 
-def _assemble(m: int, lmin: int, h: int, tails, linedens: Fraction) -> AsymptoticQuantifiers:
+def _assemble(m: int, lmin: int, h: int, tail, first, linedens: Fraction) -> AsymptoticQuantifiers:
+    # tail holds the tail sums from lprime on, first those from 1 + offset.
     offset = m + h - 2
-    lprime = lmin + offset
-    s0, s1, neg_slog = tails(lprime)
-    s0_first, s1_first, _ = tails(1 + offset)
+    s0, s1, neg_slog = tail
+    s0_first, s1_first, _ = first
     rr = s1 - offset * s0
     rr1 = s1_first - offset * s0_first
     if s0 <= 0 or rr1 <= 0:
@@ -157,7 +157,7 @@ def _assemble(m: int, lmin: int, h: int, tails, linedens: Fraction) -> Asymptoti
         m=m,
         h=h,
         lmin=lmin,
-        lprime=lprime,
+        lprime=lmin + offset,
         linedens=linedens,
         lineDens=s0,
         RR=rr,
@@ -179,8 +179,9 @@ def quantifiers_via_sums(
     """
     _validate_inputs(m, lmin, h)
     lprime = lmin + m + h - 2
-    linedens = _tail_sums(table, lprime)[0] - _tail_sums(table, lprime + 1)[0]
-    return _assemble(m, lmin, h, lambda lp: _tail_sums(table, lp), linedens)
+    tail = _tail_sums(table, lprime)
+    linedens = tail[0] - _tail_sums(table, lprime + 1)[0]
+    return _assemble(m, lmin, h, tail, _tail_sums(table, m + h - 1), linedens)
 
 
 # -- second route: cumulative base tables ------------------------------------
@@ -203,48 +204,35 @@ class NuTables:
 
 
 def nu_tables(table: DensityTable) -> NuTables:
-    """The cumulative tables, summed as integer prefix sums over D (see
-    DensityTable._integer_terms) and handed out as Fractions."""
-    constants = table.constants
-    D, nums, floats = table._integer_terms
-    nu_n: dict[int, int] = {}
-    nu_rr: dict[int, int] = {}
-    nu_ent: dict[int, float] = {}
-    acc_n, acc_rr, acc_ent = 0, 0, 0.0
-    for l in range(constants.R0, constants.R + 1):
-        nu_n[l], nu_rr[l], nu_ent[l] = acc_n, acc_rr, acc_ent
-        if l < constants.R and nums[l]:
-            acc_n += nums[l]
-            acc_rr += l * nums[l]
-            fd, log_d = floats[l]
-            acc_ent -= fd * log_d
+    """A Fraction view of the cumulative sums that the table builds once, as
+    integers over D, in DensityTable._integer_terms."""
+    D, _, _, cumulative = table._integer_terms
+    total_n, total_rr, total_ent = cumulative[table.constants.R]
     return NuTables(
-        R0=constants.R0,
-        R=constants.R,
-        nu_N={l: Fraction(v, D) for l, v in nu_n.items()},
-        nu_RR={l: Fraction(v, D) for l, v in nu_rr.items()},
-        nu_ENT=nu_ent,
-        tilde_N={l: Fraction(acc_n - v, D) for l, v in nu_n.items()},
-        tilde_RR={l: Fraction(acc_rr - v, D) for l, v in nu_rr.items()},
-        tilde_ENT={l: acc_ent - v for l, v in nu_ent.items()},
+        R0=table.constants.R0,
+        R=table.constants.R,
+        nu_N={l: Fraction(n, D) for l, (n, _, _) in cumulative.items()},
+        nu_RR={l: Fraction(rr, D) for l, (_, rr, _) in cumulative.items()},
+        nu_ENT={l: ent for l, (_, _, ent) in cumulative.items()},
+        tilde_N={l: Fraction(total_n - n, D) for l, (n, _, _) in cumulative.items()},
+        tilde_RR={l: Fraction(total_rr - rr, D) for l, (_, rr, _) in cumulative.items()},
+        tilde_ENT={l: total_ent - ent for l, (_, _, ent) in cumulative.items()},
     )
 
 
-def _closed_tail(
-    table: DensityTable, nut: NuTables, lprime: int
-) -> tuple[Fraction, Fraction, float]:
-    # s0 and s1 are integer numerators over D*unit, unit = cd*q^(2j)*(q^2 - 1);
-    # the table entries at l0 are read back as numerators over D.
+def _closed_tail(table: DensityTable, lprime: int) -> tuple[Fraction, Fraction, float]:
+    """Tail sums from lprime on, read off the table's cumulative integer sums
+    over D at the base l0 whose j-step image reaches lprime (_integer_terms).
+    s0 and s1 are integer numerators over D*unit, unit = cd*q^(2j)*(q^2 - 1)."""
     constants = table.constants
     q, qq = constants.q, constants.q**2
     cn, cd = constants.c.numerator, constants.c.denominator
-    D, nums, floats = table._integer_terms
+    D, nums, floats, cumulative = table._integer_terms
     # Below the closed-form floor R0, lone lengths are peeled one at a time.
     j, l0 = closed_form_indices(constants, max(lprime, constants.R0))
-    nu_n, tilde_n, nu_rr, tilde_rr = (
-        f[l0].numerator * (D // f[l0].denominator)
-        for f in (nut.nu_N, nut.tilde_N, nut.nu_RR, nut.tilde_RR)
-    )
+    nu_n, nu_rr, nu_ent = cumulative[l0]
+    total_n, total_rr, total_ent = cumulative[constants.R]
+    tilde_n, tilde_rr, tilde_ent = total_n - nu_n, total_rr - nu_rr, total_ent - nu_ent
     scale2 = q ** (2 * j) * (qq - 1)
     unit = cd * scale2
     s0 = cd * (nu_n + qq * tilde_n)
@@ -252,7 +240,7 @@ def _closed_tail(
     s1 -= cn * (nu_n + qq * tilde_n)
     neg_slog = 2.0 * math.log(q) / float(scale2 * (qq - 1)) * (
         (((j + 1) * qq - j) * nu_n + qq * (j * qq - j + 1) * tilde_n) / D
-    ) + (nut.nu_ENT[l0] + qq * nut.tilde_ENT[l0]) / scale2
+    ) + (nu_ent + qq * tilde_ent) / scale2
     for lone in range(lprime, constants.R0):
         if nums[lone]:
             s0 += nums[lone] * unit
@@ -265,18 +253,18 @@ def _closed_tail(
 def closed_form(
     table: DensityTable, m: int = 1, lmin: int = 1, h: int = 1
 ) -> AsymptoticQuantifiers:
-    """Closed-form evaluation via the cumulative tables, cross-checked.
+    """Closed-form evaluation via the cumulative sums, cross-checked.
 
-    The tails scale the tables' integer numerators over D by powers of q,
-    and add the lone lengths below R0 one at a time.  Every call recomputes
+    The tails scale the table's cumulative integer sums over D by powers of
+    q, and add the lone lengths below R0 one at a time.  Every call recomputes
     the reference tail sums and demands exact rational agreement (1e-9 for
     the entropy); disagreement raises DiscrepancyError rather than
     returning either value.
     """
     _validate_inputs(m, lmin, h)
-    nut = nu_tables(table)
     lprime = lmin + m + h - 2
-    result = _assemble(m, lmin, h, lambda lp: _closed_tail(table, nut, lp), dens_K(table, lprime))
+    tail, first = _closed_tail(table, lprime), _closed_tail(table, m + h - 1)
+    result = _assemble(m, lmin, h, tail, first, dens_K(table, lprime))
     reference = quantifiers_via_sums(table, m, lmin, h)
     for field in ("linedens", "lineDens", "RR", "RR1", "DET", "Lavg", "C"):
         mine, ref = getattr(result, field), getattr(reference, field)
@@ -365,7 +353,8 @@ def periodic_quantifiers(
 def asymptotic_quantifiers(
     sub: Substitution, m: int = 1, lmin: int = 1, eps=Fraction(1, 2)
 ) -> AsymptoticQuantifiers:
-    """Classify and route to the matching limit evaluation.
+    """The one dispatch for every exact limit, each row of the determinism
+    scan included: classify and route to the matching limit evaluation.
 
     Primitive aperiodic substitutions go through the cross-checked closed
     form on the normalized form (normalization only relabels letters or
@@ -385,15 +374,14 @@ def determinism_limit_scan(
 ) -> list[tuple[int, Fraction]]:
     """Exact determinism at thresholds 2^-h for each h in h_range.
 
-    Degenerate substitutions scan constantly at 1; primitive aperiodic ones
-    approach 1 with dips wherever the density support has gaps.  Every row
-    checks m, lmin and h as the single-point evaluations do.
+    Each row is asymptotic_quantifiers at eps = 2^-h, so primitive aperiodic
+    rows are cross-checked between the two routes, and degenerate ones scan
+    constantly at 1.  Aperiodic scans approach 1 with dips wherever the
+    density support has gaps.  Every row checks m, lmin and h as the
+    single-point evaluations do.
     """
-    cls = sub.classify()
-    aperiodic = cls.kind is SubshiftKind.PRIMITIVE_APERIODIC
-    table = reconstruct_base(cls.normalized) if aperiodic else None
     rows: list[tuple[int, Fraction]] = []
     for h in h_range:
         _validate_inputs(m, lmin, h)
-        rows.append((h, quantifiers_via_sums(table, m, lmin, h).DET if aperiodic else Fraction(1)))
+        rows.append((h, asymptotic_quantifiers(sub, m, lmin, Fraction(1, 2**h)).DET))
     return rows

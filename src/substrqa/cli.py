@@ -386,7 +386,10 @@ def render(spec, n, m, h, eps, fmt, output) -> None:
     x = norm.fixed_point_prefix(n + h + m)
     data = render_pgm(x, n, h, m=m) if fmt == "pgm" else render_ascii(x, n, h, m=m).encode()
     if output:
-        Path(output).write_bytes(data)
+        try:
+            Path(output).write_bytes(data)
+        except OSError as exc:
+            raise DomainError(f"cannot write {output}: {exc.strerror}") from exc
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()

@@ -201,15 +201,23 @@ class DensityTable:
     evidence: dict[int, BaseEvidence]
 
     @cached_property
-    def _integer_terms(self) -> tuple[int, dict[int, int], dict[int, tuple[float, float]]]:
-        """(D, numerators, floats): D is the lcm of the base densities'
-        denominators, numerators[l] is base[l] * D, and floats[l] holds
-        float(d) and log d for each positive d = base[l].  The limit sums
-        read them on every call; they are built once per table."""
+    def _integer_terms(self) -> tuple[int, dict[int, int], dict[int, tuple[float, float]], dict]:
+        """(D, numerators, floats, cumulative): D is the lcm of the base
+        densities' denominators, numerators[l] = base[l] * D, floats[l] =
+        (float(d), log d) for each positive d = base[l], and cumulative[l]
+        (R0 <= l <= R) sums numerators[k], k * numerators[k] and -float(d) log d
+        over R0 <= k < l.  Built once per table; the limit sums read them."""
         D = math.lcm(*(d.denominator for d in self.base.values()))
         numerators = {l: d.numerator * (D // d.denominator) for l, d in self.base.items()}
         floats = {l: (float(d), _log_fraction(d)) for l, d in self.base.items() if d}
-        return D, numerators, floats
+        cumulative, acc_n, acc_rr, acc_ent = {}, 0, 0, 0.0
+        for l in range(self.constants.R0, self.constants.R + 1):
+            cumulative[l] = acc_n, acc_rr, acc_ent
+            if l < self.constants.R and numerators[l]:
+                acc_n += numerators[l]
+                acc_rr += l * numerators[l]
+                acc_ent -= floats[l][0] * floats[l][1]
+        return D, numerators, floats, cumulative
 
 
 def _check_shift_invariance(sub: Substitution, length: int) -> None:

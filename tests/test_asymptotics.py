@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction
 
 import pytest
 
-from substrqa import DiscrepancyError, DomainError, Substitution
+from substrqa import DiscrepancyError, DomainError, Substitution, asymptotics
 from substrqa.asymptotics import (
     AsymptoticQuantifiers,
     _family_first_step,
@@ -227,9 +228,20 @@ class TestNuTables:
         assert values_rr == sorted(values_rr)
 
     def test_tm_table_values(self):
-        nut = nu_tables(table_of(TM))
+        t = table_of(TM)
+        nut, before = nu_tables(t), closed_form(t, 1, 1, 1)
         assert nut.nu_N == {2: 0, 3: Fraction(1, 18), 4: Fraction(1, 12)}
         assert nut.nu_RR == {2: 0, 3: Fraction(1, 9), 4: Fraction(7, 36)}
+        # The cumulative sums are cached on the table instance, so a copy
+        # with one density changed must not read the original's sums.
+        changed = dataclasses.replace(t, base={**t.base, 2: t.base[2] + Fraction(1, 36)})
+        assert nu_tables(changed).nu_N == {2: 0, 3: Fraction(1, 12), 4: Fraction(1, 9)}
+        assert nu_tables(changed).tilde_N[2] == nut.tilde_N[2] + Fraction(1, 36)
+        assert nu_tables(t) == nut
+        # From lprime = 1 on, base 2's family adds 1/36 * q^2/(q^2 - 1).
+        after = closed_form(changed, 1, 1, 1)
+        assert after.lineDens == before.lineDens + Fraction(1, 36) * Fraction(4, 3)
+        assert after == quantifiers_via_sums(changed, 1, 1, 1)
 
 
 class TestDegenerate:
@@ -314,6 +326,41 @@ class TestScan:
 
     def test_empty_range(self):
         assert determinism_limit_scan(TM, 1, 2, range(0)) == []
+
+    @pytest.mark.parametrize(
+        "text, kind",
+        [
+            ("01,10", "primitive_aperiodic"),
+            ("01,00", "primitive_aperiodic"),
+            ("01110,01010", "primitive_aperiodic"),
+            ("10,00", "primitive_aperiodic"),  # normalized by squaring
+            ("010,101", "primitive_periodic"),
+            ("01,11", "nonprimitive_proximal"),
+            ("00,11", "nonprimitive_trivial"),
+        ],
+    )
+    def test_rows_equal_single_point_evaluations(self, text, kind):
+        sub = Substitution.parse(text)
+        assert sub.classify().kind.value == kind
+        for m, lmin in ((1, 2), (2, 3)):
+            rows = determinism_limit_scan(sub, m, lmin, range(1, 25))
+            assert rows == [
+                (h, asymptotic_quantifiers(sub, m, lmin, Fraction(1, 2**h)).DET)
+                for h in range(1, 25)
+            ]
+
+    def test_rows_are_cross_checked(self, monkeypatch):
+        # A closed-form tail that drifts from the reference must stop the
+        # scan, as it stops a single-point evaluation.
+        closed_tail = asymptotics._closed_tail
+
+        def drifted(*args):
+            s0, s1, neg_slog = closed_tail(*args)
+            return s0 + Fraction(1, 10**9), s1, neg_slog
+
+        monkeypatch.setattr(asymptotics, "_closed_tail", drifted)
+        with pytest.raises(DiscrepancyError):
+            determinism_limit_scan(TM, 1, 3, range(1, 25))
 
 
 class TestDispatchAndSerialization:

@@ -286,6 +286,16 @@ class TestRender:
         assert result.exit_code == 0
         assert len(out.read_text().strip().splitlines()) == 8
 
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_unwritable_output_is_refused(self, runner, tmp_path, target):
+        # A usage problem, not a failed verify check (exit 1) or a traceback.
+        out = tmp_path / "no" / "x.pgm" if target == "missing" else tmp_path
+        result = invoke(runner, "render", TM, "--n", "16", "-o", str(out))
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: cannot write {out}: ")
+        assert result.stderr.count("\n") == 1
+
     def test_cap_refused_before_the_prefix(self, runner, monkeypatch):
         calls = []
         monkeypatch.setattr(Substitution, "fixed_point_prefix", lambda self, n: calls.append(n))
