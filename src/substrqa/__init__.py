@@ -18,8 +18,7 @@ import importlib
 _EXPORTS = {
     "asymptotics": (
         "AsymptoticQuantifiers", "NuTables", "asymptotic_quantifiers", "closed_form",
-        "determinism_limit_scan", "fixed_point_period", "nonprimitive_quantifiers", "nu_tables",
-        "periodic_quantifiers", "quantifiers_via_sums",
+        "determinism_limit_scan", "fixed_point_period", "nu_tables", "quantifiers_via_sums",
     ),
     "densities": (
         "DEFAULT_SCALES", "BaseEvidence", "Decomposition", "DensityTable", "block_frequencies",

@@ -12,6 +12,9 @@ per table: the base densities as integer numerators over D, the lcm of their
 denominators, and their cumulative sums; each tail sum is one integer over D
 times a power of q, one Fraction per sum.  The entropy stays a float.
 
+One dispatch serves every exact limit, one threshold or a whole
+determinism scan: it checks the inputs, classifies once, and then reads
+every threshold off one table through the cross-checked closed form.
 Degenerate substitutions short-circuit: when some image is constant the
 limit plot is dominated by an unbounded solid block, and when the fixed
 point is periodic every diagonal line is infinite.  Both give recurrence
@@ -28,7 +31,7 @@ from .densities import DensityTable, closed_form_indices, dens_K, reconstruct_ba
 from .errors import DiscrepancyError, DomainError
 from .recplot import quantize_eps
 from .rqa import RQAReport, _log_fraction
-from .substitution import Classification, SubshiftKind, Substitution
+from .substitution import SubshiftKind, Substitution
 
 __all__ = [
     "AsymptoticQuantifiers",
@@ -37,9 +40,7 @@ __all__ = [
     "closed_form",
     "determinism_limit_scan",
     "fixed_point_period",
-    "nonprimitive_quantifiers",
     "nu_tables",
-    "periodic_quantifiers",
     "quantifiers_via_sums",
 ]
 
@@ -181,7 +182,9 @@ def quantifiers_via_sums(
     lprime = lmin + m + h - 2
     tail = _tail_sums(table, lprime)
     linedens = tail[0] - _tail_sums(table, lprime + 1)[0]
-    return _assemble(m, lmin, h, tail, _tail_sums(table, m + h - 1), linedens)
+    # At lmin = 1 the RR1 tail, from m + h - 1 on, is the lprime tail itself.
+    first = tail if lmin == 1 else _tail_sums(table, m + h - 1)
+    return _assemble(m, lmin, h, tail, first, linedens)
 
 
 # -- second route: cumulative base tables ------------------------------------
@@ -263,7 +266,8 @@ def closed_form(
     """
     _validate_inputs(m, lmin, h)
     lprime = lmin + m + h - 2
-    tail, first = _closed_tail(table, lprime), _closed_tail(table, m + h - 1)
+    tail = _closed_tail(table, lprime)
+    first = tail if lmin == 1 else _closed_tail(table, m + h - 1)
     result = _assemble(m, lmin, h, tail, first, dens_K(table, lprime))
     reference = quantifiers_via_sums(table, m, lmin, h)
     for field in ("linedens", "lineDens", "RR", "RR1", "DET", "Lavg", "C"):
@@ -284,9 +288,10 @@ def closed_form(
 # -- degenerate substitutions ------------------------------------------------
 
 
-def _degenerate(m: int, lmin: int, eps, note: str) -> AsymptoticQuantifiers:
-    _validate_inputs(m, lmin, 1)
-    h = quantize_eps(eps)
+def _degenerate(m: int, lmin: int, h: int, note: str) -> AsymptoticQuantifiers:
+    """Limit values when lines grow without bound: all rates are 1 and lines
+    have no finite average; whether the line-length entropy is finite is left
+    open, so it is reported absent."""
     one = Fraction(1)
     zero = Fraction(0)
     return AsymptoticQuantifiers(
@@ -306,23 +311,6 @@ def _degenerate(m: int, lmin: int, eps, note: str) -> AsymptoticQuantifiers:
     )
 
 
-def nonprimitive_quantifiers(
-    cls: Classification, m: int = 1, lmin: int = 1, eps=Fraction(1, 2)
-) -> AsymptoticQuantifiers:
-    """Limit values when an image is constant: the plot is dominated by one
-    unbounded solid block, so all rates are 1 and lines have no finite
-    average; whether the line-length entropy is finite is left open, so it
-    is reported absent."""
-    if cls.kind not in (
-        SubshiftKind.NONPRIMITIVE_PROXIMAL,
-        SubshiftKind.NONPRIMITIVE_TRIVIAL,
-    ):
-        raise DomainError(
-            f"nonprimitive_quantifiers needs a constant-image substitution, got {cls.kind.value}"
-        )
-    return _degenerate(m, lmin, eps, "constant-image substitution: line lengths are unbounded")
-
-
 def fixed_point_period(sub: Substitution) -> int:
     """Smallest period of the fixed point, read off a generated prefix."""
     n = max(64, 4 * sub.q * sub.q)
@@ -333,40 +321,38 @@ def fixed_point_period(sub: Substitution) -> int:
     raise DiscrepancyError(f"no period up to {n // 2} in a supposedly periodic fixed point")
 
 
-def periodic_quantifiers(
-    cls: Classification, m: int = 1, lmin: int = 1, eps=Fraction(1, 2)
-) -> AsymptoticQuantifiers:
-    """Limit values for a periodic fixed point: every diagonal line of the
-    infinite plot is infinite, at every threshold."""
-    if cls.kind is not SubshiftKind.PRIMITIVE_PERIODIC:
-        raise DomainError(
-            f"periodic_quantifiers needs a periodic fixed point, got {cls.kind.value}"
-        )
-    period = fixed_point_period(cls.normalized)
-    note = f"periodic fixed point (period {period}): every diagonal line is infinite"
-    return _degenerate(m, lmin, eps, note)
-
-
 # -- dispatch ----------------------------------------------------------------
+
+
+def _limits(sub: Substitution, m: int, lmin: int, hs: list[int]) -> list[AsymptoticQuantifiers]:
+    """The one dispatch for every exact limit: check every (m, lmin, h),
+    classify once, and evaluate each threshold exponent in hs.
+
+    Primitive aperiodic substitutions go through the cross-checked closed
+    form on one table of the normalized form (normalization only relabels
+    letters or regroups blocks, which recurrence statistics cannot see).
+    """
+    for h in hs:
+        _validate_inputs(m, lmin, h)
+    if not hs:
+        return []
+    cls = sub.classify()
+    if cls.kind is SubshiftKind.PRIMITIVE_APERIODIC:
+        table = reconstruct_base(cls.normalized)
+        return [closed_form(table, m, lmin, h) for h in hs]
+    if cls.kind is SubshiftKind.PRIMITIVE_PERIODIC:
+        period = fixed_point_period(cls.normalized)
+        note = f"periodic fixed point (period {period}): every diagonal line is infinite"
+    else:
+        note = "constant-image substitution: line lengths are unbounded"
+    return [_degenerate(m, lmin, h, note) for h in hs]
 
 
 def asymptotic_quantifiers(
     sub: Substitution, m: int = 1, lmin: int = 1, eps=Fraction(1, 2)
 ) -> AsymptoticQuantifiers:
-    """The one dispatch for every exact limit, each row of the determinism
-    scan included: classify and route to the matching limit evaluation.
-
-    Primitive aperiodic substitutions go through the cross-checked closed
-    form on the normalized form (normalization only relabels letters or
-    regroups blocks, which recurrence statistics cannot see).
-    """
-    cls = sub.classify()
-    if cls.kind is SubshiftKind.PRIMITIVE_PERIODIC:
-        return periodic_quantifiers(cls, m, lmin, eps)
-    if cls.kind is not SubshiftKind.PRIMITIVE_APERIODIC:
-        return nonprimitive_quantifiers(cls, m, lmin, eps)
-    table = reconstruct_base(cls.normalized)
-    return closed_form(table, m, lmin, quantize_eps(eps))
+    """Exact limit quantifiers of sub at threshold eps, quantized to 2^-h."""
+    return _limits(sub, m, lmin, [quantize_eps(eps)])[0]
 
 
 def determinism_limit_scan(
@@ -374,14 +360,10 @@ def determinism_limit_scan(
 ) -> list[tuple[int, Fraction]]:
     """Exact determinism at thresholds 2^-h for each h in h_range.
 
-    Each row is asymptotic_quantifiers at eps = 2^-h, so primitive aperiodic
-    rows are cross-checked between the two routes, and degenerate ones scan
-    constantly at 1.  Aperiodic scans approach 1 with dips wherever the
-    density support has gaps.  Every row checks m, lmin and h as the
-    single-point evaluations do.
+    One dispatch resolves the whole range: it checks every h, classifies sub
+    once, and reads each row as asymptotic_quantifiers would at eps = 2^-h.
+    Primitive aperiodic rows are cross-checked between the two routes on one
+    table, and degenerate ones scan constantly at 1.  Aperiodic scans
+    approach 1 with dips wherever the density support has gaps.
     """
-    rows: list[tuple[int, Fraction]] = []
-    for h in h_range:
-        _validate_inputs(m, lmin, h)
-        rows.append((h, asymptotic_quantifiers(sub, m, lmin, Fraction(1, 2**h)).DET))
-    return rows
+    return [(a.h, a.DET) for a in _limits(sub, m, lmin, list(h_range))]

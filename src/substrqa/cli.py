@@ -380,7 +380,7 @@ def convergence(spec, quantity, scales, m, lmin, h, eps, fmt) -> None:
 @click.option("-o", "--output", default=None, help="Write to a file instead of stdout.")
 def render(spec, n, m, h, eps, fmt, output) -> None:
     """Render the recurrence plot of SPEC."""
-    h, _ = _threshold(m, 1, h, eps, n)
+    h, _ = _threshold(m, 1, h, eps)
     norm, _ = Substitution.parse(spec).normalize()
     _require_renderable(n)  # before the prefix: up to 2^26 letters for nothing
     x = norm.fixed_point_prefix(n + h + m)

@@ -430,6 +430,8 @@ def quantize_eps(eps) -> int:
     at 2^-h mark identical plots.  Rejects eps outside (0, 1): at eps >= 1
     every pair of positions would be recurrent.
     """
+    if isinstance(eps, str):  # Fraction would parse "1/4"; reduce_embedding refuses it too
+        raise DomainError(f"threshold must be a number, got {eps!r}")
     try:
         frac = Fraction(eps)
     except (TypeError, ValueError, OverflowError) as exc:

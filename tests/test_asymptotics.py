@@ -1,11 +1,12 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
-from substrqa import DiscrepancyError, DomainError, Substitution, asymptotics
+from substrqa import DiscrepancyError, DomainError, SubstRQAError, Substitution, asymptotics
 from substrqa.asymptotics import (
     AsymptoticQuantifiers,
     _family_first_step,
@@ -14,9 +15,7 @@ from substrqa.asymptotics import (
     closed_form,
     determinism_limit_scan,
     fixed_point_period,
-    nonprimitive_quantifiers,
     nu_tables,
-    periodic_quantifiers,
     quantifiers_via_sums,
 )
 from substrqa.densities import reconstruct_base
@@ -63,6 +62,21 @@ def _fraction_tail_sums(table, lprime):
             _log_fraction(d) * float(tail) - 2.0 * math.log(q) * float(tail_weighted)
         )
     return s0, s1, neg_slog
+
+
+def _counted(monkeypatch, *targets):
+    """Wrap each (owner, attribute name) in targets; the returned list gets
+    the name of every call."""
+    calls = []
+    for owner, name in targets:
+        fn = getattr(owner, name)
+
+        def wrapper(*args, _name=name, _fn=fn, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+    return calls
 
 
 def _assert_tails_match_fractions(sub):
@@ -145,6 +159,15 @@ class TestClosedForm:
                         b.DET,
                     )
                     assert abs(a.ENT - b.ENT) <= 1e-9
+
+    @pytest.mark.parametrize("lmin, closed, summed", [(1, 1, 2), (2, 2, 3)])
+    def test_tail_calls_per_limit(self, monkeypatch, lmin, closed, summed):
+        # At lmin = 1 the RR1 tail starts at lprime, so both routes reuse the
+        # lprime tail; the reference adds one tail for the exact-length density.
+        t = table_of(TM)
+        calls = _counted(monkeypatch, (asymptotics, "_closed_tail"), (asymptotics, "_tail_sums"))
+        closed_form(t, 2, lmin, 3)
+        assert (calls.count("_closed_tail"), calls.count("_tail_sums")) == (closed, summed)
 
     def test_known_tail_values(self):
         t = table_of(TM)
@@ -247,32 +270,18 @@ class TestNuTables:
 class TestDegenerate:
     def test_proximal_and_trivial_values(self):
         for text in ("010,111", "00,11"):
-            cls = Substitution.parse(text).classify()
-            a = nonprimitive_quantifiers(cls)
+            a = asymptotic_quantifiers(Substitution.parse(text))
             assert (a.RR, a.RR1, a.DET, a.C) == (1, 1, 1, 1)
             assert a.Lavg == math.inf
             assert a.ENT is None
             assert a.lineDens == 0
 
-    def test_nonprimitive_rejects_primitive(self):
-        with pytest.raises(DomainError):
-            nonprimitive_quantifiers(TM.classify())
-        with pytest.raises(DomainError):
-            nonprimitive_quantifiers(Substitution("010", "101").classify())
-
     def test_periodic_values_and_note(self):
-        cls = Substitution("010", "101").classify()
-        a = periodic_quantifiers(cls)
+        a = asymptotic_quantifiers(Substitution("010", "101"))
         assert (a.RR, a.DET, a.C) == (1, 1, 1)
         assert a.Lavg == math.inf
         assert a.ENT is None
         assert "period 2" in a.note
-
-    def test_periodic_rejects_others(self):
-        with pytest.raises(DomainError):
-            periodic_quantifiers(TM.classify())
-        with pytest.raises(DomainError):
-            periodic_quantifiers(Substitution("010", "111").classify())
 
     def test_periodic_finite_plot_confirms_determinism(self):
         # Once the plot is larger than twice the period, every kept line
@@ -349,6 +358,26 @@ class TestScan:
                 for h in range(1, 25)
             ]
 
+    def test_one_scan_resolves_once(self, monkeypatch):
+        # Inputs, classification, table and period are resolved once per
+        # scan, not once per row.
+        calls = _counted(
+            monkeypatch,
+            (Substitution, "classify"),
+            (asymptotics, "reconstruct_base"),
+            (asymptotics, "fixed_point_period"),
+        )
+        determinism_limit_scan(TM, 1, 3, range(1, 25))
+        assert calls.count("reconstruct_base") == 1
+        assert calls.count("classify") <= 2
+        calls.clear()
+        determinism_limit_scan(Substitution("010", "101"), 1, 2, range(1, 25))
+        assert calls.count("fixed_point_period") == 1
+        calls.clear()
+        assert determinism_limit_scan(Substitution("010", "101"), 1, 2, range(0)) == []
+        assert determinism_limit_scan(TM, 1, 2, range(5, 5)) == []
+        assert calls == []
+
     def test_rows_are_cross_checked(self, monkeypatch):
         # A closed-form tail that drifts from the reference must stop the
         # scan, as it stops a single-point evaluation.
@@ -374,6 +403,33 @@ class TestDispatchAndSerialization:
         routed = asymptotic_quantifiers(TM, 1, 1, Fraction(3, 10))
         assert routed.h == 2
 
+    def test_dispatch_refuses_numeric_text(self):
+        with pytest.raises(DomainError, match="threshold must be a number"):
+            asymptotic_quantifiers(TM, eps="0.25")
+
+    @pytest.mark.slow
+    def test_limits_up_to_q3_are_pinned(self):
+        # One digest over every exact limit of the 80 substitutions with
+        # q <= 3, in the scan and at single points: degenerate rows and their
+        # notes included, and the type of each refusal.
+        digest = hashlib.sha256()
+
+        def put(evaluate):
+            try:
+                digest.update(repr(evaluate()).encode())
+            except SubstRQAError as exc:
+                digest.update(type(exc).__name__.encode())
+
+        for q in (2, 3):
+            words = ["".join(w) for w in itertools.product("01", repeat=q)]
+            for a, b in itertools.product(words, repeat=2):
+                sub = Substitution(a, b)
+                for m, lmin in ((1, 1), (2, 3)):
+                    put(lambda: determinism_limit_scan(sub, m, lmin, range(1, 41)))
+                    for h in (1, 3):
+                        put(lambda: asymptotic_quantifiers(sub, m, lmin, Fraction(1, 2**h)))
+        assert digest.hexdigest()[:16] == "8fcfdabd7ef93913"
+
     def test_dispatch_degenerate(self):
         assert asymptotic_quantifiers(Substitution("00", "11")).RR == 1
         assert asymptotic_quantifiers(Substitution("010", "101")).Lavg == math.inf
@@ -384,11 +440,7 @@ class TestDispatchAndSerialization:
         assert payload["RR"] == {"num": 7, "den": 18, "approx": 7 / 18}
         assert payload["linedens"] == {"2": {"num": 1, "den": 18, "approx": 1 / 18}}
         assert payload["n"] is None and payload["provenance"] == "asymptotic"
-        inf_payload = (
-            nonprimitive_quantifiers(Substitution("010", "111").classify())
-            .to_report()
-            .to_json_dict()
-        )
+        inf_payload = asymptotic_quantifiers(Substitution("010", "111")).to_report().to_json_dict()
         assert inf_payload["Lavg"] == {"infinite": True}
         assert inf_payload["ENT"] is None
 

@@ -296,6 +296,11 @@ class TestRender:
         assert result.stderr.startswith(f"error: cannot write {out}: ")
         assert result.stderr.count("\n") == 1
 
+    def test_single_cell_plot(self, runner):
+        # The renderers draw a 1x1 plot; the analyze rule (n >= 2) does not apply.
+        result = invoke(runner, "render", "01,10", "--n", "1")
+        assert (result.exit_code, result.stdout, result.stderr) == (0, "#\n", "")
+
     def test_cap_refused_before_the_prefix(self, runner, monkeypatch):
         calls = []
         monkeypatch.setattr(Substitution, "fixed_point_prefix", lambda self, n: calls.append(n))

@@ -909,3 +909,11 @@ class TestThresholdTypes:
     def test_reduce_embedding_rejects_non_numbers(self, eps):
         with pytest.raises(DomainError, match="threshold must be a number"):
             reduce_embedding(1, eps)
+
+    @pytest.mark.parametrize("eps", ["1/4", "0.25"])
+    def test_numeric_text_is_not_a_number(self, eps):
+        # Fraction would parse both; the two threshold checks refuse them alike.
+        with pytest.raises(DomainError, match="threshold must be a number"):
+            quantize_eps(eps)
+        with pytest.raises(DomainError, match="threshold must be a number"):
+            reduce_embedding(1, eps)
