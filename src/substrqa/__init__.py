@@ -9,7 +9,9 @@ and cross-validates the two routes against each other.
 The namespace is lazy (PEP 562): ``import substrqa`` loads no submodule
 and no numpy.  The first use of a name below imports the module that owns
 it and caches the name here, so a caller that needs only the empirical
-route never loads the exact one.
+route never loads the exact one.  numpy itself loads on the first array
+operation (see ``_numpy``), so classification, parsing and the limits of
+nonprimitive forms never import it.
 """
 
 import importlib
@@ -30,13 +32,13 @@ _EXPORTS = {
         "ResourceLimitError", "SubstRQAError",
     ),
     "recognizability": (
-        "LanguageSlice", "RecogConstants", "alpha_beta", "is_recognizable_word", "language_slice",
+        "LanguageSlice", "RecogConstants", "alpha_beta", "language_slice",
         "recognizability_constants",
     ),
     "recplot": (
         "RENDER_CAP", "Boundary", "LineHistogram", "LineTriple", "extract_lines", "histogram",
-        "inner_line_counts", "inner_line_starts", "quantize_eps", "reduce_embedding", "reduce_eps",
-        "render_ascii", "render_pgm", "rp_entry", "theta",
+        "inner_line_counts", "quantize_eps", "reduce_embedding", "render_ascii", "render_pgm",
+        "rp_entry",
     ),
     "rqa": (
         "AsymptoticEstimate", "CorsumDecomposition", "CorsumInterval", "Estimate",

@@ -23,7 +23,8 @@ from pathlib import Path
 
 import click
 
-# Eager on purpose: a tracer installed after `import substrqa.cli` patches only loaded layers.
+# Layer imports are eager on purpose: a tracer installed after `import substrqa.cli`
+# patches only loaded layers.  numpy stays lazy; see `_numpy`.
 from .asymptotics import asymptotic_quantifiers, closed_form, quantifiers_via_sums
 from .densities import (
     dens_K,

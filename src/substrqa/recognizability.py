@@ -31,14 +31,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DiscrepancyError, DomainError, ParseError
+from .errors import DiscrepancyError, DomainError
 from .substitution import ALPHABET, SubshiftKind, Substitution
 
 __all__ = [
     "LanguageSlice",
     "RecogConstants",
     "alpha_beta",
-    "is_recognizable_word",
     "language_slice",
     "recognizability_constants",
 ]
@@ -151,23 +150,6 @@ def alpha_beta(sub: Substitution) -> tuple[int, int, Fraction]:
     while sub.image0[-1 - beta] == sub.image1[-1 - beta]:
         beta += 1
     return alpha, beta, Fraction(alpha + beta, sub.q - 1)
-
-
-def is_recognizable_word(sub: Substitution, word: str) -> int | None:
-    """The single residue mod q at which `word` occurs, or None if it
-    occurs in more than one position class."""
-    require_normalized_aperiodic(sub)
-    if not word:
-        raise DomainError("word must be nonempty")
-    bad = set(word) - set(ALPHABET)
-    if bad:
-        raise ParseError(f"word contains {sorted(bad)!r}; only 0 and 1 are allowed")
-    mask = _residues(sub, len(word)).get(word)
-    if mask is None:
-        raise DomainError(f"word {word!r} does not occur in the subshift")
-    if mask & (mask - 1):
-        return None
-    return mask.bit_length() - 1
 
 
 @lru_cache(maxsize=64)

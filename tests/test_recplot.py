@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -22,16 +23,15 @@ from substrqa.recplot import (
     extract_lines,
     histogram,
     inner_line_counts,
-    inner_line_starts,
     quantize_eps,
     reduce_embedding,
-    reduce_eps,
     render_ascii,
     render_pgm,
     rp_entry,
-    theta,
 )
 from substrqa.rqa import correlation_sum, residuals
+
+from oracles import inner_line_starts, reduce_eps, theta
 
 TM = Substitution("01", "10")
 PD = Substitution("01", "00")
@@ -668,13 +668,17 @@ class TestReductions:
     def test_line_bijection_preserves_starts(self):
         x = TM.fixed_point_prefix(140)
         n, h = 100, 3
+        big = reduce_eps(1, n, h)[1]
         fine = line_set(extract_lines(x, n, h))
-        coarse = {
-            (i, j, l - h + 1, f)
-            for (i, j, l, f) in line_set(extract_lines(x, n + h - 1, 1))
-            if l >= h
-        }
-        assert fine == coarse
+        coarse = {t for t in line_set(extract_lines(x, big, 1)) if t[2] >= h}
+        assert {(i, j, reduce_eps(l, n, h)[0], f) for (i, j, l, f) in fine} == coarse
+        # theta carries each length's line density from the big plot to the n-plot.
+        fine_counts = Counter(t[2] for t in fine)
+        coarse_counts = Counter(t[2] for t in coarse)
+        for length, count in fine_counts.items():
+            assert Fraction(count, n * n - n) == theta(n, h) * Fraction(
+                coarse_counts[length + h - 1], big * big - big
+            )
 
     def test_reduce_embedding_values(self):
         assert reduce_embedding(1, Fraction(1, 2)) == Fraction(1, 2)
@@ -847,7 +851,7 @@ class TestInnerLines:
 
     def test_prefix_requirement(self):
         with pytest.raises(DomainError):
-            inner_line_starts(BitSequence.from_text("0101"), 2, 3)
+            inner_line_counts(BitSequence.from_text("0101"), 3, 2)
 
 
 # -- rendering ---------------------------------------------------------------
