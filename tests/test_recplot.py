@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 from collections import Counter
@@ -232,6 +233,21 @@ class TestHistogram:
         flanked = flanked.reshape(-1, 2)
         starts = 2 * int((flanked[:, 0] * flanked[:, 1]).sum()) + 2 * (int(sizes[classes[0]]) - 1)
         assert sum(hist.total(length) for length in hist.lengths()) == starts
+
+    @pytest.mark.slow
+    def test_histogram_grid_is_pinned(self):
+        # Every count at n up to 2^16, periodic forms included: the far-edge
+        # and zero-boundary runs of long plots, against a fixed answer.
+        forms = ["01,10", "01,00", "01110,01010", "0010,0111", "011,000", "010,101"]
+        forms += ["01,01", "0010,0010", "001,001"]
+        digest = hashlib.sha256()
+        for spec in forms:
+            x = Substitution.parse(spec).normalize()[0].fixed_point_prefix((1 << 16) + 8)
+            for n in (2, 3, 7, 64, 362, 4096, 1 << 14, 1 << 16):
+                for h, m in ((1, 1), (3, 2)):
+                    counts = histogram(x, n, h, m=m).counts
+                    digest.update(repr(sorted(counts.items())).encode())
+        assert digest.hexdigest()[:16] == "250ffd61125eeaa6"
 
 
 # -- suffix kernel -----------------------------------------------------------
