@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .densities import DensityTable, closed_form_indices, dens_K, reconstruct_base
-from .errors import DiscrepancyError, DomainError
+from .errors import DiscrepancyError, DomainError, as_int
 from .recplot import quantize_eps
 from .rqa import RQAReport, _log_fraction
 from .substitution import SubshiftKind, Substitution
@@ -87,9 +87,11 @@ class AsymptoticQuantifiers:
         )
 
 
-def _validate_inputs(m: int, lmin: int, h: int) -> None:
+def _validate_inputs(m: int, lmin: int, h: int) -> tuple[int, int, int]:
+    m, lmin, h = as_int(m, "m"), as_int(lmin, "lmin"), as_int(h, "h")
     if m < 1 or lmin < 1 or h < 1:
         raise DomainError(f"m, lmin, h must all be >= 1, got ({m}, {lmin}, {h})")
+    return m, lmin, h
 
 
 # -- reference route: grouped tail sums --------------------------------------
@@ -178,7 +180,7 @@ def quantifiers_via_sums(
     The exact-length density is taken as a difference of adjacent tails, so
     this route never consults the scaling decomposition directly.
     """
-    _validate_inputs(m, lmin, h)
+    m, lmin, h = _validate_inputs(m, lmin, h)
     lprime = lmin + m + h - 2
     tail = _tail_sums(table, lprime)
     linedens = tail[0] - _tail_sums(table, lprime + 1)[0]
@@ -264,7 +266,7 @@ def closed_form(
     the entropy); disagreement raises DiscrepancyError rather than
     returning either value.
     """
-    _validate_inputs(m, lmin, h)
+    m, lmin, h = _validate_inputs(m, lmin, h)
     lprime = lmin + m + h - 2
     tail = _closed_tail(table, lprime)
     first = tail if lmin == 1 else _closed_tail(table, m + h - 1)
@@ -332,20 +334,19 @@ def _limits(sub: Substitution, m: int, lmin: int, hs: list[int]) -> list[Asympto
     form on one table of the normalized form (normalization only relabels
     letters or regroups blocks, which recurrence statistics cannot see).
     """
-    for h in hs:
-        _validate_inputs(m, lmin, h)
-    if not hs:
+    params = [_validate_inputs(m, lmin, h) for h in hs]
+    if not params:
         return []
     cls = sub.classify()
     if cls.kind is SubshiftKind.PRIMITIVE_APERIODIC:
         table = reconstruct_base(cls.normalized)
-        return [closed_form(table, m, lmin, h) for h in hs]
+        return [closed_form(table, *p) for p in params]
     if cls.kind is SubshiftKind.PRIMITIVE_PERIODIC:
         period = fixed_point_period(cls.normalized)
         note = f"periodic fixed point (period {period}): every diagonal line is infinite"
     else:
         note = "constant-image substitution: line lengths are unbounded"
-    return [_degenerate(m, lmin, h, note) for h in hs]
+    return [_degenerate(*p, note) for p in params]
 
 
 def asymptotic_quantifiers(

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .errors import DiscrepancyError, DomainError, ReconstructionError
+from .errors import DiscrepancyError, DomainError, ReconstructionError, as_int
 from .recognizability import (
     RecogConstants,
     desubstitute,
@@ -132,6 +132,7 @@ def _block_frequencies_cached(sub: Substitution, length: int) -> tuple[int, dict
 def block_frequencies(sub: Substitution, length: int) -> dict[str, Fraction]:
     """Exact frequency of every allowed word of the given length."""
     require_normalized_aperiodic(sub)
+    length = as_int(length, "block length")
     if length < 1:
         raise DomainError(f"block length must be positive, got {length}")
     D, table = _block_frequencies_cached(sub, length)
@@ -150,6 +151,7 @@ def density_from_frequencies(sub: Substitution, length: int) -> Fraction:
     """Exact density of inner-line start pairs at one length, straight from
     block frequencies (no scaling law involved)."""
     require_normalized_aperiodic(sub)
+    length = as_int(length, "length")
     if length < 1:
         raise DomainError(f"length must be positive, got {length}")
     D, table = _block_frequencies_cached(sub, length + 2)
@@ -344,6 +346,7 @@ def decompose(constants: RecogConstants, length: int) -> Decomposition:
 
 def dens_K(table: DensityTable, length: int) -> Fraction:
     """Exact start-pair density at any length, via the table and scaling."""
+    length = as_int(length, "length")
     if length < 1:
         raise DomainError(f"length must be positive, got {length}")
     constants = table.constants

@@ -5,6 +5,8 @@ exit 2, computational failures (reconstruction, resource limits, cross-check
 discrepancies) exit 3, golden-value verification failures exit 1.
 """
 
+import operator
+
 
 class SubstRQAError(Exception):
     """Base class for all package errors."""
@@ -37,3 +39,12 @@ class ReconstructionError(SubstRQAError, RuntimeError):
 
 class DiscrepancyError(SubstRQAError, RuntimeError):
     """Two independent computation routes disagreed beyond tolerance."""
+
+
+def as_int(value, what: str) -> int:
+    """value as a Python int, for an integer argument where it enters the
+    package: numpy integers pass, and a float, even 12.0, is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DiscrepancyError, DomainError
+from .errors import DiscrepancyError, DomainError, as_int
 from .substitution import ALPHABET, SubshiftKind, Substitution
 
 __all__ = [
@@ -133,6 +133,7 @@ def _residues(sub: Substitution, length: int) -> dict[str, int]:
 def language_slice(sub: Substitution, length: int) -> LanguageSlice:
     """All allowed words of the given length in the subshift of `sub`."""
     require_normalized_aperiodic(sub)
+    length = as_int(length, "word length")
     if length < 1:
         raise DomainError(f"word length must be positive, got {length}")
     return LanguageSlice(length=length, words=frozenset(_residues(sub, length)))

@@ -17,9 +17,12 @@ neighbours compare two keys' digits per level, but only at the few dozen
 run heads of the Burrows-Wheeler transform; the rest follow from
 PLCP[i] = PLCP[i-1] - 1.  One pointer-jumping search finds the nearest
 smaller neighbours on both sides, which bound each pair count and each
-far-edge run: a few dozen rounds on fixed-point prefixes, but a round
-per step of each long rising run a periodic text has.  A level costs one
-O(n log n) sort and 1 to 4 bytes a letter, with no per-suffix Python loop.
+suffix-order interval of the suffixes that start with a given one: the
+far-edge runs of length at least L number the other occurrences of the
+last L letters.  The search takes a few dozen rounds on fixed-point
+prefixes, but a round per step of each long rising run a periodic text
+has.  A level costs one O(n log n) sort and 1 to 4 bytes a letter, with
+no per-suffix Python loop.
 extract_lines keeps the walk along each diagonal as the reference the
 kernel is tested against.  Two exact reductions collapse the parameter
 space:
@@ -44,7 +47,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from ._numpy import np
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, as_int
 from .substitution import BitSequence, window_classes
 
 __all__ = [
@@ -118,12 +121,15 @@ class LineHistogram:
         return LineHistogram(n=self.n, h=self.h, m=self.m, counts=kept)
 
 
-def _effective_window(h: int, m: int) -> int:
+def _plot_args(n: int, h: int, m: int) -> tuple[int, int, int, int]:
+    """n, h and m as ints, h and m checked, and the window h + m - 1."""
+    n, h = as_int(n, "plot size"), as_int(h, "threshold exponent h")
+    m = as_int(m, "embedding dimension m")
     if h < 1:
         raise DomainError(f"threshold exponent h must be >= 1, got {h}")
     if m < 1:
         raise DomainError(f"embedding dimension m must be >= 1, got {m}")
-    return h + m - 1
+    return n, h, m, h + m - 1
 
 
 def _require_prefix(x: BitSequence, need: int, what: str) -> np.ndarray:
@@ -294,16 +300,16 @@ def _lcp(levels: list[_Level], i: np.ndarray, j: np.ndarray, letters: int) -> np
     return np.minimum(out, shorter, out=out)
 
 
-def _neighbour_lcp(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonempty suffixes of bits in suffix order, the letter before each
-    (2 before suffix 0), and each one's common prefix PLCP[i] with the
-    suffix p just before it (the empty suffix, so 0, for the first).  When
-    i and p follow one letter c, nothing sorts between c + suffix p and
-    c + suffix i, so PLCP[i] = PLCP[i-1] - 1 (Karkkainen, Manzini & Puglisi
-    2009).  So _lcp lifts only where the letters before change: the run
-    heads of the BWT of the text with an end marker, a few dozen on a
-    fixed-point prefix.  PLCP[i] + i never falls (Kasai et al. 2001), so it
-    is a running maximum between heads."""
+def _neighbour_lcp(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonempty suffixes of bits in suffix order, and each one's common
+    prefix PLCP[i] with the suffix p just before it (the empty suffix, so
+    0, for the first).  When i and p follow one letter c, nothing sorts
+    between c + suffix p and c + suffix i, so PLCP[i] = PLCP[i-1] - 1
+    (Karkkainen, Manzini & Puglisi 2009).  So _lcp lifts only where the
+    letter before changes (2 before suffix 0): the run heads of the BWT of
+    the text with an end marker, a few dozen on a fixed-point prefix.
+    PLCP[i] + i never falls (Kasai et al. 2001), so it is a running maximum
+    between heads."""
     levels, order = _suffix_levels(bits)
     before = np.concatenate(([np.uint8(2)], bits))[order]
     heads = np.flatnonzero(before[1:] != before[:-1]) + 1
@@ -312,8 +318,8 @@ def _neighbour_lcp(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     reach = np.zeros(order.size, dtype=np.int64)
     reach[order[heads]] = lifted + order[heads]
     np.maximum.accumulate(reach, out=reach)
-    order, before = order[1:], before[1:]  # the empty suffix sorts first
-    return order, before, reach[order] - order
+    order = order[1:]  # the empty suffix sorts first
+    return order, reach[order] - order
 
 
 def _restricted_lcp(order: np.ndarray, common: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -381,41 +387,32 @@ def _pairs_by_lcp(
     return pairs
 
 
-def _far_edge_runs(
-    order: np.ndarray, before: np.ndarray, adjacent: np.ndarray, right: np.ndarray, zero: int
-) -> np.ndarray:
+def _far_edge_runs(order: np.ndarray, adjacent: np.ndarray, right: np.ndarray) -> np.ndarray:
     """nbd[L]: diagonals whose run ending on the far edge has length L, for
-    L in [1, n), given the n nonempty suffixes of the text in suffix order,
-    the letters before them and their adjacent common prefixes (see
-    _neighbour_lcp), the right bounds of _smaller_bounds and the rank of
-    suffix 0.  Such a run is a copy of the last L letters, the suffix at
-    p = n - L, starting at some q < p that is 0 or whose preceding letter
-    differs from the one before p.  The suffixes that start with
-    a copy fill p's suffix-order interval, which starts at p's rank.  When
-    there is such a q, p's adjacent value is L, and the interval ends at
-    the first rank after p's whose adjacent value is below L.  The nearest
-    value not above L lands there or on the one other value equal to L in
-    the interval: in a binary text, the boundary between the copies
-    followed by 0 and those followed by 1.  The count is a difference of
-    prefix sums."""
+    L in [0, n), given the n nonempty suffixes of the text in suffix order,
+    their adjacent common prefixes (see _neighbour_lcp) and the right
+    bounds of _smaller_bounds.  A far-edge run of length at least L holds
+    exactly one pair that shares exactly the last L letters, the suffix at
+    p = n - L, so these runs number occ(L), the other suffixes that start
+    with suffix p, and nbd[L] = occ(L) - occ(L+1).  Those suffixes follow
+    p's rank in its suffix-order interval.  When there are any, p's
+    adjacent value is L, and the interval ends at the first rank after
+    p's whose adjacent value is below L.  The nearest value not above L
+    lands there or on the one other value equal to L in the interval: in
+    a binary text, the boundary between the copies followed by 0 and
+    those followed by 1, whose own bound is the interval's end."""
     size = order.size
     # The last rank has no neighbour: -1 ends every interval there.
     reach = np.concatenate((adjacent, [-1]))
     first = np.flatnonzero(adjacent == size - order[:-1])
-    length = size - order[first]
+    length = adjacent[first]
     last = right[first]
-    hop = np.flatnonzero(reach[last] == length)
-    while hop.size:
-        last[hop] = right[last[hop]]
-        hop = hop.compress(reach[last[hop]] == length[hop])
-    del reach
-    # ones[r]: ranks below r whose suffix follows a 1.
-    ones = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(before == 1, out=ones[1:])
-    within = ones[last + 1] - ones[first]
-    start = (first <= zero) & (zero <= last)
-    nbd = np.zeros(size, dtype=np.int64)
-    nbd[length] = np.where(before[first] == 1, last + 1 - first - within, within + start)
+    hop = reach[last] == length
+    last[hop] = right[last[hop]]
+    occ = np.zeros(size + 1, dtype=np.int64)
+    occ[length] = last - first
+    nbd = occ[:-1] - occ[1:]
+    nbd[0] = 0  # no run is empty
     return nbd
 
 
@@ -440,6 +437,8 @@ def quantize_eps(eps) -> int:
 
 def rp_entry(x: BitSequence, i: int, j: int, h: int) -> bool:
     """Whether positions i and j recur at threshold 2^-h: equal h-windows."""
+    i, j = as_int(i, "position i"), as_int(j, "position j")
+    h = as_int(h, "threshold exponent h")
     if h < 1:
         raise DomainError(f"threshold exponent h must be >= 1, got {h}")
     if i < 0 or j < 0 or i + h > len(x) or j + h > len(x):
@@ -454,7 +453,7 @@ def extract_lines(x: BitSequence, n: int, h: int, *, m: int = 1) -> list[LineTri
 
     Intended for small plots and cross-checks; histogram() is the bulk path.
     """
-    window = _effective_window(h, m)
+    n, h, m, window = _plot_args(n, h, m)
     if n < 2:
         raise DomainError(f"plot size must be at least 2, got {n}")
     size = n + window - 1
@@ -487,38 +486,41 @@ def histogram(x: BitSequence, n: int, h: int, *, m: int = 1) -> LineHistogram:
     exactly v, and runs of length v number pairs(v) - pairs(v+1).  The
     zero-boundary run on diagonal d has length lcp(0, d), the least
     adjacent common prefix between suffixes 0 and d in suffix order.  The
-    far-edge runs of length L are copies of the last L letters, read off
-    the same suffix order (see _far_edge_runs).
+    far-edge runs of length >= L number the occurrences of the last L
+    letters elsewhere, read off the same suffix order (see _far_edge_runs).
     """
-    window = _effective_window(h, m)
+    n, h, m, window = _plot_args(n, h, m)
     if n < 2:
         raise DomainError(f"plot size must be at least 2, got {n}")
     size = n + window - 1
     bits = _require_prefix(x, size, f"plot of size {n} at window {window}")
-    order, before, common = _neighbour_lcp(bits)
+    order, common = _neighbour_lcp(bits)
     adjacent = common[1:]
-    place = int(np.flatnonzero(before == 2)[0])
+    place = int(np.flatnonzero(order == 0)[0])
     left, right = _smaller_bounds(adjacent)
     pairs = _pairs_by_lcp(adjacent, left, right, size)
     del left  # each full-length array is dropped once read: peak memory
-    nbd = _far_edge_runs(order, before, adjacent, right, place)
+    nbd = _far_edge_runs(order, adjacent, right)
     del right
-    # lcp(0, d) for each d != 0 in rank order, a running minimum outwards.
-    zero_runs = np.empty_like(adjacent)
+    # lcp(0, d) at each rank, a running minimum outwards; suffix 0's own
+    # slot reads size, so the far-edge test below drops it.
+    zero_runs = np.empty_like(order)
+    zero_runs[place] = size
     np.minimum.accumulate(adjacent[:place][::-1], out=zero_runs[:place][::-1])
-    np.minimum.accumulate(adjacent[place:], out=zero_runs[place:])
-    kept = zero_runs < size - np.delete(order, place)
-    zero = np.bincount(zero_runs.compress(kept), minlength=size)
-    runs = pairs[:-1] - pairs[1:]
-    lengths = np.flatnonzero(runs[window:]) + window
-    zero, nbd = zero[lengths], nbd[lengths]
-    buckets = 2 * np.array([runs[lengths] - zero - nbd, zero, nbd])
-    counts = {r - window + 1: tuple(row) for r, row in zip(lengths.tolist(), buckets.T.tolist())}
+    np.minimum.accumulate(adjacent[place:], out=zero_runs[place + 1 :])
+    zero = np.bincount(zero_runs.compress(zero_runs < size - order), minlength=size)
+    runs = (pairs[:-1] - pairs[1:])[window:]
+    lengths = np.flatnonzero(runs)
+    zero, nbd = 2 * zero[window:][lengths], 2 * nbd[window:][lengths]
+    inner = 2 * runs[lengths] - zero - nbd
+    buckets = zip(inner.tolist(), zero.tolist(), nbd.tolist())
+    counts = dict(zip((lengths + 1).tolist(), buckets))
     return LineHistogram(n=n, h=h, m=m, counts=counts)
 
 
 def reduce_embedding(m: int, eps):
     """Threshold seen by the raw sequence in place of its m-letter embedding."""
+    m = as_int(m, "embedding dimension m")
     if m < 1:
         raise DomainError(f"embedding dimension m must be >= 1, got {m}")
     try:
@@ -544,6 +546,7 @@ def inner_line_counts(x: BitSequence, n: int, max_length: int) -> np.ndarray:
     So result[l] = 2 * (pairs among [1, n) at l - pairs among [0, n-1) at
     l+1), both read off one suffix order.
     """
+    n, max_length = as_int(n, "position bound"), as_int(max_length, "maximum length")
     if max_length < 1:
         raise DomainError(f"maximum length must be positive, got {max_length}")
     if n < 2:
@@ -551,7 +554,7 @@ def inner_line_counts(x: BitSequence, n: int, max_length: int) -> np.ndarray:
     bits = _require_prefix(
         x, n + max_length + 1, f"inner-line scan up to length {max_length}, bound {n}"
     )
-    order, _, common = _neighbour_lcp(bits)
+    order, common = _neighbour_lcp(bits)
     adjacent_starts = _restricted_lcp(order, common, 1, n)
     adjacent_shifted = _restricted_lcp(order, common, 0, n - 1)
     starts = _pairs_by_lcp(adjacent_starts, *_smaller_bounds(adjacent_starts), bits.size)
@@ -568,17 +571,17 @@ def _require_renderable(n: int) -> None:
         raise ResourceLimitError(f"rendering is capped at {RENDER_CAP}x{RENDER_CAP}, got n={n}")
 
 
-def _plot_matrix(x: BitSequence, n: int, h: int, m: int) -> np.ndarray:
-    window = _effective_window(h, m)
+def _plot_matrix(x: BitSequence, n: int, h: int, m: int) -> tuple[int, np.ndarray]:
+    n, h, m, window = _plot_args(n, h, m)
     _require_renderable(n)
     bits = _require_prefix(x, n + window - 1, f"render of size {n} at window {window}")
     classes = window_classes(bits, window)
-    return classes[:, None] == classes[None, :]
+    return n, classes[:, None] == classes[None, :]
 
 
 def render_ascii(x: BitSequence, n: int, h: int, *, m: int = 1) -> str:
     """The plot as '#' (recurrent) and '.' rows, row 0 first."""
-    matrix = _plot_matrix(x, n, h, m)
+    n, matrix = _plot_matrix(x, n, h, m)
     out = np.full((n, n + 1), ord("\n"), dtype=np.uint8)
     out[:, :n] = np.where(matrix, np.uint8(ord("#")), np.uint8(ord(".")))
     return out.tobytes().decode("ascii")
@@ -586,6 +589,6 @@ def render_ascii(x: BitSequence, n: int, h: int, *, m: int = 1) -> str:
 
 def render_pgm(x: BitSequence, n: int, h: int, *, m: int = 1) -> bytes:
     """The plot as a binary PGM image, recurrent cells white, row 0 on top."""
-    matrix = _plot_matrix(x, n, h, m)
+    n, matrix = _plot_matrix(x, n, h, m)
     header = f"P5\n{n} {n}\n255\n".encode("ascii")
     return header + (matrix.astype(np.uint8) * np.uint8(255)).tobytes()

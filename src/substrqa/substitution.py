@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass
 
 from ._numpy import np
-from .errors import DomainError, ParseError, ResourceLimitError
+from .errors import DomainError, ParseError, ResourceLimitError, as_int
 
 __all__ = [
     "ALPHABET",
@@ -111,6 +111,7 @@ def window_labels(bits: np.ndarray, width: int) -> np.ndarray:
     ranks of its words, combined one word at a time.  Requires
     1 <= width <= len(bits).
     """
+    width = as_int(width, "window width")
     if width < 1:
         raise DomainError(f"window width must be positive, got {width}")
     count = int(bits.size) - width + 1
@@ -230,6 +231,7 @@ class Substitution:
         return word.translate(str.maketrans({"0": self.image0, "1": self.image1}))
 
     def iterate(self, k: int, seed: str = "0") -> str:
+        k = as_int(k, "iteration count")
         if k < 0:
             raise DomainError("iteration count must be nonnegative")
         word = seed
@@ -328,6 +330,7 @@ class Substitution:
         step), truncating intermediate stages so memory stays near n
         letters.
         """
+        n = as_int(n, "prefix length")
         if n < 0:
             raise DomainError("prefix length must be nonnegative")
         if self.image0[0] != "0":

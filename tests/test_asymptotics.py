@@ -398,6 +398,10 @@ class TestDispatchAndSerialization:
         routed = asymptotic_quantifiers(TM, 1, 2, Fraction(1, 8))
         assert routed == direct
 
+    def test_float_embedding_dimension_is_refused(self):
+        with pytest.raises(DomainError, match="m must be an integer, got 1.0"):
+            asymptotic_quantifiers(TM, 1.0, 1)
+
     def test_dispatch_quantizes_eps(self):
         # 0.3 lies in (1/4, 1/2), so the effective threshold is 2^-2.
         routed = asymptotic_quantifiers(TM, 1, 1, Fraction(3, 10))

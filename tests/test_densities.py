@@ -407,6 +407,12 @@ class TestDensKAndIndices:
         assert dens_K(reconstruct_base(TM), 7) == 0
         assert dens_K(reconstruct_base(Q5), 9) == Fraction(7, 1250)
 
+    def test_integral_float_length_is_refused(self):
+        # A float length ran the scaling law in floats, whose two closed
+        # forms then raised a false DiscrepancyError.
+        with pytest.raises(DomainError, match="length must be an integer, got 12.0"):
+            dens_K(reconstruct_base(TM), 12.0)
+
     def test_below_R_is_table_lookup(self):
         table = reconstruct_base(Q5)
         for length, want in BASE_TABLES[Q5].items():

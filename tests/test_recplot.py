@@ -288,13 +288,24 @@ PLOT_POOL = [
 
 
 def _assert_neighbour_lcp(bits: np.ndarray) -> None:
-    # The permuted fill against lifting every pair of neighbours, and the
-    # letters before each suffix against the text.
+    # The permuted fill against lifting every pair of neighbours.
     levels, full = recplot._suffix_levels(bits)
-    order, before, common = recplot._neighbour_lcp(bits)
+    order, common = recplot._neighbour_lcp(bits)
     assert order.tolist() == full[1:].tolist()
     assert common.tolist() == recplot._lcp(levels, full[:-1], full[1:], bits.size).tolist()
-    assert before.tolist() == [int(bits[i - 1]) if i else 2 for i in order.tolist()]
+
+
+def _assert_far_edge_runs(text: str) -> None:
+    # Far-edge runs by length, upper orientation, against the diagonal walk.
+    x = BitSequence.from_text(text)
+    expected = [0] * len(text)
+    for line in extract_lines(x, len(text), 1):
+        if Boundary.N_BOUNDARY in line.boundary and line.i < line.j:
+            expected[line.length] += 1
+    order, common = recplot._neighbour_lcp(x.bits)
+    adjacent = common[1:]
+    right = recplot._smaller_bounds(adjacent)[1]
+    assert recplot._far_edge_runs(order, adjacent, right).tolist() == expected
 
 
 def _record_lifts(monkeypatch, run) -> list[tuple[int, int]]:
@@ -438,7 +449,7 @@ class TestSuffixKernel:
     @pytest.mark.parametrize("text", _kernel_texts())
     def test_pairs_by_lcp_match_brute_force(self, text):
         size = len(text)
-        order, _, common = recplot._neighbour_lcp(BitSequence.from_text(text).bits)
+        order, common = recplot._neighbour_lcp(BitSequence.from_text(text).bits)
         shared = {
             (i, j): _common_prefix(text[i:], text[j:])
             for i, j in itertools.combinations(range(size), 2)
@@ -524,17 +535,14 @@ class TestSuffixKernel:
 
     @pytest.mark.parametrize("text", [t for t in _kernel_texts() if len(t) >= 2])
     def test_far_edge_runs_match_extract_lines(self, text):
-        x = BitSequence.from_text(text)
-        size = len(text)
-        expected = [0] * size
-        for line in extract_lines(x, size, 1):
-            if Boundary.N_BOUNDARY in line.boundary and line.i < line.j:
-                expected[line.length] += 1
-        order, before, common = recplot._neighbour_lcp(x.bits)
-        adjacent = common[1:]
-        right = recplot._smaller_bounds(adjacent)[1]
-        place = int(np.flatnonzero(order == 0)[0])
-        assert recplot._far_edge_runs(order, before, adjacent, right, place).tolist() == expected
+        _assert_far_edge_runs(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text("01", min_size=2, max_size=120))
+    def test_far_edge_runs_match_extract_lines_on_random_texts(self, text):
+        # Each interval of copies ends at most one hop past its first right
+        # bound, however the copies continue.
+        _assert_far_edge_runs(text)
 
     def test_far_edge_interval_hops_over_a_letter_boundary(self):
         # The interval of the last 0 of 0100 in suffix order is 0, 00,
@@ -542,14 +550,14 @@ class TestSuffixKernel:
         # of the first rank lands on the second adjacent value equal to 1,
         # and the search hops on to the interval's end.
         x = BitSequence.from_text("0100")
-        order, before, common = recplot._neighbour_lcp(x.bits)
+        order, common = recplot._neighbour_lcp(x.bits)
         adjacent = common[1:]
         right = recplot._smaller_bounds(adjacent)[1]
         assert order.tolist() == [3, 2, 0, 1]
         assert adjacent[0] == adjacent[right[0]] == 1
-        # Copies of the last 0 that start a far-edge run: at 0, and at 2,
-        # which follows a 1 where the last 0 follows a 0.
-        assert recplot._far_edge_runs(order, before, adjacent, right, 2).tolist() == [0, 2, 0, 0]
+        # The last 0 occurs at 0 and at 2, and the last two letters, 00,
+        # nowhere else: two far-edge runs of length 1.
+        assert recplot._far_edge_runs(order, adjacent, right).tolist() == [0, 2, 0, 0]
 
     @pytest.mark.parametrize("strict", [True, False])
     @pytest.mark.parametrize("step", [-1, 1])
@@ -648,7 +656,8 @@ def _traced_peak(run) -> int:
 # uint64 keys took 1,429 KiB for both, the earlier bound search took the
 # plot to 1,218 KiB, and one gather-free round instead of two to 1,138-1,145.
 # At 2^20 they were 65.0-74.6 and 50.1-54.1 MiB, against 113-121 MiB for
-# both with the keys kept.
+# both with the keys kept.  Counting far-edge runs as occurrences took the
+# plot to 1,026-1,030 KiB and 64.0-67.0 MiB.
 PEAK_BOUNDS_KIB = {14: (1125, 630), 20: (82_000, 60_000)}
 
 
@@ -669,6 +678,14 @@ class TestPeakMemory:
     @pytest.mark.parametrize("sub", [TM, PD, Substitution("01110", "01010")], ids=str)
     def test_plot_peak_at_two_to_the_twenty(self, sub):
         self._check(sub, 20)
+
+    @pytest.mark.slow
+    def test_periodic_plot_peak_at_two_to_the_eighteen(self):
+        # (01)^k has lines of every length, so the output dict sets its
+        # peak: 35.0 MiB, against 49.5 MiB with one 3-int list per length.
+        n = 1 << 18
+        x = BitSequence.from_text("01" * (n // 2))
+        assert _traced_peak(lambda: histogram(x, n, 1)) <= 40 * 1024 * 1024
 
 
 # -- reductions --------------------------------------------------------------
@@ -922,6 +939,14 @@ class TestParams:
         hist = histogram(EXAMPLE, 6, 1)
         assert isinstance(hist, LineHistogram)
         assert isinstance(extract_lines(EXAMPLE, 6, 1)[0], LineTriple)
+
+    def test_float_plot_size_is_refused(self):
+        with pytest.raises(DomainError, match="plot size must be an integer, got 20.0"):
+            histogram(TM.fixed_point_prefix(32), 20.0, 1)
+
+    def test_float_render_size_is_refused(self):
+        with pytest.raises(DomainError, match="plot size must be an integer, got 4.0"):
+            render_ascii(TM.fixed_point_prefix(8), 4.0, 1)
 
 
 class TestThresholdTypes:

@@ -86,6 +86,10 @@ class TestMeasures:
         assert rep.ENT is None
         assert rep.linedens == {}
 
+    def test_fractional_lmin_is_refused(self):
+        with pytest.raises(DomainError, match="minimum line length must be an integer"):
+            measures_from_histogram(histogram(EXAMPLE, 6, 1), 1.5)
+
     def test_lmin_beyond_longest_line(self):
         rep = measures_from_histogram(histogram(EXAMPLE, 6, 1), 5)
         assert rep.RR == 0
@@ -125,6 +129,10 @@ class TestCorrelationSum:
     def test_constant_sequence(self):
         ones = BitSequence.from_text("1" * 64)
         assert correlation_sum(ones, 32, 4, 2) == 1
+
+    def test_float_plot_size_is_refused(self):
+        with pytest.raises(DomainError, match="plot size must be an integer, got 20.0"):
+            correlation_sum(TM.fixed_point_prefix(32), 20.0, 1, 1)
 
     def test_diagonal_floor(self):
         rng = np.random.default_rng(3)
@@ -252,6 +260,15 @@ class TestSerialization:
         for key in ("tail_density", "RR", "RR1", "DET", "Lavg", "C"):
             assert frac(data[key]) == getattr(rep, key)
         assert data["ENT"] == rep.ENT
+
+    def test_numpy_integer_arguments_serialize(self):
+        # numpy integers pass as plain ints, so the report's n and h do too.
+        x = TM.fixed_point_prefix(21)
+        hist = histogram(x, np.int64(20), np.int64(2))
+        assert (type(hist.n), type(hist.h)) == (int, int)
+        assert hist == histogram(x, 20, 2)
+        rep = measures_from_histogram(hist, 1)
+        assert json.loads(json.dumps(rep.to_json_dict()))["h"] == 2
 
     def test_json_rationals_exact(self):
         rep = measures_from_histogram(histogram(EXAMPLE, 6, 1), 2)

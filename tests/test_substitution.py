@@ -179,6 +179,10 @@ class TestFixedPoint:
         assert PD.fixed_point_prefix(8).to01() == "01000101"
         assert Q5.fixed_point_prefix(10).to01() == "0111001010"
 
+    def test_float_prefix_length_is_refused(self):
+        with pytest.raises(DomainError, match="prefix length must be an integer, got 20.0"):
+            TM.fixed_point_prefix(20.0)
+
     def test_prefix_empty_and_cap(self):
         assert len(TM.fixed_point_prefix(0)) == 0
         with pytest.raises(ResourceLimitError):
