@@ -17,12 +17,11 @@ neighbours compare two keys' digits per level, but only at the few dozen
 run heads of the Burrows-Wheeler transform; the rest follow from
 PLCP[i] = PLCP[i-1] - 1.  One pointer-jumping search finds the nearest
 smaller neighbours on both sides, which bound each pair count and each
-suffix-order interval of the suffixes that start with a given one: the
-far-edge runs of length at least L number the other occurrences of the
-last L letters.  The search takes a few dozen rounds on fixed-point
-prefixes, but a round per step of each long rising run a periodic text
-has.  A level costs one O(n log n) sort and 1 to 4 bytes a letter, with
-no per-suffix Python loop.
+suffix-order interval of the occurrences of a final segment, whose sizes
+count the far-edge runs: a few dozen rounds on fixed-point prefixes, but
+a round per step of each long rising run a periodic text has.  A level
+costs one O(n log n) sort and 1 to 4 bytes a letter, with no per-suffix
+Python loop.
 extract_lines keeps the walk along each diagonal as the reference the
 kernel is tested against.  Two exact reductions collapse the parameter
 space:
