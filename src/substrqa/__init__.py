@@ -11,7 +11,7 @@ and no numpy.  The first use of a name below imports the module that owns
 it and caches the name here, so a caller that needs only the empirical
 route never loads the exact one.  numpy itself loads on the first array
 operation (see ``_numpy``), so classification, parsing and the limits of
-nonprimitive forms never import it.
+nonprimitive and periodic forms never import it.
 """
 
 import importlib
@@ -20,7 +20,7 @@ import importlib
 _EXPORTS = {
     "asymptotics": (
         "AsymptoticQuantifiers", "NuTables", "asymptotic_quantifiers", "closed_form",
-        "determinism_limit_scan", "fixed_point_period", "nu_tables", "quantifiers_via_sums",
+        "determinism_limit_scan", "nu_tables", "quantifiers_via_sums",
     ),
     "densities": (
         "DEFAULT_SCALES", "BaseEvidence", "Decomposition", "DensityTable", "block_frequencies",

@@ -1,8 +1,9 @@
 """numpy, bound here and loaded on the first attribute access.
 
-Classification, parsing and the nonprimitive limits are integer arithmetic,
-so a process that runs only those never pays numpy's import.  A numpy that
-is already loaded is reused as it is; a missing one fails at import.
+Classification, parsing and the limits of nonprimitive and periodic forms
+are integer arithmetic, so a process that runs only those never pays
+numpy's import.  A numpy that is already loaded is reused as it is; a
+missing one fails at import.
 """
 
 import importlib.util

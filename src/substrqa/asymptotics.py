@@ -39,7 +39,6 @@ __all__ = [
     "asymptotic_quantifiers",
     "closed_form",
     "determinism_limit_scan",
-    "fixed_point_period",
     "nu_tables",
     "quantifiers_via_sums",
 ]
@@ -313,16 +312,6 @@ def _degenerate(m: int, lmin: int, h: int, note: str) -> AsymptoticQuantifiers:
     )
 
 
-def fixed_point_period(sub: Substitution) -> int:
-    """Smallest period of the fixed point, read off a generated prefix."""
-    n = max(64, 4 * sub.q * sub.q)
-    bits = sub.fixed_point_prefix(n).bits
-    for p in range(1, n // 2 + 1):
-        if (bits[: n - p] == bits[p:]).all():
-            return p
-    raise DiscrepancyError(f"no period up to {n // 2} in a supposedly periodic fixed point")
-
-
 # -- dispatch ----------------------------------------------------------------
 
 
@@ -342,8 +331,7 @@ def _limits(sub: Substitution, m: int, lmin: int, hs: list[int]) -> list[Asympto
         table = reconstruct_base(cls.normalized)
         return [closed_form(table, *p) for p in params]
     if cls.kind is SubshiftKind.PRIMITIVE_PERIODIC:
-        period = fixed_point_period(cls.normalized)
-        note = f"periodic fixed point (period {period}): every diagonal line is infinite"
+        note = f"periodic fixed point (period {cls.period}): every diagonal line is infinite"
     else:
         note = "constant-image substitution: line lengths are unbounded"
     return [_degenerate(*p, note) for p in params]

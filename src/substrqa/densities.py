@@ -327,6 +327,7 @@ def decompose(constants: RecogConstants, length: int) -> Decomposition:
     [R0, R); any failed division or an undershoot below R0 certifies the
     start set at `length` is empty.
     """
+    length = as_int(length, "length")
     if length < constants.R:
         raise DomainError(f"decompose needs length >= R={constants.R}, got {length}")
     affix = constants.alpha + constants.beta
@@ -398,6 +399,7 @@ def closed_form_indices(constants: RecogConstants, lprime: int) -> tuple[int, in
     """Split a target length into (j, l0): j is the number of whole scaling
     steps needed before the largest base reaches lprime, and l0 the smallest
     base whose j-step image does."""
+    lprime = as_int(lprime, "target length")
     if lprime < constants.R0:
         raise DomainError(f"target length must be at least R0={constants.R0}, got {lprime}")
     # l0 q^j + c (q^j - 1) >= lprime, times the denominator of c.

@@ -156,10 +156,18 @@ class SubshiftKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Classification:
+    """The kind of subshift, and the normal form and normalization behind it.
+
+    absorbing_letter is the letter whose constant image absorbs a proximal
+    form; period is the smallest period of a periodic form's normalized fixed
+    point.  Both are None for every other kind.
+    """
+
     kind: SubshiftKind
     normalized: "Substitution"
     normalization: Normalization
     absorbing_letter: int | None = None
+    period: int | None = None
 
 
 @dataclass(frozen=True)
@@ -288,8 +296,7 @@ class Substitution:
         """Whether the (primitive) substitution's subshift has no periodic point."""
         if not self.is_primitive():
             raise DomainError("aperiodicity test requires a primitive substitution")
-        normalized, _ = self.normalize()
-        return _normalized_is_aperiodic(normalized)
+        return _normalized_period(self.normalize()[0]) is None
 
     def classify(self) -> Classification:
         q = self.q
@@ -307,11 +314,12 @@ class Substitution:
         # Remaining shapes always have a strictly positive squared matrix.
         assert self.is_primitive()
         normalized, how = self.normalize()
-        if _normalized_is_aperiodic(normalized):
+        period = _normalized_period(normalized)
+        if period is None:
             kind = SubshiftKind.PRIMITIVE_APERIODIC
         else:
             kind = SubshiftKind.PRIMITIVE_PERIODIC
-        return Classification(kind, normalized, how)
+        return Classification(kind, normalized, how, period=period)
 
     # -- fixed point --------------------------------------------------------
 
@@ -351,17 +359,16 @@ class Substitution:
         return BitSequence(seq[:n])
 
 
-def _normalized_is_aperiodic(sub: Substitution) -> bool:
-    # Assumes primitivity and image0 starting with 0.  The subshift is
-    # periodic exactly when both images are equal, one image is constant,
-    # or the images strictly alternate letters (odd length only).
-    if sub.image0 == sub.image1:
-        return False
-    if "1" not in sub.image0 or "0" not in sub.image1:
-        return False
-    q = sub.q
-    if q % 2 == 1:
-        s = q // 2
-        if sub.image0 == "01" * s + "0" and sub.image1 == "10" * s + "1":
-            return False
-    return True
+def _normalized_period(sub: Substitution) -> int | None:
+    # Assumes primitivity and image0 starting with 0.  The fixed point is
+    # periodic exactly when both images equal one word u, making it u^inf
+    # with the period of u's primitive root, or when the images strictly
+    # alternate letters (odd length only), making it (01)^inf.
+    u = sub.image0
+    if u == sub.image1:
+        # The primitive root's length is the first shift at which u recurs in uu.
+        return (u + u).find(u, 1)
+    s = sub.q // 2
+    if sub.q % 2 == 1 and u == "01" * s + "0" and sub.image1 == "10" * s + "1":
+        return 2
+    return None

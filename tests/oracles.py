@@ -31,6 +31,17 @@ def inner_line_starts(x, length: int, n: int) -> set[tuple[int, int]]:
     return pairs
 
 
+def smallest_period(text: str) -> int | None:
+    """The smallest shift p <= len(text) / 2 under which the 0/1 text agrees
+    with itself, text[i] == text[i + p] wherever both exist, tried one shift
+    at a time; None if no such shift exists."""
+    n = len(text)
+    for p in range(1, n // 2 + 1):
+        if text[: n - p] == text[p:]:
+            return p
+    return None
+
+
 def reduce_eps(length: int, n: int, h: int) -> tuple[int, int]:
     """The (length, plot size) at threshold 1/2 of a length-l line of the
     n-plot at threshold 2^-h: the run is h - 1 letters longer, in a plot

@@ -14,7 +14,6 @@ from substrqa.asymptotics import (
     asymptotic_quantifiers,
     closed_form,
     determinism_limit_scan,
-    fixed_point_period,
     nu_tables,
     quantifiers_via_sums,
 )
@@ -292,11 +291,11 @@ class TestDegenerate:
         assert report.DET == 1
 
     def test_period_scan_rejects_aperiodic(self):
-        with pytest.raises(DiscrepancyError):
-            fixed_point_period(TM)
+        for sub in GOLDEN:
+            assert sub.classify().period is None
 
     def test_period_of_simple_alternation(self):
-        assert fixed_point_period(Substitution("010", "101")) == 2
+        assert Substitution("010", "101").classify().period == 2
 
 
 class TestScan:
@@ -365,14 +364,13 @@ class TestScan:
             monkeypatch,
             (Substitution, "classify"),
             (asymptotics, "reconstruct_base"),
-            (asymptotics, "fixed_point_period"),
         )
         determinism_limit_scan(TM, 1, 3, range(1, 25))
         assert calls.count("reconstruct_base") == 1
         assert calls.count("classify") <= 2
         calls.clear()
         determinism_limit_scan(Substitution("010", "101"), 1, 2, range(1, 25))
-        assert calls.count("fixed_point_period") == 1
+        assert calls == ["classify"]
         calls.clear()
         assert determinism_limit_scan(Substitution("010", "101"), 1, 2, range(0)) == []
         assert determinism_limit_scan(TM, 1, 2, range(5, 5)) == []

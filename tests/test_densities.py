@@ -372,6 +372,12 @@ class TestDecompose:
         with pytest.raises(DomainError):
             decompose(recognizability_constants(TM), 3)
 
+    @pytest.mark.parametrize("length", [12.0, "12"])
+    def test_non_integer_length_is_refused(self, length):
+        # 12.0 decomposed in floats, with float fields; "12" met a raw TypeError.
+        with pytest.raises(DomainError, match="length must be an integer"):
+            decompose(recognizability_constants(TM), length)
+
     @pytest.mark.parametrize("sub", GOLDEN, ids=str)
     def test_valid_chains_reproduce_length(self, sub):
         k = recognizability_constants(sub)
@@ -448,6 +454,11 @@ class TestDensKAndIndices:
     def test_index_rejects_below_R0(self):
         with pytest.raises(DomainError):
             closed_form_indices(recognizability_constants(TM), 1)
+
+    def test_index_refuses_a_float_target(self):
+        # 2.5 was split as if it were an integer length, into (0, 3).
+        with pytest.raises(DomainError, match="target length must be an integer, got 2.5"):
+            closed_form_indices(recognizability_constants(TM), 2.5)
 
     @pytest.mark.parametrize("sub", GOLDEN, ids=str)
     def test_index_minimality(self, sub):

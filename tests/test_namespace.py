@@ -96,6 +96,8 @@ NO_ARRAYS = {
     ("--help",): 0,
     ("classify", "1x,01"): 2,
     ("analyze", "00,11", "--asymptotic"): 0,
+    ("analyze", "010,101", "--asymptotic"): 0,
+    ("analyze", "101,010", "--asymptotic"): 0,
 }
 
 

@@ -16,6 +16,8 @@ from substrqa import (
 )
 from substrqa.substitution import dense_ranks
 
+from oracles import smallest_period
+
 TM = Substitution("01", "10")
 PD = Substitution("01", "00")
 Q5 = Substitution("01110", "01010")
@@ -157,6 +159,26 @@ class TestClassification:
         c = Substitution("101", "010").classify()
         assert c.kind is SubshiftKind.PRIMITIVE_PERIODIC
         assert c.normalization is Normalization.SQUARE
+
+    def test_period_matches_the_prefix_scan(self):
+        # Every substitution with q <= 7; the squared alternations 101,010
+        # (q = 9) and 1010101,0101010 (q = 49) are among them.
+        periodic = set()
+        for q in range(2, 8):
+            words = ["".join(w) for w in itertools.product("01", repeat=q)]
+            for image0, image1 in itertools.product(words, repeat=2):
+                c = Substitution(image0, image1).classify()
+                if c.kind is not SubshiftKind.PRIMITIVE_PERIODIC:
+                    assert c.period is None, (image0, image1)
+                    continue
+                n = max(64, 4 * c.normalized.q**2)
+                prefix = c.normalized.fixed_point_prefix(n).to01()
+                assert c.period == smallest_period(prefix), (image0, image1)
+                periodic.add((image0, image1, c.normalized.q, c.period))
+        # 2^q - 2 pairs of equal nonconstant images for each q, and two
+        # strict alternations for each odd q.
+        assert len(periodic) == 246
+        assert {("101", "010", 9, 2), ("1010101", "0101010", 49, 2)} <= periodic
 
     def test_aperiodicity_needs_primitivity(self):
         with pytest.raises(DomainError):
