@@ -321,14 +321,6 @@ def _neighbour_lcp(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, reach[order] - order
 
 
-def _restricted_lcp(order: np.ndarray, common: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """The common prefixes of neighbours in suffix order among positions
-    [lo, hi), given _neighbour_lcp's order and common prefixes: the least
-    value over the ranks between two kept ones."""
-    kept = np.flatnonzero((order >= lo) & (order < hi))
-    return np.minimum.reduceat(common[: kept[-1] + 1], kept[:-1] + 1) if kept.size else kept
-
-
 def _smaller_bounds(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each t, the nearest s < t with values[s] < values[t] (-1 where
     there is none) and the nearest s > t with values[s] <= values[t]
@@ -536,14 +528,15 @@ def inner_line_counts(x: BitSequence, n: int, max_length: int) -> np.ndarray:
 
     result[l] counts the ordered pairs (i, j), i != j, in [1, n)^2 whose
     windows x[i..i+l) and x[j..j+l) agree while the letters just before and
-    just after both disagree, for 1 <= l <= max_length.
-    result[0] is unused and zero.
+    just after both disagree, for 1 <= l <= max_length; result[0] is zero.
 
-    A start pair at length l is two positions in [1, n) whose suffixes share
-    exactly l letters, minus those whose letters just before agree too; the
-    latter are the pairs one step left, in [0, n-1), sharing exactly l+1.
-    So result[l] = 2 * (pairs among [1, n) at l - pairs among [0, n-1) at
-    l+1), both read off one suffix order.
+    Equal windows whose letters just after differ share exactly l letters,
+    so result[l] counts the pairs in [1, n) whose suffixes share exactly l
+    letters and whose letters just before differ: as in _pairs_by_lcp, but
+    each adjacent value in [1, max_length] gets A0*B1 + A1*B0, Ac and Bc the
+    kept ranks (positions in [1, n)) after letter c inside its bounds, on
+    its left and right.  Values up to max_length are bounded by values up
+    to max_length, so the search skips the others.
     """
     n, max_length = as_int(n, "position bound"), as_int(max_length, "maximum length")
     if max_length < 1:
@@ -554,13 +547,21 @@ def inner_line_counts(x: BitSequence, n: int, max_length: int) -> np.ndarray:
         x, n + max_length + 1, f"inner-line scan up to length {max_length}, bound {n}"
     )
     order, common = _neighbour_lcp(bits)
-    adjacent_starts = _restricted_lcp(order, common, 1, n)
-    adjacent_shifted = _restricted_lcp(order, common, 0, n - 1)
-    starts = _pairs_by_lcp(adjacent_starts, *_smaller_bounds(adjacent_starts), bits.size)
-    shifted = _pairs_by_lcp(adjacent_shifted, *_smaller_bounds(adjacent_shifted), bits.size)
+    # follows[c, r]: kept ranks below r after letter c (suffix 0 is not kept).
+    follows = np.zeros((2, bits.size + 1), dtype=np.int32)
+    follows[:, 1:] = (order >= 1) & (order < n) & (bits[order - 1] == [[0], [1]])
+    np.cumsum(follows, axis=1, out=follows)
+    adjacent = common[1:]
+    credited = np.flatnonzero(adjacent <= max_length)
+    # follows at each credited index, then at the search's ends k and -1.
+    at = follows[:, np.append(credited, (adjacent.size, -1)) + 1]
+    left, right = _smaller_bounds(adjacent[credited])
+    head = at[:, :-2] - at[:, left]
+    tail = at[:, right] - at[:, :-2]
     counts = np.zeros(max_length + 1, dtype=np.int64)
-    counts[1:] = 2 * (starts[1 : max_length + 1] - shifted[2 : max_length + 2])
-    return counts
+    np.add.at(counts, adjacent[credited], np.einsum("ct,ct->t", head, tail[::-1], dtype=np.int64))
+    counts[0] = 0
+    return 2 * counts
 
 
 def _require_renderable(n: int) -> None:

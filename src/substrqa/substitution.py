@@ -238,19 +238,6 @@ class Substitution:
             raise ParseError(f"word contains {sorted(bad)!r}; only 0 and 1 are allowed")
         return word.translate(str.maketrans({"0": self.image0, "1": self.image1}))
 
-    def iterate(self, k: int, seed: str = "0") -> str:
-        k = as_int(k, "iteration count")
-        if k < 0:
-            raise DomainError("iteration count must be nonnegative")
-        word = seed
-        for _ in range(k):
-            if len(word) * self.q > FIXED_POINT_CAP:
-                raise ResourceLimitError(
-                    f"iterate({k}) would exceed the {FIXED_POINT_CAP}-letter cap"
-                )
-            word = self.apply(word)
-        return word
-
     def compose(self, other: "Substitution") -> "Substitution":
         """Substitution acting as self after other (lengths multiply)."""
         return Substitution(self.apply(other.image0), self.apply(other.image1))
@@ -264,14 +251,10 @@ class Substitution:
         """Occurrences of the letter 0 in the images of 0 and of 1."""
         return (self.image0.count("0"), self.image1.count("0"))
 
-    def composition_matrix(self) -> np.ndarray:
-        """2x2 integer matrix: entry [a, b] counts letter a in the image of b."""
-        a, b = self.zero_counts()
-        return np.array([[a, b], [self.q - a, self.q - b]], dtype=np.int64)
-
     def is_primitive(self) -> bool:
         # For 2x2 nonnegative matrices, primitivity shows up by the square,
-        # here of [[a, b], [c, d]] = composition_matrix() in plain integers.
+        # here of the composition matrix [[a, b], [c, d]] (the 0s and 1s in
+        # the images of 0 and of 1) in plain integers.
         a, b = self.zero_counts()
         c, d = self.q - a, self.q - b
         return min(a * a + b * c, (a + d) * b, (a + d) * c, b * c + d * d) > 0
@@ -291,12 +274,6 @@ class Substitution:
             swapped = Substitution(self.image1.translate(_SWAP), self.image0.translate(_SWAP))
             return swapped, Normalization.LETTER_SWAP
         return self.square(), Normalization.SQUARE
-
-    def is_aperiodic(self) -> bool:
-        """Whether the (primitive) substitution's subshift has no periodic point."""
-        if not self.is_primitive():
-            raise DomainError("aperiodicity test requires a primitive substitution")
-        return _normalized_period(self.normalize()[0]) is None
 
     def classify(self) -> Classification:
         q = self.q

@@ -6,8 +6,25 @@ another way, kept here so the tests can check the package against it.
 
 from fractions import Fraction
 
+import numpy as np
+
 from substrqa.recognizability import _residues
 from substrqa.recplot import _match_runs, _require_prefix
+
+
+def iterate(sub, k: int) -> str:
+    """The word sub^k(0), one string substitution at a time."""
+    word = "0"
+    for _ in range(k):
+        word = sub.apply(word)
+    return word
+
+
+def composition_matrix(sub) -> np.ndarray:
+    """2x2 integer matrix: entry [a, b] counts letter a in the image of b."""
+    return np.array(
+        [[image.count(letter) for image in sub.images] for letter in "01"], dtype=np.int64
+    )
 
 
 def inner_line_starts(x, length: int, n: int) -> set[tuple[int, int]]:

@@ -448,20 +448,28 @@ class TestSuffixKernel:
 
     @pytest.mark.parametrize("text", _kernel_texts())
     def test_pairs_by_lcp_match_brute_force(self, text):
-        size = len(text)
-        order, common = recplot._neighbour_lcp(BitSequence.from_text(text).bits)
+        size, x = len(text), BitSequence.from_text(text)
+        common = recplot._neighbour_lcp(x.bits)[1]
         shared = {
             (i, j): _common_prefix(text[i:], text[j:])
             for i, j in itertools.combinations(range(size), 2)
         }
-        for lo, hi in ((0, size), (1, size), (0, size - 1)):
-            expected = [0] * (size + 1)
-            for i, j in itertools.combinations(range(lo, hi), 2):
-                expected[shared[i, j]] += 1
-            adjacent = recplot._restricted_lcp(order, common, lo, hi)
-            bounds = recplot._smaller_bounds(adjacent)
-            assert recplot._pairs_by_lcp(adjacent, *bounds, size).tolist() == expected
-        assert recplot._restricted_lcp(order, common, 0, size).tolist() == common[1:].tolist()
+        expected = [0] * (size + 1)
+        for i, j in itertools.combinations(range(size), 2):
+            expected[shared[i, j]] += 1
+        adjacent = common[1:]
+        bounds = recplot._smaller_bounds(adjacent)
+        assert recplot._pairs_by_lcp(adjacent, *bounds, size).tolist() == expected
+        # inner_line_counts at each n, with the lmax that fills the text:
+        # ordered pairs in [1, n) sharing exactly l letters whose letters
+        # before differ.  The pairs (i, n - 1) join as n grows.
+        starts = [0] * (size + 1)
+        for n in range(2, size - 1):
+            for i in range(1, n - 1):
+                if text[i - 1] != text[n - 2]:
+                    starts[shared[i, n - 1]] += 2
+            lmax = size - n - 1
+            assert inner_line_counts(x, n, lmax).tolist() == [0] + starts[1 : lmax + 1]
 
     @pytest.mark.parametrize("text", _kernel_texts())
     def test_neighbour_lcp_matches_lifting_every_neighbour(self, text):
@@ -657,7 +665,9 @@ def _traced_peak(run) -> int:
 # plot to 1,218 KiB, and one gather-free round instead of two to 1,138-1,145.
 # At 2^20 they were 65.0-74.6 and 50.1-54.1 MiB, against 113-121 MiB for
 # both with the keys kept.  Counting far-edge runs as occurrences took the
-# plot to 1,026-1,030 KiB and 64.0-67.0 MiB.
+# plot to 1,026-1,030 KiB and 64.0-67.0 MiB.  inner_line_counts(x, 2^14, 30)
+# peaks inside _suffix_levels, at 573-584 KiB, so it takes the levels'
+# bound; two bound searches over restricted orders took it to 1,411-1,415.
 PEAK_BOUNDS_KIB = {14: (1125, 630), 20: (82_000, 60_000)}
 
 
@@ -673,6 +683,9 @@ class TestPeakMemory:
     @pytest.mark.parametrize("sub", [TM, PD, Substitution("01110", "01010")], ids=str)
     def test_plot_peak_at_two_to_the_fourteen(self, sub):
         self._check(sub, 14)
+        n = 1 << 14
+        x = sub.fixed_point_prefix(n + 31)
+        assert _traced_peak(lambda: inner_line_counts(x, n, 30)) <= PEAK_BOUNDS_KIB[14][1] * 1024
 
     @pytest.mark.slow
     @pytest.mark.parametrize("sub", [TM, PD, Substitution("01110", "01010")], ids=str)
