@@ -180,6 +180,16 @@ class TestClassification:
         assert len(periodic) == 246
         assert {("101", "010", 9, 2), ("1010101", "0101010", 49, 2)} <= periodic
 
+    def test_aperiodicity_needs_primitivity(self):
+        # Only primitive forms are sorted into aperiodic and periodic; 010,111
+        # is not primitive, so classify names its proximal kind and no period.
+        sub = Substitution("010", "111")
+        assert not sub.is_primitive()
+        c = sub.classify()
+        assert c.kind is SubshiftKind.NONPRIMITIVE_PROXIMAL
+        assert c.absorbing_letter == 1
+        assert c.period is None
+
     @given(equal_length_pairs())
     def test_classify_total(self, sub):
         c = sub.classify()
