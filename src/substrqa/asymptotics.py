@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .densities import DensityTable, closed_form_indices, dens_K, reconstruct_base
-from .errors import DiscrepancyError, DomainError, as_int
+from .errors import DiscrepancyError, at_least
 from .recplot import quantize_eps
 from .rqa import RQAReport, _log_fraction
 from .substitution import SubshiftKind, Substitution
@@ -87,10 +87,7 @@ class AsymptoticQuantifiers:
 
 
 def _validate_inputs(m: int, lmin: int, h: int) -> tuple[int, int, int]:
-    m, lmin, h = as_int(m, "m"), as_int(lmin, "lmin"), as_int(h, "h")
-    if m < 1 or lmin < 1 or h < 1:
-        raise DomainError(f"m, lmin, h must all be >= 1, got ({m}, {lmin}, {h})")
-    return m, lmin, h
+    return at_least(m, 1, "m"), at_least(lmin, 1, "lmin"), at_least(h, 1, "h")
 
 
 # -- reference route: grouped tail sums --------------------------------------

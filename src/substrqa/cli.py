@@ -31,7 +31,7 @@ from .densities import (
     reconstruct_base,
     table_to_json_dict,
 )
-from .errors import DomainError, ParseError, SubstRQAError
+from .errors import DomainError, ParseError, SubstRQAError, at_least
 from .recognizability import RecogConstants, recognizability_constants
 from .recplot import _require_renderable, histogram, quantize_eps, render_ascii, render_pgm
 from .rqa import (
@@ -116,14 +116,14 @@ def _threshold(
 ) -> tuple[int, str | None]:
     """Validate the plot options; return the effective dyadic exponent plus
     a quantization note when it came from --eps."""
-    if m < 1 or lmin < 1:
-        raise DomainError(f"m and lmin must be >= 1, got ({m}, {lmin})")
-    if h is not None and h < 1:
-        raise DomainError(f"threshold exponent must be >= 1, got {h}")
+    at_least(m, 1, "m")
+    at_least(lmin, 1, "lmin")
+    if h is not None:
+        at_least(h, 1, "threshold exponent")
     if h is not None and eps is not None:
         raise DomainError("give either -h or --eps, not both")
-    if n is not None and n < 2:
-        raise DomainError(f"plot size must be at least 2, got {n}")
+    if n is not None:
+        at_least(n, 2, "plot size")
     if eps is not None:
         h = quantize_eps(eps)
         return h, f"threshold {eps} quantized to 2^-{h}"
@@ -295,8 +295,7 @@ def analyze(spec, m, lmin, h, eps, n, asymptotic, fmt, log_base) -> None:
 @NO_CACHE
 def densities(spec: str, lmax: int, fmt: str) -> None:
     """Exact start-pair densities of SPEC up to a length bound."""
-    if lmax < 1:
-        raise DomainError(f"lmax must be >= 1, got {lmax}")
+    at_least(lmax, 1, "lmax")
     sub = Substitution.parse(spec)
     cls = sub.classify()
     if cls.kind is not SubshiftKind.PRIMITIVE_APERIODIC:
@@ -347,9 +346,7 @@ def convergence(spec, quantity, scales, m, lmin, h, eps, fmt) -> None:
     """Sweep plot sizes and chart the gap to the exact limit."""
     h, eps_note = _threshold(m, lmin, h, eps)
     sub = Substitution.parse(spec)
-    scales = tuple(scales) or (256, 512, 1024, 2048, 4096)
-    if any(n < 2 for n in scales):
-        raise DomainError(f"every scale must be at least 2, got {scales}")
+    scales = tuple(at_least(n, 2, "scale") for n in scales) or (256, 512, 1024, 2048, 4096)
     target = getattr(asymptotic_quantifiers(sub, m, lmin, Fraction(1, 2**h)), quantity)
     sweep = []
     for n in sorted(scales):

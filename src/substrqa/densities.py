@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .errors import DiscrepancyError, DomainError, ReconstructionError, as_int
+from .errors import DiscrepancyError, ReconstructionError, at_least
 from .recognizability import (
     RecogConstants,
     desubstitute,
@@ -75,6 +75,7 @@ DEFAULT_SCALES = (1 << 12, 1 << 13)
 def letter_frequencies(sub: Substitution) -> tuple[Fraction, Fraction]:
     """Frequencies of 0 and 1 in the fixed point, from the dominant
     eigenvector of the letter-count matrix."""
+    require_normalized_aperiodic(sub)
     a, b = sub.zero_counts()
     q = sub.q
     f0 = Fraction(b, b + q - a)
@@ -132,10 +133,7 @@ def _block_frequencies_cached(sub: Substitution, length: int) -> tuple[int, dict
 def block_frequencies(sub: Substitution, length: int) -> dict[str, Fraction]:
     """Exact frequency of every allowed word of the given length."""
     require_normalized_aperiodic(sub)
-    length = as_int(length, "block length")
-    if length < 1:
-        raise DomainError(f"block length must be positive, got {length}")
-    D, table = _block_frequencies_cached(sub, length)
+    D, table = _block_frequencies_cached(sub, at_least(length, 1, "block length"))
     return {w: Fraction(n, D) for w, n in table.items()}
 
 
@@ -151,10 +149,7 @@ def density_from_frequencies(sub: Substitution, length: int) -> Fraction:
     """Exact density of inner-line start pairs at one length, straight from
     block frequencies (no scaling law involved)."""
     require_normalized_aperiodic(sub)
-    length = as_int(length, "length")
-    if length < 1:
-        raise DomainError(f"length must be positive, got {length}")
-    D, table = _block_frequencies_cached(sub, length + 2)
+    D, table = _block_frequencies_cached(sub, at_least(length, 1, "length") + 2)
     return Fraction(_start_pairs(table), D * D)
 
 
@@ -327,9 +322,7 @@ def decompose(constants: RecogConstants, length: int) -> Decomposition:
     [R0, R); any failed division or an undershoot below R0 certifies the
     start set at `length` is empty.
     """
-    length = as_int(length, "length")
-    if length < constants.R:
-        raise DomainError(f"decompose needs length >= R={constants.R}, got {length}")
+    length = at_least(length, constants.R, "length")
     affix = constants.alpha + constants.beta
     q = constants.q
     current = length
@@ -347,9 +340,7 @@ def decompose(constants: RecogConstants, length: int) -> Decomposition:
 
 def dens_K(table: DensityTable, length: int) -> Fraction:
     """Exact start-pair density at any length, via the table and scaling."""
-    length = as_int(length, "length")
-    if length < 1:
-        raise DomainError(f"length must be positive, got {length}")
+    length = at_least(length, 1, "length")
     constants = table.constants
     if length < constants.R:
         return table.base[length]
@@ -399,9 +390,7 @@ def closed_form_indices(constants: RecogConstants, lprime: int) -> tuple[int, in
     """Split a target length into (j, l0): j is the number of whole scaling
     steps needed before the largest base reaches lprime, and l0 the smallest
     base whose j-step image does."""
-    lprime = as_int(lprime, "target length")
-    if lprime < constants.R0:
-        raise DomainError(f"target length must be at least R0={constants.R0}, got {lprime}")
+    lprime = at_least(lprime, constants.R0, "target length")
     # l0 q^j + c (q^j - 1) >= lprime, times the denominator of c.
     cn, cd = constants.c.numerator, constants.c.denominator
     target = lprime * cd + cn

@@ -3,6 +3,10 @@
 The CLI maps these onto exit codes: usage problems (ParseError, DomainError)
 exit 2, computational failures (reconstruction, resource limits, cross-check
 discrepancies) exit 3, golden-value verification failures exit 1.
+
+Integer arguments enter the package through as_int (an int, not a float
+such as 12.0) and at_least (that, and no smaller than a bound), so every
+entry point refuses them in the same words.
 """
 
 import operator
@@ -48,3 +52,11 @@ def as_int(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise DomainError(f"{what} must be an integer, got {value!r}") from None
+
+
+def at_least(value, low: int, what: str) -> int:
+    """value as a Python int (see as_int), refused below low."""
+    value = as_int(value, what)
+    if value < low:
+        raise DomainError(f"{what} must be >= {low}, got {value}")
+    return value

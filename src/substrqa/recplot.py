@@ -46,7 +46,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from ._numpy import np
-from .errors import DomainError, ResourceLimitError, as_int
+from .errors import DomainError, ResourceLimitError, as_int, at_least
 from .substitution import BitSequence, window_classes
 
 __all__ = [
@@ -120,14 +120,10 @@ class LineHistogram:
         return LineHistogram(n=self.n, h=self.h, m=self.m, counts=kept)
 
 
-def _plot_args(n: int, h: int, m: int) -> tuple[int, int, int, int]:
-    """n, h and m as ints, h and m checked, and the window h + m - 1."""
-    n, h = as_int(n, "plot size"), as_int(h, "threshold exponent h")
-    m = as_int(m, "embedding dimension m")
-    if h < 1:
-        raise DomainError(f"threshold exponent h must be >= 1, got {h}")
-    if m < 1:
-        raise DomainError(f"embedding dimension m must be >= 1, got {m}")
+def _plot_args(n: int, h: int, m: int, least: int) -> tuple[int, int, int, int]:
+    """n (at least `least`), h and m as checked ints, and the window h + m - 1."""
+    n, h = at_least(n, least, "plot size"), at_least(h, 1, "threshold exponent h")
+    m = at_least(m, 1, "embedding dimension m")
     return n, h, m, h + m - 1
 
 
@@ -407,14 +403,10 @@ def _far_edge_runs(order: np.ndarray, adjacent: np.ndarray, right: np.ndarray) -
     return nbd
 
 
-def quantize_eps(eps) -> int:
-    """Smallest h with 2^-h <= eps.
-
-    Window distances only take the values 2^-i, so thresholding at eps and
-    at 2^-h mark identical plots.  Rejects eps outside (0, 1): at eps >= 1
-    every pair of positions would be recurrent.
-    """
-    if isinstance(eps, str):  # Fraction would parse "1/4"; reduce_embedding refuses it too
+def _threshold_fraction(eps) -> Fraction:
+    """eps as an exact Fraction, refused unless it is a number strictly
+    between 0 and 1: at eps >= 1 every pair of positions would recur."""
+    if isinstance(eps, str):  # Fraction would parse "1/4" and "0.25"
         raise DomainError(f"threshold must be a number, got {eps!r}")
     try:
         frac = Fraction(eps)
@@ -422,6 +414,16 @@ def quantize_eps(eps) -> int:
         raise DomainError(f"threshold must be a number, got {eps!r}") from exc
     if not 0 < frac < 1:
         raise DomainError(f"threshold must lie strictly between 0 and 1, got {eps!r}")
+    return frac
+
+
+def quantize_eps(eps) -> int:
+    """Smallest h with 2^-h <= eps.
+
+    Window distances only take the values 2^-i, so thresholding at eps and
+    at 2^-h mark identical plots.  Rejects eps outside (0, 1).
+    """
+    frac = _threshold_fraction(eps)
     # 2^-h <= eps exactly when 2^h >= ceil(1/eps).
     return (-(-frac.denominator // frac.numerator) - 1).bit_length()
 
@@ -429,9 +431,7 @@ def quantize_eps(eps) -> int:
 def rp_entry(x: BitSequence, i: int, j: int, h: int) -> bool:
     """Whether positions i and j recur at threshold 2^-h: equal h-windows."""
     i, j = as_int(i, "position i"), as_int(j, "position j")
-    h = as_int(h, "threshold exponent h")
-    if h < 1:
-        raise DomainError(f"threshold exponent h must be >= 1, got {h}")
+    h = at_least(h, 1, "threshold exponent h")
     if i < 0 or j < 0 or i + h > len(x) or j + h > len(x):
         raise DomainError(
             f"windows [{i}, {i}+{h}) and [{j}, {j}+{h}) must lie inside a {len(x)}-letter prefix"
@@ -444,9 +444,7 @@ def extract_lines(x: BitSequence, n: int, h: int, *, m: int = 1) -> list[LineTri
 
     Intended for small plots and cross-checks; histogram() is the bulk path.
     """
-    n, h, m, window = _plot_args(n, h, m)
-    if n < 2:
-        raise DomainError(f"plot size must be at least 2, got {n}")
+    n, h, m, window = _plot_args(n, h, m, 2)
     size = n + window - 1
     bits = _require_prefix(x, size, f"plot of size {n} at window {window}")
     lines: list[LineTriple] = []
@@ -480,9 +478,7 @@ def histogram(x: BitSequence, n: int, h: int, *, m: int = 1) -> LineHistogram:
     far-edge runs of length >= L number the occurrences of the last L
     letters elsewhere, read off the same suffix order (see _far_edge_runs).
     """
-    n, h, m, window = _plot_args(n, h, m)
-    if n < 2:
-        raise DomainError(f"plot size must be at least 2, got {n}")
+    n, h, m, window = _plot_args(n, h, m, 2)
     size = n + window - 1
     bits = _require_prefix(x, size, f"plot of size {n} at window {window}")
     order, common = _neighbour_lcp(bits)
@@ -511,15 +507,8 @@ def histogram(x: BitSequence, n: int, h: int, *, m: int = 1) -> LineHistogram:
 
 def reduce_embedding(m: int, eps):
     """Threshold seen by the raw sequence in place of its m-letter embedding."""
-    m = as_int(m, "embedding dimension m")
-    if m < 1:
-        raise DomainError(f"embedding dimension m must be >= 1, got {m}")
-    try:
-        inside = 0 < eps < 1
-    except TypeError as exc:
-        raise DomainError(f"threshold must be a number, got {eps!r}") from exc
-    if not inside:
-        raise DomainError(f"threshold must lie strictly between 0 and 1, got {eps!r}")
+    m = at_least(m, 1, "embedding dimension m")
+    _threshold_fraction(eps)
     return eps / (1 << (m - 1))
 
 
@@ -538,11 +527,7 @@ def inner_line_counts(x: BitSequence, n: int, max_length: int) -> np.ndarray:
     its left and right.  Values up to max_length are bounded by values up
     to max_length, so the search skips the others.
     """
-    n, max_length = as_int(n, "position bound"), as_int(max_length, "maximum length")
-    if max_length < 1:
-        raise DomainError(f"maximum length must be positive, got {max_length}")
-    if n < 2:
-        raise DomainError(f"position bound must be at least 2, got {n}")
+    n, max_length = at_least(n, 2, "position bound"), at_least(max_length, 1, "maximum length")
     bits = _require_prefix(
         x, n + max_length + 1, f"inner-line scan up to length {max_length}, bound {n}"
     )
@@ -565,14 +550,12 @@ def inner_line_counts(x: BitSequence, n: int, max_length: int) -> np.ndarray:
 
 
 def _require_renderable(n: int) -> None:
-    if n < 1:
-        raise DomainError(f"plot size must be positive, got {n}")
-    if n > RENDER_CAP:
+    if at_least(n, 1, "plot size") > RENDER_CAP:
         raise ResourceLimitError(f"rendering is capped at {RENDER_CAP}x{RENDER_CAP}, got n={n}")
 
 
 def _plot_matrix(x: BitSequence, n: int, h: int, m: int) -> tuple[int, np.ndarray]:
-    n, h, m, window = _plot_args(n, h, m)
+    n, h, m, window = _plot_args(n, h, m, 1)
     _require_renderable(n)
     bits = _require_prefix(x, n + window - 1, f"render of size {n} at window {window}")
     classes = window_classes(bits, window)

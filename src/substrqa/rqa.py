@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from ._numpy import np
-from .errors import DomainError, as_int
-from .recplot import LineHistogram, histogram
+from .errors import DomainError, at_least
+from .recplot import LineHistogram, _plot_args, histogram
 from .substitution import BitSequence, window_labels
 
 __all__ = [
@@ -193,27 +193,13 @@ class ResidualBounds:
         )
 
 
-def _line_length(lmin: int) -> int:
-    lmin = as_int(lmin, "minimum line length")
-    if lmin < 1:
-        raise DomainError(f"minimum line length must be positive, got {lmin}")
-    return lmin
-
-
-def _plot_size(n: int) -> int:
-    n = as_int(n, "plot size")
-    if n < 2:
-        raise DomainError(f"plot size must be at least 2, got {n}")
-    return n
-
-
 def measures_from_histogram(hist: LineHistogram, lmin: int) -> RQAReport:
     """Line-based quantifiers at minimum line length lmin.
 
     Uses total line counts, boundary lines included; pass
     hist.excluding_n_boundary() for the clipped-lines-dropped convention.
     """
-    lmin, n = _line_length(lmin), _plot_size(hist.n)
+    lmin, n = at_least(lmin, 1, "minimum line length"), at_least(hist.n, 2, "plot size")
     cells = n * n - n
     totals = {length: hist.total(length) for length in hist.lengths()}
     kept = {l: c for l, c in totals.items() if l >= lmin}
@@ -255,13 +241,9 @@ def correlation_sum(x: BitSequence, n: int, lmin: int, h: int, *, m: int = 1) ->
     np.unique over the window labels counts.  Windows near position n read
     on into the prefix rather than being truncated.
     """
-    lmin, n = _line_length(lmin), as_int(n, "plot size")
-    h, m = as_int(h, "threshold exponent h"), as_int(m, "embedding dimension m")
-    if n < 1:
-        raise DomainError(f"plot size must be positive, got {n}")
-    if h < 1 or m < 1:
-        raise DomainError(f"need h >= 1 and m >= 1, got ({h}, {m})")
-    width = lmin + (h + m - 1) - 1
+    lmin = at_least(lmin, 1, "minimum line length")
+    n, h, m, window = _plot_args(n, h, m, 1)
+    width = lmin + window - 1
     need = n + width - 1
     if len(x) < need:
         raise DomainError(
@@ -281,7 +263,7 @@ def corsum_from_histogram(
     shorter clipped stretches at the far edge) is returned as `triangle`
     when the true correlation sum is supplied.
     """
-    lmin = _line_length(lmin)
+    lmin = at_least(lmin, 1, "minimum line length")
     n = hist.n
     mass = sum(
         (l - lmin + 1) * count
@@ -295,7 +277,7 @@ def corsum_from_histogram(
 
 def rqa_from_corsum(c_l: Fraction, c_next: Fraction, n: int, lmin: int) -> Estimate:
     """Recurrence rate reconstructed from two adjacent correlation sums."""
-    n, lmin = _plot_size(n), _line_length(lmin)
+    n, lmin = at_least(n, 2, "plot size"), at_least(lmin, 1, "minimum line length")
     value = Fraction(n, n - 1) * (lmin * c_l - (lmin - 1) * c_next) - Fraction(1, n - 1)
     return Estimate(value=value, bound=Fraction(2 * lmin * (lmin - 1), n))
 
@@ -305,7 +287,7 @@ def linedens_from_corsum(
 ) -> LinedensEstimate:
     """Cumulative line density (and the induced average-length quotient)
     reconstructed from two adjacent correlation sums."""
-    n, lmin = _plot_size(n), _line_length(lmin)
+    n, lmin = at_least(n, 2, "plot size"), at_least(lmin, 1, "minimum line length")
     value = Fraction(n, n - 1) * (c_l - c_next)
     rr = rqa_from_corsum(c_l, c_next, n, lmin).value
     lavg = rr / value if value > 0 else None
@@ -315,7 +297,7 @@ def linedens_from_corsum(
 def corsum_from_rqa(rr: Fraction, tail: Fraction, n: int, lmin: int) -> CorsumInterval:
     """Correlation sum reconstructed from line statistics; the residual is
     positive (diagonal plus edge pairs) and lies in [1/n, 2*lmin/n)."""
-    n, lmin = _plot_size(n), _line_length(lmin)
+    n, lmin = at_least(n, 2, "plot size"), at_least(lmin, 1, "minimum line length")
     value = Fraction(n - 1, n) * (rr - (lmin - 1) * tail)
     return CorsumInterval(value=value, low=Fraction(1, n), high=Fraction(2 * lmin, n))
 
@@ -328,7 +310,7 @@ def asymptotic_from_corsum(
     The average line length is infinite exactly when the two adjacent
     correlation sums coincide (no line ever ends).
     """
-    lmin = _line_length(lmin)
+    lmin = at_least(lmin, 1, "minimum line length")
     if not 0 <= c_next <= c_l <= c_1 <= 1:
         raise DomainError(
             f"correlation sums must satisfy 0 <= C_(l+1) <= C_l <= C_1 <= 1, "

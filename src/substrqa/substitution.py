@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass
 
 from ._numpy import np
-from .errors import DomainError, ParseError, ResourceLimitError, as_int
+from .errors import DomainError, ParseError, ResourceLimitError, at_least
 
 __all__ = [
     "ALPHABET",
@@ -111,9 +111,7 @@ def window_labels(bits: np.ndarray, width: int) -> np.ndarray:
     ranks of its words, combined one word at a time.  Requires
     1 <= width <= len(bits).
     """
-    width = as_int(width, "window width")
-    if width < 1:
-        raise DomainError(f"window width must be positive, got {width}")
+    width = at_least(width, 1, "window width")
     count = int(bits.size) - width + 1
     if count <= 0:
         raise DomainError(f"sequence of length {bits.size} has no windows of width {width}")
@@ -315,9 +313,7 @@ class Substitution:
         step), truncating intermediate stages so memory stays near n
         letters.
         """
-        n = as_int(n, "prefix length")
-        if n < 0:
-            raise DomainError("prefix length must be nonnegative")
+        n = at_least(n, 0, "prefix length")
         if self.image0[0] != "0":
             raise DomainError(
                 "fixed point needs the image of 0 to start with 0; normalize() first"

@@ -83,6 +83,13 @@ class TestBlockFrequencies:
     def test_letter_frequencies(self, sub, f0):
         assert letter_frequencies(sub) == (f0, 1 - f0)
 
+    @pytest.mark.parametrize("images", [("00", "11"), ("000", "111"), ("0000", "1111")])
+    def test_letter_frequencies_refuses_outside_the_domain(self, images):
+        # Both letters map to their own blocks: the count matrix has no
+        # unique eigenvector, and the formula would read Fraction(0, 0).
+        with pytest.raises(DomainError, match="primitive aperiodic"):
+            letter_frequencies(Substitution(*images))
+
     def test_tm_two_blocks(self):
         assert block_frequencies(TM, 2) == {
             "00": Fraction(1, 6),

@@ -970,7 +970,7 @@ class TestThresholdTypes:
 
     @pytest.mark.parametrize("eps", ["1/4", "0.25"])
     def test_numeric_text_is_not_a_number(self, eps):
-        # Fraction would parse both; the two threshold checks refuse them alike.
+        # Fraction would parse both; quantize_eps and reduce_embedding refuse them alike.
         with pytest.raises(DomainError, match="threshold must be a number"):
             quantize_eps(eps)
         with pytest.raises(DomainError, match="threshold must be a number"):
