@@ -12,6 +12,9 @@ it and caches the name here, so a caller that needs only the empirical
 route never loads the exact one.  numpy itself loads on the first array
 operation (see ``_numpy``), so classification, parsing and the limits of
 nonprimitive and periodic forms never import it.
+
+``_EXPORTS`` is the one list of public names: a layer declares no
+``__all__``, and a new public name is one entry there.
 """
 
 import importlib

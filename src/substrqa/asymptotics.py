@@ -33,16 +33,6 @@ from .recplot import quantize_eps
 from .rqa import RQAReport, _log_fraction
 from .substitution import SubshiftKind, Substitution
 
-__all__ = [
-    "AsymptoticQuantifiers",
-    "NuTables",
-    "asymptotic_quantifiers",
-    "closed_form",
-    "determinism_limit_scan",
-    "nu_tables",
-    "quantifiers_via_sums",
-]
-
 
 @dataclass(frozen=True)
 class AsymptoticQuantifiers:

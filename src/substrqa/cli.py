@@ -25,7 +25,7 @@ import click
 
 # Layer imports are eager on purpose: a tracer installed after `import substrqa.cli`
 # patches only loaded layers.  numpy stays lazy; see `_numpy`.
-from .asymptotics import asymptotic_quantifiers, closed_form, quantifiers_via_sums
+from .asymptotics import _limits, closed_form, quantifiers_via_sums
 from .densities import (
     dens_K,
     reconstruct_base,
@@ -263,7 +263,7 @@ def analyze(spec, m, lmin, h, eps, n, asymptotic, fmt, log_base) -> None:
         payload["empirical"] = empirical.to_json_dict()
         reports.append(empirical)
     if asymptotic:
-        exact = asymptotic_quantifiers(sub, m, lmin, Fraction(1, 2**h))
+        exact = _limits(sub, m, lmin, [h])[0]
         if exact.note:
             notes.append(exact.note)
         limit = exact.to_report()
@@ -347,7 +347,7 @@ def convergence(spec, quantity, scales, m, lmin, h, eps, fmt) -> None:
     h, eps_note = _threshold(m, lmin, h, eps)
     sub = Substitution.parse(spec)
     scales = tuple(at_least(n, 2, "scale") for n in scales) or (256, 512, 1024, 2048, 4096)
-    target = getattr(asymptotic_quantifiers(sub, m, lmin, Fraction(1, 2**h)), quantity)
+    target = getattr(_limits(sub, m, lmin, [h])[0], quantity)
     sweep = []
     for n in sorted(scales):
         report, _ = _empirical_report(sub, n, m, lmin, h)

@@ -50,21 +50,6 @@ from .recplot import inner_line_counts
 from .rqa import _log_fraction
 from .substitution import BitSequence, Substitution
 
-__all__ = [
-    "BaseEvidence",
-    "Decomposition",
-    "DensityTable",
-    "block_frequencies",
-    "closed_form_indices",
-    "decompose",
-    "dens_K",
-    "density_from_frequencies",
-    "empirical_delta",
-    "letter_frequencies",
-    "reconstruct_base",
-    "table_to_json_dict",
-]
-
 # Unused here; its only reader is benchmarks/worker.py::_cache_hits.
 DEFAULT_SCALES = (1 << 12, 1 << 13)
 

@@ -5,8 +5,9 @@ exit 2, computational failures (reconstruction, resource limits, cross-check
 discrepancies) exit 3, golden-value verification failures exit 1.
 
 Integer arguments enter the package through as_int (an int, not a float
-such as 12.0) and at_least (that, and no smaller than a bound), so every
-entry point refuses them in the same words.
+such as 12.0) and at_least (that, and no smaller than a bound), and text
+arguments through as_text (a str, not bytes or None), so every entry point
+refuses them in the same words.
 """
 
 import operator
@@ -59,4 +60,11 @@ def at_least(value, low: int, what: str) -> int:
     value = as_int(value, what)
     if value < low:
         raise DomainError(f"{what} must be >= {low}, got {value}")
+    return value
+
+
+def as_text(value, what: str) -> str:
+    """value, for a text argument: anything but a str is refused."""
+    if not isinstance(value, str):
+        raise ParseError(f"{what} must be text, got {value!r}")
     return value

@@ -34,14 +34,6 @@ from functools import lru_cache
 from .errors import DiscrepancyError, DomainError, at_least
 from .substitution import ALPHABET, SubshiftKind, Substitution
 
-__all__ = [
-    "LanguageSlice",
-    "RecogConstants",
-    "alpha_beta",
-    "language_slice",
-    "recognizability_constants",
-]
-
 _LETTERS = dict.fromkeys(ALPHABET)
 
 

@@ -49,21 +49,6 @@ from ._numpy import np
 from .errors import DomainError, ResourceLimitError, as_int, at_least
 from .substitution import BitSequence, window_classes
 
-__all__ = [
-    "RENDER_CAP",
-    "Boundary",
-    "LineHistogram",
-    "LineTriple",
-    "extract_lines",
-    "histogram",
-    "inner_line_counts",
-    "quantize_eps",
-    "reduce_embedding",
-    "render_ascii",
-    "render_pgm",
-    "rp_entry",
-]
-
 # Largest plot the renderers agree to draw (n^2 cells).
 RENDER_CAP = 4096
 
@@ -408,8 +393,10 @@ def _threshold_fraction(eps) -> Fraction:
     between 0 and 1: at eps >= 1 every pair of positions would recur."""
     if isinstance(eps, str):  # Fraction would parse "1/4" and "0.25"
         raise DomainError(f"threshold must be a number, got {eps!r}")
+    # An exact ratio; Fraction itself refuses numpy's float32 and longdouble.
+    ratio = getattr(eps, "as_integer_ratio", None)
     try:
-        frac = Fraction(eps)
+        frac = Fraction(*ratio()) if ratio else Fraction(eps)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"threshold must be a number, got {eps!r}") from exc
     if not 0 < frac < 1:

@@ -29,24 +29,6 @@ from .errors import DomainError, at_least
 from .recplot import LineHistogram, _plot_args, histogram
 from .substitution import BitSequence, window_labels
 
-__all__ = [
-    "AsymptoticEstimate",
-    "CorsumDecomposition",
-    "CorsumInterval",
-    "Estimate",
-    "LinedensEstimate",
-    "RQAReport",
-    "ResidualBounds",
-    "asymptotic_from_corsum",
-    "correlation_sum",
-    "corsum_from_histogram",
-    "corsum_from_rqa",
-    "linedens_from_corsum",
-    "measures_from_histogram",
-    "residuals",
-    "rqa_from_corsum",
-]
-
 
 def _log_fraction(f: Fraction) -> float:
     # Splitting the log keeps huge numerators/denominators in integer land.

@@ -16,18 +16,7 @@ import enum
 from dataclasses import dataclass
 
 from ._numpy import np
-from .errors import DomainError, ParseError, ResourceLimitError, at_least
-
-__all__ = [
-    "ALPHABET",
-    "FIXED_POINT_CAP",
-    "BitSequence",
-    "Classification",
-    "Normalization",
-    "SubshiftKind",
-    "Substitution",
-    "window_classes",
-]
+from .errors import DomainError, ParseError, ResourceLimitError, as_text, at_least
 
 ALPHABET = "01"
 
@@ -63,7 +52,7 @@ class BitSequence:
 
     @classmethod
     def from_text(cls, text: str) -> "BitSequence":
-        bad = set(text) - set(ALPHABET)
+        bad = set(as_text(text, "bit sequence")) - set(ALPHABET)
         if bad:
             raise ParseError(f"bit text contains {sorted(bad)!r}; only 0 and 1 are allowed")
         arr = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
@@ -194,7 +183,7 @@ class Substitution:
     @classmethod
     def parse(cls, text: str) -> "Substitution":
         """Parse '0->01,1->10'; the bare form '01,10' is also accepted."""
-        parts = [p.strip() for p in text.strip().split(",")]
+        parts = [p.strip() for p in as_text(text, "substitution").strip().split(",")]
         if len(parts) != 2:
             raise ParseError(f"expected two comma-separated images, got {len(parts)}: {text!r}")
         if any("->" in p for p in parts):
@@ -231,7 +220,7 @@ class Substitution:
     # -- word actions -------------------------------------------------------
 
     def apply(self, word: str) -> str:
-        if word.strip(ALPHABET):
+        if as_text(word, "word").strip(ALPHABET):
             bad = set(word) - set(ALPHABET)
             raise ParseError(f"word contains {sorted(bad)!r}; only 0 and 1 are allowed")
         return word.translate(str.maketrans({"0": self.image0, "1": self.image1}))

@@ -3,7 +3,8 @@
 An integer argument is refused with DomainError in one of two forms: a
 non-integer (even 2.0) reads "<name> must be an integer, got 2.0", and a
 value below the argument's bound k reads "<name> must be >= k, got k-1".
-The bound itself is accepted, as a numpy integer too.
+The bound itself is accepted, as a numpy integer too.  A text argument
+that is not a str is refused with ParseError: "<name> must be text, got None".
 """
 
 import re
@@ -29,7 +30,7 @@ from substrqa.densities import (
     empirical_delta,
     reconstruct_base,
 )
-from substrqa.errors import DomainError
+from substrqa.errors import DomainError, ParseError
 from substrqa.recognizability import language_slice, recognizability_constants
 from substrqa.recplot import (
     extract_lines,
@@ -50,7 +51,7 @@ from substrqa.rqa import (
     residuals,
     rqa_from_corsum,
 )
-from substrqa.substitution import Substitution, window_classes
+from substrqa.substitution import BitSequence, Substitution, window_classes
 
 TM = Substitution.parse("0->01,1->10")
 X = TM.fixed_point_prefix(64)
@@ -169,3 +170,18 @@ def test_bound_is_accepted(_, call, what, low):
 def test_cli_refusal_names_one_argument(args, message):
     result = CliRunner().invoke(main, args.split())
     assert (result.exit_code, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
+
+
+# (entry point, call with the text argument set to v, name)
+TEXT_ENTRIES = [
+    ("Substitution.parse", Substitution.parse, "substitution"),
+    ("BitSequence.from_text", BitSequence.from_text, "bit sequence"),
+    ("Substitution.apply", TM.apply, "word"),
+]
+
+
+@pytest.mark.parametrize("value", [None, 123, b"01,10"], ids=repr)
+@pytest.mark.parametrize("_, call, what", TEXT_ENTRIES, ids=[e[0] for e in TEXT_ENTRIES])
+def test_non_text_is_refused(_, call, what, value):
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{what} must be text, got {value!r}')}$"):
+        call(value)

@@ -50,14 +50,35 @@ def test_every_exported_name_is_its_modules_object():
         "for layer in layers:\n"
         "    module = importlib.import_module('substrqa.' + layer)\n"
         "    assert getattr(substrqa, layer) is module\n"
-        "    for name in getattr(module, '__all__', ()):\n"
-        "        assert substrqa._OWNER[name] == layer, name\n"
         "for name in substrqa.__all__:\n"
         "    module = sys.modules['substrqa.' + substrqa._OWNER[name]]\n"
         "    assert getattr(substrqa, name) is getattr(module, name), name\n"
         "assert set(substrqa.__all__) <= set(dir(substrqa))\n"
         "assert set(layers) <= set(dir(substrqa))\n"
     )
+
+
+def _top_level_bindings(path: Path) -> set[str]:
+    """Names a module binds at top level by def, class or assignment."""
+    names = set()
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_exports_are_the_only_list_and_each_owner_defines_its_names():
+    # An owner that merely imports a name would pass the identity check.
+    package = Path(substrqa.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name != "__init__.py":
+            assert "__all__" not in _top_level_bindings(path), path.name
+    for layer, names in substrqa._EXPORTS.items():
+        missing = set(names) - _top_level_bindings(package / f"{layer}.py")
+        assert not missing, (layer, sorted(missing))
 
 
 def test_star_import_binds_every_exported_name():

@@ -13,6 +13,7 @@ from substrqa import (
     DomainError,
     ResourceLimitError,
     Substitution,
+    asymptotic_quantifiers,
     recplot,
     window_classes,
 )
@@ -975,3 +976,14 @@ class TestThresholdTypes:
             quantize_eps(eps)
         with pytest.raises(DomainError, match="threshold must be a number"):
             reduce_embedding(1, eps)
+
+    @pytest.mark.parametrize(
+        "eps",
+        [np.float32(0.3), np.float16(0.25), np.longdouble(0.3)],
+        ids=["float32", "float16", "longdouble"],
+    )
+    def test_numpy_floats_are_numbers(self, eps):
+        # Fraction refuses these; their exact ratio is read instead.
+        assert quantize_eps(eps) == 2
+        assert reduce_embedding(2, eps) == eps / 2
+        assert asymptotic_quantifiers(Substitution.parse("01,10"), eps=eps).h == 2
