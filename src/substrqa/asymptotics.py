@@ -14,11 +14,12 @@ times a power of q, one Fraction per sum.  The entropy stays a float.
 
 One dispatch serves every exact limit, one threshold or a whole
 determinism scan: it checks the inputs, classifies once, and then reads
-every threshold off one table through the cross-checked closed form.
+every threshold off one table through the cross-checked closed form.  Each
+row is built from three limit correlation sums by rqa.asymptotic_from_corsum.
 Degenerate substitutions short-circuit: when some image is constant the
 limit plot is dominated by an unbounded solid block, and when the fixed
-point is periodic every diagonal line is infinite.  Both give recurrence
-rate, determinism and correlation sum 1 with infinite average line length.
+point is periodic every diagonal line is infinite.  Both come in as
+C(W) = 1 at every window width W, so no line ever ends.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .densities import DensityTable, closed_form_indices, dens_K, reconstruct_base
-from .errors import DiscrepancyError, at_least
+from .errors import DiscrepancyError, DomainError, at_least
 from .recplot import quantize_eps
-from .rqa import RQAReport, _log_fraction
+from .rqa import RQAReport, _log_fraction, asymptotic_from_corsum
 from .substitution import SubshiftKind, Substitution
 
 
@@ -78,6 +79,34 @@ class AsymptoticQuantifiers:
 
 def _validate_inputs(m: int, lmin: int, h: int) -> tuple[int, int, int]:
     return at_least(m, 1, "m"), at_least(lmin, 1, "lmin"), at_least(h, 1, "h")
+
+
+def _row(
+    m: int, lmin: int, h: int, c_w: Fraction, c_l: Fraction, s0: Fraction,
+    linedens: Fraction, ent: float | None, note: str | None = None,
+) -> AsymptoticQuantifiers:
+    """The one constructor of an exact limit row: the limit correlation sums
+    C(w) and C(l') (w = m + h - 1, l' = lprime) and s0 = C(l') - C(l' + 1) go
+    through asymptotic_from_corsum; sums out of order are a route's fault."""
+    try:
+        est = asymptotic_from_corsum(c_w, c_l, c_l - s0, lmin)
+    except DomainError as err:
+        raise DiscrepancyError(f"limit {err} at (m={m}, lmin={lmin}, h={h})") from None
+    return AsymptoticQuantifiers(
+        m=m,
+        h=h,
+        lmin=lmin,
+        lprime=lmin + m + h - 2,
+        linedens=linedens,
+        lineDens=s0,
+        RR=est.RR,
+        RR1=c_w,
+        DET=est.DET,
+        Lavg=est.Lavg,
+        C=est.C,
+        ENT=ent,
+        note=note,
+    )
 
 
 # -- reference route: grouped tail sums --------------------------------------
@@ -131,31 +160,19 @@ def _tail_sums(table: DensityTable, lprime: int) -> tuple[Fraction, Fraction, fl
 
 
 def _assemble(m: int, lmin: int, h: int, tail, first, linedens: Fraction) -> AsymptoticQuantifiers:
-    # tail holds the tail sums from lprime on, first those from 1 + offset.
-    offset = m + h - 2
+    # tail holds the tail sums from lprime on, first those from w; the tail
+    # sums (s0, s1) from W on give the limit correlation sum C(W) = s1 - (W - 1) s0.
+    w, lprime = m + h - 1, lmin + m + h - 2
     s0, s1, neg_slog = tail
     s0_first, s1_first, _ = first
-    rr = s1 - offset * s0
-    rr1 = s1_first - offset * s0_first
-    if s0 <= 0 or rr1 <= 0:
+    c_w = s1_first - (w - 1) * s0_first
+    if s0 <= 0 or c_w <= 0:
         raise DiscrepancyError(
             f"tail sums must be positive for a primitive aperiodic table, got "
-            f"lineDens={s0}, RR1={rr1}"
+            f"lineDens={s0}, RR1={c_w}"
         )
-    return AsymptoticQuantifiers(
-        m=m,
-        h=h,
-        lmin=lmin,
-        lprime=lmin + offset,
-        linedens=linedens,
-        lineDens=s0,
-        RR=rr,
-        RR1=rr1,
-        DET=rr / rr1,
-        Lavg=rr / s0,
-        C=rr - (lmin - 1) * s0,
-        ENT=_log_fraction(s0) + neg_slog / float(s0),
-    )
+    ent = _log_fraction(s0) + neg_slog / float(s0)
+    return _row(m, lmin, h, c_w, s1 - (lprime - 1) * s0, s0, linedens, ent)
 
 
 def quantifiers_via_sums(
@@ -273,32 +290,6 @@ def closed_form(
     return result
 
 
-# -- degenerate substitutions ------------------------------------------------
-
-
-def _degenerate(m: int, lmin: int, h: int, note: str) -> AsymptoticQuantifiers:
-    """Limit values when lines grow without bound: all rates are 1 and lines
-    have no finite average; whether the line-length entropy is finite is left
-    open, so it is reported absent."""
-    one = Fraction(1)
-    zero = Fraction(0)
-    return AsymptoticQuantifiers(
-        m=m,
-        h=h,
-        lmin=lmin,
-        lprime=lmin + m + h - 2,
-        linedens=zero,
-        lineDens=zero,
-        RR=one,
-        RR1=one,
-        DET=one,
-        Lavg=math.inf,
-        C=one,
-        ENT=None,
-        note=note,
-    )
-
-
 # -- dispatch ----------------------------------------------------------------
 
 
@@ -321,7 +312,9 @@ def _limits(sub: Substitution, m: int, lmin: int, hs: list[int]) -> list[Asympto
         note = f"periodic fixed point (period {cls.period}): every diagonal line is infinite"
     else:
         note = "constant-image substitution: line lengths are unbounded"
-    return [_degenerate(*p, note) for p in params]
+    # C(W) = 1 at every W, so no line ends; ENT of unbounded lines is left open.
+    one, zero = Fraction(1), Fraction(0)
+    return [_row(*p, one, one, zero, zero, None, note) for p in params]
 
 
 def asymptotic_quantifiers(

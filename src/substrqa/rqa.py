@@ -287,22 +287,28 @@ def corsum_from_rqa(rr: Fraction, tail: Fraction, n: int, lmin: int) -> CorsumIn
 def asymptotic_from_corsum(
     c_1: Fraction, c_l: Fraction, c_next: Fraction, lmin: int
 ) -> AsymptoticEstimate:
-    """Limit quantifiers from limit correlation sums (edge terms gone).
+    """Limit quantifiers from limit correlation sums (edge terms gone): the
+    program's one path to every exact limit RR, DET, Lavg and C.
 
+    With w = m + h - 1 and l' = lmin + w - 1, C_1 = C(w), C_l = C(l') and
+    C_(l+1) = C(l' + 1); they are read as Fractions, so results are exact.
     The average line length is infinite exactly when the two adjacent
     correlation sums coincide (no line ever ends).
     """
     lmin = at_least(lmin, 1, "minimum line length")
+    if any(isinstance(c, str) for c in (c_1, c_l, c_next)):  # Fraction would parse "1/2"
+        raise DomainError(f"correlation sums must be numbers, got {c_1!r}, {c_l!r}, {c_next!r}")
+    c_1, c_l, c_next = Fraction(c_1), Fraction(c_l), Fraction(c_next)
     if not 0 <= c_next <= c_l <= c_1 <= 1:
         raise DomainError(
             f"correlation sums must satisfy 0 <= C_(l+1) <= C_l <= C_1 <= 1, "
             f"got {c_next}, {c_l}, {c_1}"
         )
-    rr = lmin * c_l - (lmin - 1) * c_next
-    det = rr / c_1 if c_1 else None
     gap = c_l - c_next
-    lavg = lmin + c_next / gap if gap else math.inf
-    return AsymptoticEstimate(RR=rr, DET=det, Lavg=lavg, C=rr - (lmin - 1) * gap)
+    rr = c_l + (lmin - 1) * gap  # lmin C_l - (lmin - 1) C_(l+1)
+    det = rr / c_1 if c_1 else None
+    lavg = rr / gap if gap else math.inf
+    return AsymptoticEstimate(RR=rr, DET=det, Lavg=lavg, C=c_l)
 
 
 def residuals(x: BitSequence, n: int, lmin: int, h: int = 1) -> ResidualBounds:

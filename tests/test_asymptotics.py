@@ -196,6 +196,15 @@ class TestClosedForm:
                 assert a.ENT > 0
                 assert a.Lavg >= a.lmin
 
+    def test_correlation_sum_above_one_is_refused(self):
+        # Raising base 1 of TM's table to 9/10 takes C past 1 (to 58/45),
+        # which no correlation sum reaches: both routes must refuse the row.
+        t = table_of(TM)
+        raised = dataclasses.replace(t, base={**t.base, 1: Fraction(9, 10)})
+        for route in (closed_form, quantifiers_via_sums):
+            with pytest.raises(DiscrepancyError, match="correlation sums"):
+                route(raised)
+
 
 class TestIntegerTailSums:
     def test_match_fractions_on_every_form_up_to_q4(self):

@@ -488,6 +488,18 @@ def test_refused_computation_exits_3(runner, monkeypatch, layer, args, error):
     assert result.stderr == "error: refused on purpose\n"
 
 
+def test_correlation_sums_out_of_order_exit_3(runner, monkeypatch):
+    # A table with base 1 raised to 9/10 gives a limit correlation sum above
+    # 1: a fault of the exact route (exit 3), not of the input (exit 2).
+    table = reconstruct_base(Substitution.parse(TM))
+    raised = dataclasses.replace(table, base={**table.base, 1: Fraction(9, 10)})
+    monkeypatch.setattr("substrqa.asymptotics.reconstruct_base", lambda sub: raised)
+    result = invoke(runner, "analyze", "01,10", "--asymptotic")
+    assert result.exit_code == 3
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+
+
 def _readme_examples() -> dict[str, str]:
     """Output of each `$ substrqa` example in README's command line block
     whose output is shown in full: not elided with `...` and not empty (the

@@ -239,6 +239,13 @@ class TestAsymptotic:
         assert est.C == Fraction(1, 3)
         assert est.DET == est.RR / Fraction(1, 2)
 
+    def test_sums_are_read_as_fractions(self):
+        est = asymptotic_from_corsum(1, 1, 1, 2)
+        assert est == (1, 1, math.inf, 1)
+        assert all(type(v) is Fraction for v in (est.RR, est.DET, est.C))
+        with pytest.raises(DomainError, match="must be numbers"):
+            asymptotic_from_corsum("1", "1/2", "1/2", 2)
+
     def test_monotonicity_validation(self):
         with pytest.raises(DomainError):
             asymptotic_from_corsum(Fraction(1, 4), Fraction(1, 2), Fraction(1, 8), 2)
