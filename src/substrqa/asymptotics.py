@@ -7,10 +7,11 @@ arithmetico-geometric series with ratio 1/q^2.  Two independent routes are
 implemented: term-grouped tail summation (the reference), and closed
 forms driven by cumulative sums over the base lengths; the closed-form
 route recomputes the reference on every call and refuses to answer if the
-two disagree.  Both sum in the density table's number format, built once
-per table: the base densities as integer numerators over D, the lcm of their
-denominators, and their cumulative sums; each tail sum is one integer over D
-times a power of q, one Fraction per sum.  The entropy stays a float.
+two disagree on a row's inputs.  Both sum in the density table's number
+format, built once per table: the base densities as integer numerators over
+D, the lcm of their denominators, and their cumulative sums; each tail sum
+is one integer over D times a power of q, one Fraction per sum.  The
+entropy stays a float.
 
 One dispatch serves every exact limit, one threshold or a whole
 determinism scan: it checks the inputs, classifies once, and then reads
@@ -159,20 +160,26 @@ def _tail_sums(table: DensityTable, lprime: int) -> tuple[Fraction, Fraction, fl
     return Fraction(s0, D * unit), Fraction(s1, D * unit), neg_slog
 
 
-def _assemble(m: int, lmin: int, h: int, tail, first, linedens: Fraction) -> AsymptoticQuantifiers:
-    # tail holds the tail sums from lprime on, first those from w; the tail
-    # sums (s0, s1) from W on give the limit correlation sum C(W) = s1 - (W - 1) s0.
+def _limit_sums(tail_sums, table: DensityTable, m: int, lmin: int, h: int):
+    """_row's inputs C(w), C(l') and s0, and ENT, from one route's tail sums
+    (s0, s1) from W on, which give the correlation sum C(W) = s1 - (W - 1) s0."""
     w, lprime = m + h - 1, lmin + m + h - 2
-    s0, s1, neg_slog = tail
-    s0_first, s1_first, _ = first
+    s0, s1, neg_slog = tail = tail_sums(table, lprime)
+    # At lmin = 1 the RR1 tail, from w on, is the lprime tail itself.
+    s0_first, s1_first, _ = tail if lmin == 1 else tail_sums(table, w)
     c_w = s1_first - (w - 1) * s0_first
     if s0 <= 0 or c_w <= 0:
         raise DiscrepancyError(
             f"tail sums must be positive for a primitive aperiodic table, got "
             f"lineDens={s0}, RR1={c_w}"
         )
-    ent = _log_fraction(s0) + neg_slog / float(s0)
-    return _row(m, lmin, h, c_w, s1 - (lprime - 1) * s0, s0, linedens, ent)
+    return c_w, s1 - (lprime - 1) * s0, s0, _log_fraction(s0) + neg_slog / float(s0)
+
+
+def _reference_sums(table: DensityTable, m: int, lmin: int, h: int):
+    """_row's inputs (C(w), C(l'), s0, linedens, ENT) by exact tail summation."""
+    c_w, c_l, s0, ent = _limit_sums(_tail_sums, table, m, lmin, h)
+    return c_w, c_l, s0, s0 - _tail_sums(table, lmin + m + h - 1)[0], ent
 
 
 def quantifiers_via_sums(
@@ -184,12 +191,7 @@ def quantifiers_via_sums(
     this route never consults the scaling decomposition directly.
     """
     m, lmin, h = _validate_inputs(m, lmin, h)
-    lprime = lmin + m + h - 2
-    tail = _tail_sums(table, lprime)
-    linedens = tail[0] - _tail_sums(table, lprime + 1)[0]
-    # At lmin = 1 the RR1 tail, from m + h - 1 on, is the lprime tail itself.
-    first = tail if lmin == 1 else _tail_sums(table, m + h - 1)
-    return _assemble(m, lmin, h, tail, first, linedens)
+    return _row(m, lmin, h, *_reference_sums(table, m, lmin, h))
 
 
 # -- second route: cumulative base tables ------------------------------------
@@ -265,29 +267,21 @@ def closed_form(
 
     The tails scale the table's cumulative integer sums over D by powers of
     q, and add the lone lengths below R0 one at a time.  Every call recomputes
-    the reference tail sums and demands exact rational agreement (1e-9 for
-    the entropy); disagreement raises DiscrepancyError rather than
-    returning either value.
+    the reference's inputs to _row and demands exact rational agreement (1e-9
+    for the entropy); disagreement raises DiscrepancyError instead of a row.
     """
     m, lmin, h = _validate_inputs(m, lmin, h)
-    lprime = lmin + m + h - 2
-    tail = _closed_tail(table, lprime)
-    first = tail if lmin == 1 else _closed_tail(table, m + h - 1)
-    result = _assemble(m, lmin, h, tail, first, dens_K(table, lprime))
-    reference = quantifiers_via_sums(table, m, lmin, h)
-    for field in ("linedens", "lineDens", "RR", "RR1", "DET", "Lavg", "C"):
-        mine, ref = getattr(result, field), getattr(reference, field)
-        if mine != ref:
+    c_w, c_l, s0, ent = _limit_sums(_closed_tail, table, m, lmin, h)
+    mine = (c_w, c_l, s0, dens_K(table, lmin + m + h - 2), ent)
+    # _row derives RR, DET and Lavg from these inputs, so only they are compared.
+    tolerance = {"RR1": 0, "C": 0, "lineDens": 0, "linedens": 0, "ENT": 1e-9}
+    for (field, tol), a, b in zip(tolerance.items(), mine, _reference_sums(table, m, lmin, h)):
+        if a != b and abs(a - b) > tol:
             raise DiscrepancyError(
                 f"closed form and tail sums disagree on {field} at "
-                f"(m={m}, lmin={lmin}, h={h}): {mine} vs {ref}"
+                f"(m={m}, lmin={lmin}, h={h}): {a} vs {b}"
             )
-    if abs(result.ENT - reference.ENT) > 1e-9:
-        raise DiscrepancyError(
-            f"closed form and tail sums disagree on ENT at (m={m}, lmin={lmin}, "
-            f"h={h}): {result.ENT} vs {reference.ENT}"
-        )
-    return result
+    return _row(m, lmin, h, *mine)
 
 
 # -- dispatch ----------------------------------------------------------------

@@ -4,13 +4,14 @@ The CLI maps these onto exit codes: usage problems (ParseError, DomainError)
 exit 2, computational failures (reconstruction, resource limits, cross-check
 discrepancies) exit 3, golden-value verification failures exit 1.
 
-Integer arguments enter the package through as_int (an int, not a float
-such as 12.0) and at_least (that, and no smaller than a bound), and text
-arguments through as_text (a str, not bytes or None), so every entry point
-refuses them in the same words.
+Integer arguments enter the package through as_int (an int, not 12.0) and
+at_least (that, and no smaller than a bound), numbers through as_fraction
+(exact; not text, None or NaN) and text through as_text (a str, not bytes
+or None), so every entry point refuses them in the same words.
 """
 
 import operator
+from fractions import Fraction
 
 
 class SubstRQAError(Exception):
@@ -61,6 +62,20 @@ def at_least(value, low: int, what: str) -> int:
     if value < low:
         raise DomainError(f"{what} must be >= {low}, got {value}")
     return value
+
+
+def as_fraction(value, what: str) -> Fraction:
+    """value as an exact Fraction, for a number argument; numpy floats, which
+    Fraction refuses, are read through their exact ratio."""
+    if isinstance(value, str):  # Fraction would parse "1/4" and "0.25"
+        raise DomainError(f"{what} must be a number, got {value!r}")
+    if isinstance(value, Fraction):  # already exact and in lowest terms
+        return value
+    ratio = getattr(value, "as_integer_ratio", None)
+    try:
+        return Fraction(*ratio()) if ratio else Fraction(value)
+    except (TypeError, ValueError, OverflowError) as exc:  # None, NaN, infinity
+        raise DomainError(f"{what} must be a number, got {value!r}") from exc
 
 
 def as_text(value, what: str) -> str:

@@ -46,7 +46,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from ._numpy import np
-from .errors import DomainError, ResourceLimitError, as_int, at_least
+from .errors import DomainError, ResourceLimitError, as_fraction, as_int, at_least
 from .substitution import BitSequence, window_classes
 
 # Largest plot the renderers agree to draw (n^2 cells).
@@ -391,14 +391,7 @@ def _far_edge_runs(order: np.ndarray, adjacent: np.ndarray, right: np.ndarray) -
 def _threshold_fraction(eps) -> Fraction:
     """eps as an exact Fraction, refused unless it is a number strictly
     between 0 and 1: at eps >= 1 every pair of positions would recur."""
-    if isinstance(eps, str):  # Fraction would parse "1/4" and "0.25"
-        raise DomainError(f"threshold must be a number, got {eps!r}")
-    # An exact ratio; Fraction itself refuses numpy's float32 and longdouble.
-    ratio = getattr(eps, "as_integer_ratio", None)
-    try:
-        frac = Fraction(*ratio()) if ratio else Fraction(eps)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"threshold must be a number, got {eps!r}") from exc
+    frac = as_fraction(eps, "threshold")
     if not 0 < frac < 1:
         raise DomainError(f"threshold must lie strictly between 0 and 1, got {eps!r}")
     return frac

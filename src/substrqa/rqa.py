@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from ._numpy import np
-from .errors import DomainError, at_least
+from .errors import DomainError, as_fraction, at_least
 from .recplot import LineHistogram, _plot_args, histogram
 from .substitution import BitSequence, window_labels
 
@@ -296,9 +296,7 @@ def asymptotic_from_corsum(
     correlation sums coincide (no line ever ends).
     """
     lmin = at_least(lmin, 1, "minimum line length")
-    if any(isinstance(c, str) for c in (c_1, c_l, c_next)):  # Fraction would parse "1/2"
-        raise DomainError(f"correlation sums must be numbers, got {c_1!r}, {c_l!r}, {c_next!r}")
-    c_1, c_l, c_next = Fraction(c_1), Fraction(c_l), Fraction(c_next)
+    c_1, c_l, c_next = (as_fraction(c, "correlation sum") for c in (c_1, c_l, c_next))
     if not 0 <= c_next <= c_l <= c_1 <= 1:
         raise DomainError(
             f"correlation sums must satisfy 0 <= C_(l+1) <= C_l <= C_1 <= 1, "

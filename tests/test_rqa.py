@@ -243,8 +243,10 @@ class TestAsymptotic:
         est = asymptotic_from_corsum(1, 1, 1, 2)
         assert est == (1, 1, math.inf, 1)
         assert all(type(v) is Fraction for v in (est.RR, est.DET, est.C))
-        with pytest.raises(DomainError, match="must be numbers"):
-            asymptotic_from_corsum("1", "1/2", "1/2", 2)
+        assert asymptotic_from_corsum(np.float32(0.5), 0.5, np.longdouble(0.25), 2).C == Fraction(1, 2)
+        for bad in ("1/2", None, math.nan, math.inf, np.float32("nan")):
+            with pytest.raises(DomainError, match="correlation sum must be a number"):
+                asymptotic_from_corsum(1, bad, 0, 2)
 
     def test_monotonicity_validation(self):
         with pytest.raises(DomainError):
