@@ -115,13 +115,6 @@ def _block_frequencies_cached(sub: Substitution, length: int) -> tuple[int, dict
     return sub.q * lcm, out
 
 
-def block_frequencies(sub: Substitution, length: int) -> dict[str, Fraction]:
-    """Exact frequency of every allowed word of the given length."""
-    require_normalized_aperiodic(sub)
-    D, table = _block_frequencies_cached(sub, at_least(length, 1, "block length"))
-    return {w: Fraction(n, D) for w, n in table.items()}
-
-
 def _start_pairs(blocks: dict[str, int]) -> int:
     """2 * sum over inner words w of t(0w0)t(1w1) + t(0w1)t(1w0), for a
     table t of integer block values of one length (numerators or counts)."""

@@ -92,11 +92,6 @@ class LineHistogram:
     def lengths(self) -> list[int]:
         return sorted(self.counts)
 
-    def recurrence_mass(self) -> int:
-        """Total off-diagonal recurrences: every marked cell lies in exactly
-        one maximal line."""
-        return sum(length * sum(buckets) for length, buckets in self.counts.items())
-
     def excluding_n_boundary(self) -> "LineHistogram":
         kept = {}
         for length, (inner, zero, _) in self.counts.items():

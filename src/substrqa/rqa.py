@@ -150,7 +150,7 @@ class CorsumInterval(NamedTuple):
 class AsymptoticEstimate(NamedTuple):
     RR: Fraction
     DET: Fraction | None
-    Lavg: Fraction | float
+    Lavg: Fraction | float | None
     C: Fraction
 
 
@@ -180,12 +180,22 @@ def measures_from_histogram(hist: LineHistogram, lmin: int) -> RQAReport:
 
     Uses total line counts, boundary lines included; pass
     hist.excluding_n_boundary() for the clipped-lines-dropped convention.
+    A length with no line is skipped; a negative count, or more recurrent
+    cells than the n^2 - n off-diagonal ones, raises DomainError.
     """
     lmin, n = at_least(lmin, 1, "minimum line length"), at_least(hist.n, 2, "plot size")
     cells = n * n - n
-    totals = {length: hist.total(length) for length in hist.lengths()}
+    totals = {}
+    for length in hist.lengths():
+        if min(buckets := hist.counts[length]) < 0:
+            raise DomainError(f"line counts must be nonnegative, got {buckets} at length {length}")
+        if total := sum(buckets):
+            totals[length] = total
     kept = {l: c for l, c in totals.items() if l >= lmin}
-    rr1 = Fraction(sum(l * c for l, c in totals.items()), cells)
+    mass = sum(l * c for l, c in totals.items())
+    if mass > cells:
+        raise DomainError(f"histogram holds {mass} recurrent cells, more than its {cells} off-diagonal ones")
+    rr1 = Fraction(mass, cells)
     dens = {l: Fraction(c, cells) for l, c in kept.items()}
     tail = Fraction(sum(kept.values()), cells)
     rr = Fraction(sum(l * c for l, c in kept.items()), cells)
@@ -293,7 +303,8 @@ def asymptotic_from_corsum(
     With w = m + h - 1 and l' = lmin + w - 1, C_1 = C(w), C_l = C(l') and
     C_(l+1) = C(l' + 1); they are read as Fractions, so results are exact.
     The average line length is infinite exactly when the two adjacent
-    correlation sums coincide (no line ever ends).
+    correlation sums coincide above zero (no line ever ends), and absent
+    (None) when C_l = 0 (no line exists), as for a finite plot.
     """
     lmin = at_least(lmin, 1, "minimum line length")
     c_1, c_l, c_next = (as_fraction(c, "correlation sum") for c in (c_1, c_l, c_next))
@@ -305,7 +316,7 @@ def asymptotic_from_corsum(
     gap = c_l - c_next
     rr = c_l + (lmin - 1) * gap  # lmin C_l - (lmin - 1) C_(l+1)
     det = rr / c_1 if c_1 else None
-    lavg = rr / gap if gap else math.inf
+    lavg = rr / gap if gap else math.inf if rr else None
     return AsymptoticEstimate(RR=rr, DET=det, Lavg=lavg, C=c_l)
 
 

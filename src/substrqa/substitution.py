@@ -225,12 +225,9 @@ class Substitution:
             raise ParseError(f"word contains {sorted(bad)!r}; only 0 and 1 are allowed")
         return word.translate(str.maketrans({"0": self.image0, "1": self.image1}))
 
-    def compose(self, other: "Substitution") -> "Substitution":
-        """Substitution acting as self after other (lengths multiply)."""
-        return Substitution(self.apply(other.image0), self.apply(other.image1))
-
     def square(self) -> "Substitution":
-        return self.compose(self)
+        """The substitution applied twice: the image of each image (length q^2)."""
+        return Substitution(self.apply(self.image0), self.apply(self.image1))
 
     # -- structure ----------------------------------------------------------
 
@@ -287,20 +284,13 @@ class Substitution:
 
     # -- fixed point --------------------------------------------------------
 
-    def image_table(self) -> np.ndarray:
-        """(2, q) uint8 array whose row a holds the letters of the image of a."""
-        return np.array(
-            [[int(c) for c in self.image0], [int(c) for c in self.image1]],
-            dtype=np.uint8,
-        )
-
     def fixed_point_prefix(self, n: int) -> BitSequence:
         """First n letters of the fixed point grown from the letter 0.
 
         Requires the image of 0 to start with 0 (see normalize()).  Grows by
-        taking the image rows of a numpy letter array (one np.take per
-        step), truncating intermediate stages so memory stays near n
-        letters.
+        taking rows of the (2, q) table whose row a holds the image of a
+        (one np.take per step), truncating intermediate stages so memory
+        stays near n letters.
         """
         n = at_least(n, 0, "prefix length")
         if self.image0[0] != "0":
@@ -311,7 +301,7 @@ class Substitution:
             raise ResourceLimitError(
                 f"prefix of {n} letters exceeds the {FIXED_POINT_CAP}-letter cap"
             )
-        table = self.image_table()
+        table = np.array([[int(c) for c in image] for image in self.images], dtype=np.uint8)
         seq = np.array([0], dtype=np.uint8)
         while seq.size < n:
             limit = -(-n // self.q)

@@ -1,13 +1,15 @@
 """Reference implementations that only the tests use.
 
 Each is a slow or literal restatement of something the package computes
-another way, kept here so the tests can check the package against it.
+another way, or a readable view of a private table, kept here so the tests
+can check the package against it.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
+from substrqa.densities import _block_frequencies_cached
 from substrqa.recognizability import _residues
 from substrqa.recplot import _match_runs, _require_prefix
 
@@ -25,6 +27,19 @@ def composition_matrix(sub) -> np.ndarray:
     return np.array(
         [[image.count(letter) for image in sub.images] for letter in "01"], dtype=np.int64
     )
+
+
+def block_frequencies(sub, length: int) -> dict[str, Fraction]:
+    """Exact frequency of every allowed word of the given length, read off
+    the integer table (D, {word: N}) that the density engine works on."""
+    D, table = _block_frequencies_cached(sub, length)
+    return {w: Fraction(n, D) for w, n in table.items()}
+
+
+def recurrence_mass(hist) -> int:
+    """Total off-diagonal recurrences of a LineHistogram: every marked cell
+    lies in exactly one maximal line."""
+    return sum(length * sum(buckets) for length, buckets in hist.counts.items())
 
 
 def inner_line_starts(x, length: int, n: int) -> set[tuple[int, int]]:

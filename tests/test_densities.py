@@ -21,7 +21,6 @@ from substrqa.densities import (
     BaseEvidence,
     Decomposition,
     DensityTable,
-    block_frequencies,
     closed_form_indices,
     decompose,
     dens_K,
@@ -35,7 +34,7 @@ from substrqa.densities import _prefix_counts, _start_pairs
 from substrqa.recognizability import desubstitute, language_slice, recognizability_constants
 from substrqa.recplot import inner_line_counts
 
-from oracles import inner_line_starts
+from oracles import block_frequencies, inner_line_starts
 
 TM = Substitution("01", "10")
 PD = Substitution("01", "00")
@@ -168,12 +167,6 @@ class TestBlockFrequencies:
         for length in range(1, recognizability_constants(sub).R + 3):
             D, table = densities._block_frequencies_cached(sub, length)
             assert type(D) is int and all(type(n) is int for n in table.values()), length
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(DomainError):
-            block_frequencies(TM, 0)
-        with pytest.raises(DomainError):
-            block_frequencies(Substitution("10", "01"), 2)
 
 
 class TestDensityFromFrequencies:

@@ -22,7 +22,6 @@ from substrqa.asymptotics import (
 )
 from substrqa.cli import main
 from substrqa.densities import (
-    block_frequencies,
     closed_form_indices,
     decompose,
     dens_K,
@@ -78,7 +77,6 @@ ENTRIES = [
         1,
     ),
     ("determinism_limit_scan h", lambda v: determinism_limit_scan(TM, h_range=[v]), "h", 1),
-    ("block_frequencies", lambda v: block_frequencies(TM, v), "block length", 1),
     ("density_from_frequencies", lambda v: density_from_frequencies(TM, v), "length", 1),
     ("empirical_delta length", lambda v: empirical_delta(X, v, 16), "maximum length", 1),
     ("empirical_delta n", lambda v: empirical_delta(X, 1, v), "position bound", 2),

@@ -6,6 +6,7 @@ has long since imported every module.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +80,32 @@ def test_exports_are_the_only_list_and_each_owner_defines_its_names():
     for layer, names in substrqa._EXPORTS.items():
         missing = set(names) - _top_level_bindings(package / f"{layer}.py")
         assert not missing, (layer, sorted(missing))
+
+
+def _read_names(path: Path) -> set[str]:
+    """Names a module reads, bare or as an attribute, leaving out each
+    top-level definition's reads of its own name."""
+    names = set()
+    for node in ast.parse(path.read_text(), str(path)).body:
+        nodes = list(ast.walk(node))
+        found = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        names |= found - {getattr(node, "name", None)}
+    return names
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    # A public name serves program code, a README example, the benchmark or
+    # an acceptance criterion; one that only the tests read belongs in
+    # tests/oracles.py.
+    root = Path(__file__).parents[1]
+    read = set().union(
+        *(_read_names(p) for p in (root / "src" / "substrqa").glob("*.py") if p.name != "__init__.py")
+    )
+    texts = [root / "README.md", root / "tests" / "test_acceptance.py"]
+    text = "\n".join(p.read_text() for p in [*texts, *(root / "benchmarks").rglob("*.py")])
+    unused = [n for n in substrqa.__all__ if n not in read and not re.search(rf"\b{n}\b", text)]
+    assert not unused, unused
 
 
 def test_star_import_binds_every_exported_name():

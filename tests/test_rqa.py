@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from substrqa import BitSequence, DomainError, Substitution, window_classes
-from substrqa.recplot import histogram
+from substrqa.recplot import LineHistogram, histogram
 from substrqa.rqa import (
     RQAReport,
     asymptotic_from_corsum,
@@ -123,6 +124,29 @@ class TestMeasures:
         hist = histogram(EXAMPLE, 6, 1)
         with pytest.raises(DomainError):
             measures_from_histogram(hist, 0)
+
+    @pytest.mark.parametrize("lmin", [1, 2])
+    def test_length_with_no_line_is_skipped(self, lmin):
+        # histogram never lists such a length; kept, its zero density would
+        # reach the entropy's logarithm.
+        lines = {3: (2, 0, 0), 4: (2, 0, 0)}
+        padded = LineHistogram(n=6, h=1, m=1, counts={2: (0, 0, 0), **lines})
+        rep = measures_from_histogram(padded, lmin)
+        assert rep == measures_from_histogram(LineHistogram(n=6, h=1, m=1, counts=lines), lmin)
+        assert list(rep.linedens) == [3, 4]
+
+    def test_impossible_counts_are_refused(self):
+        def measures(counts):
+            return measures_from_histogram(LineHistogram(n=3, h=1, m=1, counts=counts), 1)
+
+        for counts, message in [
+            ({2: (9, 0, 0)}, "histogram holds 18 recurrent cells, more than its 6 off-diagonal ones"),
+            ({1: (3, -1, 0)}, "line counts must be nonnegative, got (3, -1, 0) at length 1"),
+        ]:
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                measures(counts)
+        # Every off-diagonal cell recurrent is the most a plot holds.
+        assert measures({2: (3, 0, 0)}).RR1 == 1
 
 
 class TestCorrelationSum:
@@ -247,6 +271,14 @@ class TestAsymptotic:
         for bad in ("1/2", None, math.nan, math.inf, np.float32("nan")):
             with pytest.raises(DomainError, match="correlation sum must be a number"):
                 asymptotic_from_corsum(1, bad, 0, 2)
+
+    @pytest.mark.parametrize(
+        "c_1, det", [(0, None), (Fraction(1, 2), 0)], ids=["no_recurrence", "no_line"]
+    )
+    def test_no_line_has_no_average_length(self, c_1, det):
+        # C_l = 0: no line exists, which measures_from_histogram reads as an
+        # absent Lavg too.
+        assert asymptotic_from_corsum(c_1, 0, 0, 2) == (0, det, None, 0)
 
     def test_monotonicity_validation(self):
         with pytest.raises(DomainError):
