@@ -11,7 +11,7 @@ two disagree on a row's inputs.  Both sum in the density table's number
 format, built once per table: the base densities as integer numerators over
 D, the lcm of their denominators, and their cumulative sums; each tail sum
 is one integer over D times a power of q, one Fraction per sum.  The
-entropy stays a float.
+entropy stays a float, from rqa._entropy as a finite plot's.
 
 One dispatch serves every exact limit, one threshold or a whole
 determinism scan: it checks the inputs, classifies once, and then reads
@@ -32,7 +32,7 @@ from fractions import Fraction
 from .densities import DensityTable, closed_form_indices, dens_K, reconstruct_base
 from .errors import DiscrepancyError, DomainError, at_least
 from .recplot import quantize_eps
-from .rqa import RQAReport, _log_fraction, asymptotic_from_corsum
+from .rqa import RQAReport, _entropy, asymptotic_from_corsum
 from .substitution import SubshiftKind, Substitution
 
 
@@ -173,7 +173,7 @@ def _limit_sums(tail_sums, table: DensityTable, m: int, lmin: int, h: int):
             f"tail sums must be positive for a primitive aperiodic table, got "
             f"lineDens={s0}, RR1={c_w}"
         )
-    return c_w, s1 - (lprime - 1) * s0, s0, _log_fraction(s0) + neg_slog / float(s0)
+    return c_w, s1 - (lprime - 1) * s0, s0, _entropy(s0, neg_slog)
 
 
 def _reference_sums(table: DensityTable, m: int, lmin: int, h: int):

@@ -2,10 +2,10 @@
 
 Two independent routes to the same structure:
 
-* the line route aggregates a LineHistogram into length densities, the
-  recurrence rate (fraction of recurrent off-diagonal cells), determinism
-  (mass of lines at least lmin long relative to all), average line length
-  and the entropy of the line-length distribution;
+* the line route reads a LineHistogram in one checked pass into length
+  densities and counts of runs of recurrent cells, which give the
+  recurrence rate, determinism and average line length by the limits'
+  formula, asymptotic_from_corsum, and the entropy by theirs, _entropy;
 * the window route counts pairs of positions whose windows agree and sums
   squared window-class sizes, giving the correlation sum directly in
   O(n log n) without touching individual lines.
@@ -175,52 +175,53 @@ class ResidualBounds:
         )
 
 
+def _line_sums(hist: LineHistogram, lmin: int) -> tuple:
+    """The one reader of a LineHistogram, one checked pass: n, lmin, the
+    total at each length >= lmin that has a line, and P_L (runs of L
+    recurrent cells: sum over lines of max(0, length - L + 1)) at L = 1,
+    lmin, lmin + 1.  Refuses n < 2, a length below 1, a negative or
+    non-integer count, and more recurrent cells than the n^2 - n off-diagonal
+    ones."""
+    lmin, n = at_least(lmin, 1, "minimum line length"), at_least(hist.n, 2, "plot size")
+    kept, p_1, p_lmin = {}, 0, 0
+    for length in sorted(at_least(l, 1, "line length") for l in hist.counts):
+        total = 0
+        for count in hist.counts[length]:
+            total += at_least(count, 0, "line count")
+        p_1 += length * total
+        if total and length >= lmin:
+            kept[length] = total
+            p_lmin += (length - lmin + 1) * total
+    if p_1 > (cells := n * n - n):
+        raise DomainError(f"histogram holds {p_1} recurrent cells, more than its {cells} off-diagonal ones")
+    return n, lmin, kept, p_1, p_lmin, p_lmin - sum(kept.values())
+
+
+def _entropy(mass: Fraction, neg_slog: float) -> float:
+    """ENT of line densities d with mass = sum d and neg_slog = -sum d log d."""
+    return _log_fraction(mass) + neg_slog / float(mass)
+
+
 def measures_from_histogram(hist: LineHistogram, lmin: int) -> RQAReport:
     """Line-based quantifiers at minimum line length lmin.
 
     Uses total line counts, boundary lines included; pass
     hist.excluding_n_boundary() for the clipped-lines-dropped convention.
-    A length with no line is skipped; a negative count, or more recurrent
-    cells than the n^2 - n off-diagonal ones, raises DomainError.
+    RR, DET and Lavg are asymptotic_from_corsum's at P_L / (n^2 - n),
+    L = 1, lmin and lmin + 1.  A length with no line is skipped; a
+    histogram no plot has raises DomainError (see _line_sums).
     """
-    lmin, n = at_least(lmin, 1, "minimum line length"), at_least(hist.n, 2, "plot size")
+    n, lmin, kept, p_1, p_lmin, p_next = _line_sums(hist, lmin)
     cells = n * n - n
-    totals = {}
-    for length in hist.lengths():
-        if min(buckets := hist.counts[length]) < 0:
-            raise DomainError(f"line counts must be nonnegative, got {buckets} at length {length}")
-        if total := sum(buckets):
-            totals[length] = total
-    kept = {l: c for l, c in totals.items() if l >= lmin}
-    mass = sum(l * c for l, c in totals.items())
-    if mass > cells:
-        raise DomainError(f"histogram holds {mass} recurrent cells, more than its {cells} off-diagonal ones")
-    rr1 = Fraction(mass, cells)
+    rr1 = Fraction(p_1, cells)
+    est = asymptotic_from_corsum(rr1, Fraction(p_lmin, cells), Fraction(p_next, cells), lmin)
     dens = {l: Fraction(c, cells) for l, c in kept.items()}
-    tail = Fraction(sum(kept.values()), cells)
-    rr = Fraction(sum(l * c for l, c in kept.items()), cells)
-    det = rr / rr1 if rr1 else None
-    lavg = rr / tail if tail else None
-    if not tail:
-        ent = None
-    elif len(dens) == 1:
-        ent = 0.0
-    else:
-        weighted = sum(float(d) * _log_fraction(d) for d in dens.values())
-        ent = _log_fraction(tail) - weighted / float(tail)
+    tail = Fraction(p_lmin - p_next, cells)
+    neg_slog = -sum(float(d) * _log_fraction(d) for d in dens.values())
+    ent = None if not tail else 0.0 if len(dens) == 1 else _entropy(tail, neg_slog)
     return RQAReport(
-        n=n,
-        m=hist.m,
-        h=hist.h,
-        lmin=lmin,
-        linedens=dens,
-        tail_density=tail,
-        RR=rr,
-        RR1=rr1,
-        DET=det,
-        Lavg=lavg,
-        ENT=ent,
-        C=None,
+        n=n, m=hist.m, h=hist.h, lmin=lmin, linedens=dens, tail_density=tail,
+        RR=est.RR, RR1=rr1, DET=est.DET, Lavg=est.Lavg, ENT=ent, C=None,
     )
 
 
@@ -250,20 +251,14 @@ def corsum_from_histogram(
 ) -> CorsumDecomposition:
     """Reassemble the correlation sum from line counts.
 
-    main_term collects every recurrent pair that lies on a line of length
-    at least lmin plus the n diagonal pairs; the open remainder (pairs on
-    shorter clipped stretches at the far edge) is returned as `triangle`
-    when the true correlation sum is supplied.
+    main_term, (P_lmin + n) / n^2 (see _line_sums), counts the recurrent
+    pairs on lines at least lmin long and the n diagonal ones; the open
+    remainder (pairs on shorter clipped stretches at the far edge) is
+    returned as `triangle` when the true correlation sum is supplied.
     """
-    lmin = at_least(lmin, 1, "minimum line length")
-    n = hist.n
-    mass = sum(
-        (l - lmin + 1) * count
-        for l, counts in hist.counts.items()
-        if (count := sum(counts)) and l >= lmin
-    )
-    main = Fraction(mass + n, n * n)
-    triangle = None if corsum is None else n * n * corsum - n * n * main
+    n, _, _, _, p_lmin, _ = _line_sums(hist, lmin)
+    main = Fraction(p_lmin + n, n * n)
+    triangle = None if corsum is None else n * n * (as_fraction(corsum, "correlation sum") - main)
     return CorsumDecomposition(main_term=main, triangle=triangle)
 
 
@@ -298,13 +293,14 @@ def asymptotic_from_corsum(
     c_1: Fraction, c_l: Fraction, c_next: Fraction, lmin: int
 ) -> AsymptoticEstimate:
     """Limit quantifiers from limit correlation sums (edge terms gone): the
-    program's one path to every exact limit RR, DET, Lavg and C.
+    program's one path to every RR, DET and Lavg, of limits and plots alike.
 
     With w = m + h - 1 and l' = lmin + w - 1, C_1 = C(w), C_l = C(l') and
     C_(l+1) = C(l' + 1); they are read as Fractions, so results are exact.
+    A plot passes P_L / (n^2 - n) (see _line_sums), C then meaningless.
     The average line length is infinite exactly when the two adjacent
     correlation sums coincide above zero (no line ever ends), and absent
-    (None) when C_l = 0 (no line exists), as for a finite plot.
+    (None) when C_l = 0 (no line exists).
     """
     lmin = at_least(lmin, 1, "minimum line length")
     c_1, c_l, c_next = (as_fraction(c, "correlation sum") for c in (c_1, c_l, c_next))

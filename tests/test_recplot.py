@@ -31,7 +31,7 @@ from substrqa.recplot import (
     render_pgm,
     rp_entry,
 )
-from substrqa.rqa import correlation_sum, residuals
+from substrqa.rqa import correlation_sum, measures_from_histogram, residuals
 
 from oracles import inner_line_starts, recurrence_mass, reduce_eps, theta
 
@@ -220,8 +220,8 @@ class TestHistogram:
     @pytest.mark.parametrize("h", [1, 3])
     @pytest.mark.parametrize("sub", [TM, Substitution("01110", "01010")], ids=str)
     def test_large_plot_matches_window_classes(self, sub, h):
-        # Past the reach of extract_lines: two identities that need only the
-        # width-h window classes of the positions [0, n).
+        # Past the reach of extract_lines: identities that need only the
+        # window classes of the positions [0, n).
         n = 1 << 16
         x = sub.fixed_point_prefix(n + h - 1)
         hist = histogram(x, n, h)
@@ -234,6 +234,17 @@ class TestHistogram:
         flanked = flanked.reshape(-1, 2)
         starts = 2 * int((flanked[:, 0] * flanked[:, 1]).sum()) + 2 * (int(sizes[classes[0]]) - 1)
         assert sum(hist.total(length) for length in hist.lengths()) == starts
+        # A run of L recurrent cells from (i, j) is a pair i != j whose
+        # width-(h + L - 1) windows agree, both starting in [0, n - L + 1),
+        # and cells * (RR - (L - 1) * tail_density) counts those runs at
+        # L = lmin and lmin + 1.
+        cells = n * n - n
+        for lmin in (2, 3):
+            report = measures_from_histogram(hist, lmin)
+            for length in (lmin, lmin + 1):
+                sizes = np.bincount(window_classes(x.bits, h + length - 1))
+                runs = cells * (report.RR - (length - 1) * report.tail_density)
+                assert runs == int((sizes * (sizes - 1)).sum()), (lmin, length)
 
     @pytest.mark.slow
     def test_histogram_grid_is_pinned(self):

@@ -58,6 +58,12 @@ class TestWorkedExample:
         assert main == Fraction(10, 36)
         assert triangle == 2
         assert 0 <= triangle <= 2 * (2 - 1) * (6 - 1)
+        # The supplied sum is read as an exact number.
+        triangle = corsum_from_histogram(hist, 2, 0.5).triangle
+        assert (type(triangle), triangle) == (Fraction, 8)
+        for bad in ("x", "1/2", math.nan):
+            with pytest.raises(DomainError, match="correlation sum must be a number"):
+                corsum_from_histogram(hist, 2, bad)
 
     def test_triangle_zero_at_lmin_one(self):
         hist = histogram(EXAMPLE, 6, 1)
@@ -136,17 +142,42 @@ class TestMeasures:
         assert list(rep.linedens) == [3, 4]
 
     def test_impossible_counts_are_refused(self):
-        def measures(counts):
-            return measures_from_histogram(LineHistogram(n=3, h=1, m=1, counts=counts), 1)
-
-        for counts, message in [
-            ({2: (9, 0, 0)}, "histogram holds 18 recurrent cells, more than its 6 off-diagonal ones"),
-            ({1: (3, -1, 0)}, "line counts must be nonnegative, got (3, -1, 0) at length 1"),
+        # Both readers of a LineHistogram refuse in the same words.
+        for n, counts, message in [
+            (3, {2: (9, 0, 0)}, "histogram holds 18 recurrent cells, more than its 6 off-diagonal ones"),
+            (3, {1: (3, -1, 0)}, "line count must be >= 0, got -1"),
+            (3, {2: (-9, 0, 0)}, "line count must be >= 0, got -9"),
+            (3, {2: (1.5, 0, 0)}, "line count must be an integer, got 1.5"),
+            (3, {-1: (3, 0, 0)}, "line length must be >= 1, got -1"),
+            (3, {0: (3, 0, 0)}, "line length must be >= 1, got 0"),
+            (3, {2.5: (1, 0, 0)}, "line length must be an integer, got 2.5"),
+            (0, {}, "plot size must be >= 2, got 0"),
+            (1, {}, "plot size must be >= 2, got 1"),
         ]:
-            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-                measures(counts)
+            hist = LineHistogram(n=n, h=1, m=1, counts=counts)
+            for reader in (measures_from_histogram, corsum_from_histogram):
+                with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                    reader(hist, 1)
         # Every off-diagonal cell recurrent is the most a plot holds.
-        assert measures({2: (3, 0, 0)}).RR1 == 1
+        full = LineHistogram(n=3, h=1, m=1, counts={2: (3, 0, 0)})
+        assert measures_from_histogram(full, 1).RR1 == 1
+        assert corsum_from_histogram(full, 1).main_term == 1
+
+    @pytest.mark.slow
+    def test_finite_rows_are_pinned(self):
+        # Every report field, ENT's float included, over the plots of
+        # test_histogram_grid_is_pinned, against a fixed answer.
+        forms = ["01,10", "01,00", "01110,01010", "0010,0111", "011,000", "010,101"]
+        forms += ["01,01", "0010,0010", "001,001"]
+        digest = hashlib.sha256()
+        for spec in forms:
+            x = Substitution.parse(spec).normalize()[0].fixed_point_prefix((1 << 16) + 8)
+            for n in (2, 3, 7, 64, 362, 4096, 1 << 14, 1 << 16):
+                for h, m in ((1, 1), (3, 2)):
+                    hist = histogram(x, n, h, m=m)
+                    for lmin in (1, 2, 3, 5):
+                        digest.update(repr(measures_from_histogram(hist, lmin)).encode())
+        assert digest.hexdigest()[:16] == "6bbd1ff894dbea4b"
 
 
 class TestCorrelationSum:
