@@ -329,4 +329,6 @@ def determinism_limit_scan(
     table, and degenerate ones scan constantly at 1.  Aperiodic scans
     approach 1 with dips wherever the density support has gaps.
     """
+    if not hasattr(h_range, "__iter__"):
+        raise DomainError(f"h_range must be an iterable of integers, got {h_range!r}")
     return [(a.h, a.DET) for a in _limits(sub, m, lmin, list(h_range))]

@@ -46,7 +46,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from ._numpy import np
-from .errors import DomainError, ResourceLimitError, as_fraction, as_int, at_least
+from .errors import DomainError, ParseError, ResourceLimitError, as_fraction, at_least
 from .substitution import BitSequence, window_classes
 
 # Largest plot the renderers agree to draw (n^2 cells).
@@ -108,6 +108,9 @@ def _plot_args(n: int, h: int, m: int, least: int) -> tuple[int, int, int, int]:
 
 
 def _require_prefix(x: BitSequence, need: int, what: str) -> np.ndarray:
+    """x's first need letters; ParseError unless x is a BitSequence."""
+    if not isinstance(x, BitSequence):
+        raise ParseError(f"prefix must be a BitSequence, got {x!r}")
     if len(x) < need:
         raise DomainError(f"{what} needs a prefix of at least {need} letters, got {len(x)}")
     return x.bits[:need]
@@ -405,13 +408,10 @@ def quantize_eps(eps) -> int:
 
 def rp_entry(x: BitSequence, i: int, j: int, h: int) -> bool:
     """Whether positions i and j recur at threshold 2^-h: equal h-windows."""
-    i, j = as_int(i, "position i"), as_int(j, "position j")
+    i, j = at_least(i, 0, "position i"), at_least(j, 0, "position j")
     h = at_least(h, 1, "threshold exponent h")
-    if i < 0 or j < 0 or i + h > len(x) or j + h > len(x):
-        raise DomainError(
-            f"windows [{i}, {i}+{h}) and [{j}, {j}+{h}) must lie inside a {len(x)}-letter prefix"
-        )
-    return bool(np.array_equal(x.bits[i : i + h], x.bits[j : j + h]))
+    bits = _require_prefix(x, max(i, j) + h, f"pair ({i}, {j}) at window {h}")
+    return bool(np.array_equal(bits[i : i + h], bits[j : j + h]))
 
 
 def extract_lines(x: BitSequence, n: int, h: int, *, m: int = 1) -> list[LineTriple]:

@@ -10,11 +10,11 @@ Two independent routes to the same structure:
   squared window-class sizes, giving the correlation sum directly in
   O(n log n) without touching individual lines.
 
-Finite plots tie the two routes together only up to edge effects, and the
-conversion helpers return both the main term and the residual it leaves;
-residuals() packages the exact residuals of one instance so property tests
-can assert every bound.  All quantities except the entropy are exact
-rationals; a zero denominator makes a quantity absent (None), never zero.
+Finite plots tie the two routes together only up to edge effects; the
+conversion helpers return a main term and its residual's bound, and
+residuals() packages one instance's exact residuals, the far-edge triangle
+n (n delta_C - 1) among them, for property tests.  All quantities except the
+entropy are exact rationals; a zero denominator makes one absent (None).
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from ._numpy import np
-from .errors import DomainError, as_fraction, at_least
-from .recplot import LineHistogram, _plot_args, histogram
+from .errors import DomainError, ParseError, as_fraction, at_least
+from .recplot import LineHistogram, _plot_args, _require_prefix, histogram
 from .substitution import BitSequence, window_labels
 
 
@@ -132,11 +132,10 @@ class LinedensEstimate(NamedTuple):
 
 
 class CorsumDecomposition(NamedTuple):
-    """Correlation sum split into the line-histogram term and the remainder
-    contributed by pairs whose windows overhang the far plot edge."""
+    """The line-histogram term of the correlation sum; the remainder, from
+    pairs whose windows overhang the far plot edge, is ResidualBounds.triangle."""
 
     main_term: Fraction
-    triangle: Fraction | None
 
 
 class CorsumInterval(NamedTuple):
@@ -181,7 +180,9 @@ def _line_sums(hist: LineHistogram, lmin: int) -> tuple:
     recurrent cells: sum over lines of max(0, length - L + 1)) at L = 1,
     lmin, lmin + 1.  Refuses n < 2, a length below 1, a negative or
     non-integer count, and more recurrent cells than the n^2 - n off-diagonal
-    ones."""
+    ones, and anything but a LineHistogram (ParseError)."""
+    if not isinstance(hist, LineHistogram):
+        raise ParseError(f"histogram must be a LineHistogram, got {hist!r}")
     lmin, n = at_least(lmin, 1, "minimum line length"), at_least(hist.n, 2, "plot size")
     kept, p_1, p_lmin = {}, 0, 0
     for length in sorted(at_least(l, 1, "line length") for l in hist.counts):
@@ -237,34 +238,27 @@ def correlation_sum(x: BitSequence, n: int, lmin: int, h: int, *, m: int = 1) ->
     lmin = at_least(lmin, 1, "minimum line length")
     n, h, m, window = _plot_args(n, h, m, 1)
     width = lmin + window - 1
-    need = n + width - 1
-    if len(x) < need:
-        raise DomainError(
-            f"correlation sum at n={n}, window {width} needs {need} letters, got {len(x)}"
-        )
-    sizes = np.unique(window_labels(x.bits[:need], width), return_counts=True)[1]
+    bits = _require_prefix(x, n + width - 1, f"correlation sum at n={n}, window {width}")
+    sizes = np.unique(window_labels(bits, width), return_counts=True)[1]
     return Fraction(int((sizes * sizes).sum()), n * n)
 
 
-def corsum_from_histogram(
-    hist: LineHistogram, lmin: int, corsum: Fraction | None = None
-) -> CorsumDecomposition:
+def corsum_from_histogram(hist: LineHistogram, lmin: int) -> CorsumDecomposition:
     """Reassemble the correlation sum from line counts.
 
     main_term, (P_lmin + n) / n^2 (see _line_sums), counts the recurrent
     pairs on lines at least lmin long and the n diagonal ones; the open
     remainder (pairs on shorter clipped stretches at the far edge) is
-    returned as `triangle` when the true correlation sum is supplied.
+    residuals()' triangle.
     """
     n, _, _, _, p_lmin, _ = _line_sums(hist, lmin)
-    main = Fraction(p_lmin + n, n * n)
-    triangle = None if corsum is None else n * n * (as_fraction(corsum, "correlation sum") - main)
-    return CorsumDecomposition(main_term=main, triangle=triangle)
+    return CorsumDecomposition(main_term=Fraction(p_lmin + n, n * n))
 
 
 def rqa_from_corsum(c_l: Fraction, c_next: Fraction, n: int, lmin: int) -> Estimate:
-    """Recurrence rate reconstructed from two adjacent correlation sums."""
+    """Recurrence rate from two adjacent correlation sums, read as Fractions."""
     n, lmin = at_least(n, 2, "plot size"), at_least(lmin, 1, "minimum line length")
+    c_l, c_next = (as_fraction(c, "correlation sum") for c in (c_l, c_next))
     value = Fraction(n, n - 1) * (lmin * c_l - (lmin - 1) * c_next) - Fraction(1, n - 1)
     return Estimate(value=value, bound=Fraction(2 * lmin * (lmin - 1), n))
 
@@ -273,8 +267,9 @@ def linedens_from_corsum(
     c_l: Fraction, c_next: Fraction, n: int, lmin: int
 ) -> LinedensEstimate:
     """Cumulative line density (and the induced average-length quotient)
-    reconstructed from two adjacent correlation sums."""
+    reconstructed from two adjacent correlation sums, read as Fractions."""
     n, lmin = at_least(n, 2, "plot size"), at_least(lmin, 1, "minimum line length")
+    c_l, c_next = (as_fraction(c, "correlation sum") for c in (c_l, c_next))
     value = Fraction(n, n - 1) * (c_l - c_next)
     rr = rqa_from_corsum(c_l, c_next, n, lmin).value
     lavg = rr / value if value > 0 else None
@@ -282,9 +277,10 @@ def linedens_from_corsum(
 
 
 def corsum_from_rqa(rr: Fraction, tail: Fraction, n: int, lmin: int) -> CorsumInterval:
-    """Correlation sum reconstructed from line statistics; the residual is
-    positive (diagonal plus edge pairs) and lies in [1/n, 2*lmin/n)."""
+    """Correlation sum from line statistics, read as Fractions; the residual
+    is positive (diagonal plus edge pairs) and lies in [1/n, 2*lmin/n)."""
     n, lmin = at_least(n, 2, "plot size"), at_least(lmin, 1, "minimum line length")
+    rr, tail = as_fraction(rr, "recurrence rate"), as_fraction(tail, "tail density")
     value = Fraction(n - 1, n) * (rr - (lmin - 1) * tail)
     return CorsumInterval(value=value, low=Fraction(1, n), high=Fraction(2 * lmin, n))
 
@@ -317,22 +313,21 @@ def asymptotic_from_corsum(
 
 
 def residuals(x: BitSequence, n: int, lmin: int, h: int = 1) -> ResidualBounds:
-    """Exact conversion residuals of one plot instance (boundary lines in).
-
-    Needs a prefix of at least n + lmin + h - 1 letters, enough for the
-    correlation sum one length above lmin.
+    """Exact conversion residuals of one plot instance (boundary lines in),
+    from one histogram read: corsum_from_rqa's value is P_lmin / n^2, so
+    triangle = n (n delta_C - 1) = n^2 C_l - (P_lmin + n).  Needs a prefix of
+    n + lmin + h - 1 letters, for the correlation sum one length above lmin.
     """
-    hist = histogram(x, n, h)
-    report = measures_from_histogram(hist, lmin)
+    report = measures_from_histogram(histogram(x, n, h), lmin)
+    n, lmin = report.n, report.lmin
     c_l = correlation_sum(x, n, lmin, h)
     c_next = correlation_sum(x, n, lmin + 1, h)
-    main, triangle = corsum_from_histogram(hist, lmin, c_l)
-    assert triangle is not None
+    delta_C = c_l - corsum_from_rqa(report.RR, report.tail_density, n, lmin).value
     return ResidualBounds(
-        n=hist.n,
-        lmin=report.lmin,
-        triangle=triangle,
+        n=n,
+        lmin=lmin,
+        triangle=n * (n * delta_C - 1),
         delta_rr=report.RR - rqa_from_corsum(c_l, c_next, n, lmin).value,
         delta_N=report.tail_density - linedens_from_corsum(c_l, c_next, n, lmin).value,
-        delta_C=c_l - corsum_from_rqa(report.RR, report.tail_density, n, lmin).value,
+        delta_C=delta_C,
     )

@@ -4,7 +4,9 @@ An integer argument is refused with DomainError in one of two forms: a
 non-integer (even 2.0) reads "<name> must be an integer, got 2.0", and a
 value below the argument's bound k reads "<name> must be >= k, got k-1".
 The bound itself is accepted, as a numpy integer too.  A text argument
-that is not a str is refused with ParseError: "<name> must be text, got None".
+that is not a str is refused with ParseError: "<name> must be text, got None",
+and so is a prefix that is not a BitSequence or a histogram that is not a
+LineHistogram.
 """
 
 import re
@@ -183,3 +185,33 @@ TEXT_ENTRIES = [
 def test_non_text_is_refused(_, call, what, value):
     with pytest.raises(ParseError, match=f"^{re.escape(f'{what} must be text, got {value!r}')}$"):
         call(value)
+
+
+# (entry point, call with its prefix or histogram set to v, v): text for a
+# BitSequence prefix, a dict for a LineHistogram.
+TYPE_ENTRIES = [
+    ("histogram", lambda v: histogram(v, 4, 1), "0101100110"),
+    ("extract_lines", lambda v: extract_lines(v, 4, 1), "0101100110"),
+    ("inner_line_counts", lambda v: inner_line_counts(v, 4, 1), "0101100110"),
+    ("rp_entry", lambda v: rp_entry(v, 0, 1, 1), "0101100110"),
+    ("render_ascii", lambda v: render_ascii(v, 4, 1), "0101100110"),
+    ("render_pgm", lambda v: render_pgm(v, 4, 1), "0101100110"),
+    ("correlation_sum", lambda v: correlation_sum(v, 4, 1, 1), "0101100110"),
+    ("residuals", lambda v: residuals(v, 4, 1), "0101100110"),
+    ("empirical_delta", lambda v: empirical_delta(v, 1, 4), "0101100110"),
+    ("measures_from_histogram", lambda v: measures_from_histogram(v, 1), {}),
+    ("corsum_from_histogram", lambda v: corsum_from_histogram(v, 1), {}),
+]
+
+
+@pytest.mark.parametrize("_, call, value", TYPE_ENTRIES, ids=[e[0] for e in TYPE_ENTRIES])
+def test_wrong_type_is_refused(_, call, value):
+    text = isinstance(value, str)
+    what = "prefix must be a BitSequence" if text else "histogram must be a LineHistogram"
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{what}, got {value!r}')}$"):
+        call(value)
+
+
+def test_scan_refuses_a_non_iterable_range():
+    with _refused("h_range must be an iterable of integers, got 5"):
+        determinism_limit_scan(TM, 1, 1, 5)

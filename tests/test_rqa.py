@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from substrqa import BitSequence, DomainError, Substitution, window_classes
+from substrqa import BitSequence, DomainError, Substitution, rqa, window_classes
 from substrqa.recplot import LineHistogram, histogram
 from substrqa.rqa import (
     RQAReport,
@@ -26,6 +26,8 @@ from substrqa.rqa import (
 
 TM = Substitution("01", "10")
 PD = Substitution("01", "00")
+Q5 = Substitution("01110", "01010")
+HALF, QUARTER = Fraction(1, 2), Fraction(1, 4)
 
 EXAMPLE = BitSequence.from_text("010111010")
 
@@ -52,23 +54,14 @@ class TestWorkedExample:
         assert correlation_sum(EXAMPLE, 6, 3, 1) == Fraction(8, 36)
 
     def test_corsum_decomposition(self):
-        hist = histogram(EXAMPLE, 6, 1)
-        c2 = correlation_sum(EXAMPLE, 6, 2, 1)
-        main, triangle = corsum_from_histogram(hist, 2, c2)
-        assert main == Fraction(10, 36)
-        assert triangle == 2
+        assert corsum_from_histogram(histogram(EXAMPLE, 6, 1), 2).main_term == Fraction(10, 36)
+        # C_2 = 12/36 leaves n^2 (C_2 - 10/36) = 2 far-edge pairs.
+        triangle = residuals(EXAMPLE, 6, 2).triangle
+        assert (type(triangle), triangle) == (Fraction, 2)
         assert 0 <= triangle <= 2 * (2 - 1) * (6 - 1)
-        # The supplied sum is read as an exact number.
-        triangle = corsum_from_histogram(hist, 2, 0.5).triangle
-        assert (type(triangle), triangle) == (Fraction, 8)
-        for bad in ("x", "1/2", math.nan):
-            with pytest.raises(DomainError, match="correlation sum must be a number"):
-                corsum_from_histogram(hist, 2, bad)
 
     def test_triangle_zero_at_lmin_one(self):
-        hist = histogram(EXAMPLE, 6, 1)
-        c1 = correlation_sum(EXAMPLE, 6, 1, 1)
-        assert corsum_from_histogram(hist, 1, c1).triangle == 0
+        assert residuals(EXAMPLE, 6, 1).triangle == 0
 
     def test_excluded_mode_identities_exact(self):
         # Dropping far-edge lines makes every conversion exact.
@@ -273,6 +266,60 @@ class TestConversions:
     def test_residual_bounds_substitution_prefixes(self, sub, lmin):
         x = sub.fixed_point_prefix(600)
         assert residuals(x, 512, lmin, 1).satisfied()
+
+    def test_residuals_are_pinned(self):
+        # Every field of every residual, against a fixed answer: the first 200
+        # instances of criterion 4's generator, then Thue-Morse and q5
+        # prefixes at n 64, 181 and 512, lmin 1-6 and h 1-3.
+        digest = hashlib.sha256()
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            n, lmin, h = (int(rng.integers(*r)) for r in ((8, 513), (1, 7), (1, 4)))
+            x = BitSequence(rng.integers(0, 2, n + lmin + h + 2))
+            digest.update(repr(residuals(x, n, lmin, h)).encode())
+        for sub in (TM, Q5):
+            x = sub.fixed_point_prefix(520)
+            for n in (64, 181, 512):
+                for lmin in range(1, 7):
+                    for h in (1, 2, 3):
+                        digest.update(repr(residuals(x, n, lmin, h)).encode())
+        assert digest.hexdigest()[:16] == "f70c3bb312a2d05a"
+
+    def test_residuals_read_the_histogram_once(self, monkeypatch):
+        reads, read = [], rqa._line_sums
+
+        def counted(hist, lmin):
+            reads.append(lmin)
+            return read(hist, lmin)
+
+        monkeypatch.setattr(rqa, "_line_sums", counted)
+        assert residuals(TM.fixed_point_prefix(80), 64, 3, 2).satisfied()
+        assert reads == [3]
+
+    @pytest.mark.parametrize("name", ["rqa_from_corsum", "linedens_from_corsum", "corsum_from_rqa"])
+    @pytest.mark.parametrize("kind", [float, np.float32, np.longdouble], ids=lambda k: k.__name__)
+    def test_identities_read_numbers_exactly(self, name, kind):
+        identity = getattr(rqa, name)
+        exact = identity(HALF, QUARTER, 4, 2)
+        got = identity(kind(0.5), kind(0.25), 4, 2)
+        assert got == exact
+        assert all(type(v) is Fraction for v in got if v is not None)
+
+    @pytest.mark.parametrize(
+        "name, first, second",
+        [
+            ("rqa_from_corsum", "correlation sum", "correlation sum"),
+            ("linedens_from_corsum", "correlation sum", "correlation sum"),
+            ("corsum_from_rqa", "recurrence rate", "tail density"),
+        ],
+    )
+    @pytest.mark.parametrize("bad", ["1/2", None, math.nan], ids=repr)
+    def test_identities_refuse_non_numbers(self, name, first, second, bad):
+        identity = getattr(rqa, name)
+        for what, args in [(first, (bad, QUARTER)), (second, (HALF, bad))]:
+            message = f"{what} must be a number, got {bad!r}"
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                identity(*args, 4, 2)
 
     def test_lavg_quotient(self):
         x = TM.fixed_point_prefix(300)
