@@ -51,7 +51,7 @@ _EXPORTS = {
     ),
     "substitution": (
         "ALPHABET", "FIXED_POINT_CAP", "BitSequence", "Classification", "Normalization",
-        "SubshiftKind", "Substitution", "window_classes",
+        "SubshiftKind", "Substitution",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -21,10 +21,11 @@ suffix-order interval of the occurrences of a final segment, whose sizes
 count the far-edge runs: a few dozen rounds on fixed-point prefixes, but
 a round per step of each long rising run a periodic text has.  A level
 costs one O(n log n) sort and 1 to 4 bytes a letter, with no per-suffix
-Python loop.
-extract_lines keeps the walk along each diagonal as the reference the
-kernel is tested against.  Two exact reductions collapse the parameter
-space:
+Python loop.  This is the one module that packs letters into keys: the
+renderers and rqa's correlation sums compare window_labels, read off the
+same packed words.  extract_lines keeps the walk along each diagonal as
+the reference the kernel is tested against.  Two exact reductions
+collapse the parameter space:
 
 * threshold reduction: a length-l line at threshold 2^-h is the same run as
   a length-(l+h-1) line at threshold 1/2 in a plot enlarged to n+h-1, with
@@ -47,7 +48,7 @@ from typing import NamedTuple
 
 from ._numpy import np
 from .errors import DomainError, ParseError, ResourceLimitError, as_fraction, at_least
-from .substitution import BitSequence, window_classes
+from .substitution import BitSequence
 
 # Largest plot the renderers agree to draw (n^2 cells).
 RENDER_CAP = 4096
@@ -123,6 +124,45 @@ def _match_runs(bits: np.ndarray, d: int, span: int) -> tuple[np.ndarray, np.nda
     return np.flatnonzero(delta == 1), np.flatnonzero(delta == -1)
 
 
+def _packed_words(bits: np.ndarray) -> np.ndarray:
+    """The big-endian uint64 word of np.packbits(bits) at every byte
+    offset, 0 past the end (a view with a 1-byte stride, copied)."""
+    letters = bits.size
+    packed = np.zeros(letters // 8 + 8, dtype=np.uint8)
+    packed[: -(-letters // 8)] = np.packbits(bits)
+    return np.ndarray(letters // 8 + 1, ">u8", packed, strides=(1,)).astype(np.uint64)
+
+
+def _window_keys(words: np.ndarray, count: int, width: int) -> np.ndarray:
+    """The width-letter windows at [0, count) as uint64 keys, first letter
+    highest: _packed_words shifted left by all 8 bit offsets in one
+    broadcast, then right by 64 - width.  Exact for width <= 57; a wider
+    key reads 0 for letters past its word, which only a text under 64
+    letters asks for, and there they lie past its end."""
+    keys = (words[:, None] << np.arange(8, dtype=np.uint64)).reshape(-1)[:count]
+    keys >>= np.uint64(64 - width)
+    return keys
+
+
+def window_labels(bits: np.ndarray, width: int) -> np.ndarray:
+    """A label for every length-`width` window of `bits`, equal exactly
+    when the windows are equal letter by letter and sorted as they are:
+    its _window_keys key up to 57 letters, past that the dense ranks of
+    its 57-letter pieces' keys combined one piece at a time, first piece
+    highest.  Requires 1 <= width <= len(bits)."""
+    width = at_least(width, 1, "window width")
+    count = int(bits.size) - width + 1
+    if count <= 0:
+        raise DomainError(f"sequence of length {bits.size} has no windows of width {width}")
+    words = _packed_words(bits)
+    labels = _window_keys(words, count, min(width, 57))
+    for start in range(57, width, 57):
+        piece = _window_keys(words, start + count, min(width - start, 57))[start:]
+        high, low = (np.unique(keys, return_inverse=True)[1] for keys in (labels, piece))
+        labels = high * count + low
+    return labels
+
+
 class _Level(NamedTuple):
     """One prefix-doubling level: its key at i packs `digits` ranks, `width`
     bits each and the first in the highest bits, of the windows of `span`
@@ -161,7 +201,7 @@ def _pack(ranks: np.ndarray, span: int, width: int, digits: int) -> np.ndarray:
 
 def _letter_keys(level: _Level, at: np.ndarray) -> np.ndarray:
     """Level 0's keys at positions `at` (any shape, none past the end), as
-    _suffix_levels builds them from the word at byte at // 8."""
+    _window_keys builds them from the word at byte at // 8."""
     return (level.ranks[at >> 3] << (at & 7).view(np.uint64)) >> np.uint64(64 - level.digits)
 
 
@@ -178,37 +218,31 @@ def _suffix_levels(bits: np.ndarray) -> tuple[list[_Level], np.ndarray]:
 
     Each level sorts its keys by value, with the reversed position
     len(bits) - i in the low b = len(bits).bit_length() bits: a mask then
-    reads off the suffix order and a shift the sorted keys, with no
-    argsort and no gather.  Level 0 packs 64 - b letters, one bit each,
-    and 0 past the end: the big-endian word of the eight np.packbits
-    bytes at each byte offset, shifted left by all eight bit offsets in
-    one broadcast and then right by b, two passes over the keys where
-    _pack's doubling takes six or seven.  A window cut short by the end
-    has a smaller reversed position than every window it is a prefix of,
-    so it sorts before them, and each suffix shorter than one key starts
-    a class of its own: rank 0 is the empty suffix alone.  Each later level packs the
-    dense ranks of the level below, as many as fit beside the position
+    reads off the suffix order and a shift the sorted keys, with no argsort
+    and no gather.  Level 0 packs 64 - b letters, one bit each, and 0 past
+    the end: _window_keys at width 64 - b, two passes over the keys where
+    _pack's doubling takes six or seven.  A window cut short by the end has
+    a smaller reversed position than every window it is a prefix of, so it
+    sorts before them, and each suffix shorter than one key starts a class
+    of its own: rank 0 is the empty suffix alone.  Each later level packs
+    the dense ranks of the level below, as many as fit beside the position
     when that is at least three, and as many as fit 64 bits, sorted by
-    argsort, when it is not (only past 2^16 letters).  Its span is the
-    span below times that many.  Digits past the end are 0, and a window
-    cut short ends in a rank that only its own position has, so on levels
-    above 0 equal keys mean equal full windows.  Comparing keys compares
-    their digits left to right.  A fixed-point prefix has few distinct
-    windows of each length, so the ranks are short and each sort covers
-    many doublings.  Levels stop once no two sorted neighbours tie,
-    because the lift in _lcp starts on a level on which none do, and that
-    level's sort is the suffix order.  Keys and sort scratch are dropped
-    before the next level is packed (a 571-582 KiB peak at 2^14 letters)."""
+    argsort, when it is not (only past 2^16 letters).  Its span is the span
+    below times that many.  Digits past the end are 0, and a window cut
+    short ends in a rank that only its own position has, so on levels above
+    0 equal keys mean equal full windows.  Comparing keys compares their
+    digits left to right.  A fixed-point prefix has few distinct windows of
+    each length, so the ranks are short and each sort covers many
+    doublings.  Levels stop once no two sorted neighbours tie, because the
+    lift in _lcp starts on a level on which none do, and that level's sort
+    is the suffix order.  Keys and sort scratch are dropped before the next
+    level is packed (a 571-582 KiB peak at 2^14 letters)."""
     letters = bits.size
     shift = letters.bit_length()
     free = 64 - shift
     tags = np.arange(letters, -1, -1, dtype=np.uint64)
-    packed = np.zeros(letters // 8 + 8, dtype=np.uint8)
-    packed[: -(-letters // 8)] = np.packbits(bits)
-    # The big-endian word at every byte offset: a view with a 1-byte stride.
-    words = np.ndarray(letters // 8 + 1, ">u8", packed, strides=(1,)).astype(np.uint64)
-    keys = (words[:, None] << np.arange(8, dtype=np.uint64)).reshape(-1)[: letters + 1]
-    keys >>= np.uint64(shift)
+    words = _packed_words(bits)
+    keys = _window_keys(words, letters + 1, free)
     levels = [_Level(words, 1, free, 1)]
     tagged = True
     while True:
@@ -533,8 +567,8 @@ def _plot_matrix(x: BitSequence, n: int, h: int, m: int) -> tuple[int, np.ndarra
     n, h, m, window = _plot_args(n, h, m, 1)
     _require_renderable(n)
     bits = _require_prefix(x, n + window - 1, f"render of size {n} at window {window}")
-    classes = window_classes(bits, window)
-    return n, classes[:, None] == classes[None, :]
+    labels = window_labels(bits, window)
+    return n, labels[:, None] == labels[None, :]
 
 
 def render_ascii(x: BitSequence, n: int, h: int, *, m: int = 1) -> str:

@@ -6,9 +6,9 @@ Two independent routes to the same structure:
   densities and counts of runs of recurrent cells, which give the
   recurrence rate, determinism and average line length by the limits'
   formula, asymptotic_from_corsum, and the entropy by theirs, _entropy;
-* the window route counts pairs of positions whose windows agree and sums
-  squared window-class sizes, giving the correlation sum directly in
-  O(n log n) without touching individual lines.
+* the window route counts pairs of positions whose windows agree (equal
+  recplot.window_labels) and sums squared class sizes, giving the
+  correlation sum directly in O(n log n) without touching individual lines.
 
 Finite plots tie the two routes together only up to edge effects; the
 conversion helpers return a main term and its residual's bound, and
@@ -26,8 +26,8 @@ from typing import NamedTuple
 
 from ._numpy import np
 from .errors import DomainError, ParseError, as_fraction, at_least
-from .recplot import LineHistogram, _plot_args, _require_prefix, histogram
-from .substitution import BitSequence, window_labels
+from .recplot import LineHistogram, _plot_args, _require_prefix, histogram, window_labels
+from .substitution import BitSequence
 
 
 def _log_fraction(f: Fraction) -> float:
@@ -232,8 +232,8 @@ def correlation_sum(x: BitSequence, n: int, lmin: int, h: int, *, m: int = 1) ->
 
     Pairs agree exactly when their windows of width lmin+h+m-2 agree, so the
     sum is the normalised sum of squared window-class sizes, which one
-    np.unique over the window labels counts.  Windows near position n read
-    on into the prefix rather than being truncated.
+    np.unique over recplot.window_labels counts.  Windows near position n
+    read on into the prefix rather than being truncated.
     """
     lmin = at_least(lmin, 1, "minimum line length")
     n, h, m, window = _plot_args(n, h, m, 1)
@@ -271,7 +271,7 @@ def linedens_from_corsum(
     n, lmin = at_least(n, 2, "plot size"), at_least(lmin, 1, "minimum line length")
     c_l, c_next = (as_fraction(c, "correlation sum") for c in (c_l, c_next))
     value = Fraction(n, n - 1) * (c_l - c_next)
-    rr = rqa_from_corsum(c_l, c_next, n, lmin).value
+    rr = (n * c_l - 1) / (n - 1) + (lmin - 1) * value  # rqa_from_corsum's value
     lavg = rr / value if value > 0 else None
     return LinedensEstimate(value=value, bound=Fraction(2 * lmin, n), lavg=lavg)
 

@@ -5,9 +5,9 @@ length q >= 2 over {0, 1}.  Once the image of 0 starts with 0, iterating
 from the letter 0 converges to an infinite fixed point; its orbit closure
 is the subshift every other module works on.  This module provides parsing,
 primitivity/periodicity classification, the start-with-0 normal form, and
-fast fixed-point prefixes as numpy bit arrays.  Parsing and classification
-are integer arithmetic on the two images and touch no array, so they run
-before, and without, numpy's import.
+fast fixed-point prefixes as numpy bit arrays (recplot packs their windows).
+Parsing and classification are integer arithmetic on the two images and
+touch no array, so they run before, and without, numpy's import.
 """
 
 from __future__ import annotations
@@ -83,43 +83,6 @@ class BitSequence:
         if len(self) <= 32:
             return f"BitSequence({self.to01()!r})"
         return f"BitSequence({self[:32].to01()!r}..., len={len(self)})"
-
-
-def dense_ranks(keys: np.ndarray) -> np.ndarray:
-    """Ids 0..k-1 that number the distinct values of `keys` in sorted
-    order: the inverse of a sorted unique."""
-    return np.unique(keys, return_inverse=True)[1]
-
-
-def window_labels(bits: np.ndarray, width: int) -> np.ndarray:
-    """A label for every length-`width` window of `bits`, equal exactly
-    when the windows are equal letter by letter.
-
-    Each window is packed 64 letters to a uint64 word.  A window of up to
-    64 letters is labelled by its word itself; a wider one by the dense
-    ranks of its words, combined one word at a time.  Requires
-    1 <= width <= len(bits).
-    """
-    width = at_least(width, 1, "window width")
-    count = int(bits.size) - width + 1
-    if count <= 0:
-        raise DomainError(f"sequence of length {bits.size} has no windows of width {width}")
-    wide = bits.astype(np.uint64)
-    words = np.zeros((-(-width // 64), count), dtype=np.uint64)
-    for t in range(width):
-        words[t // 64] |= wide[t : t + count] << np.uint64(t % 64)
-    labels = words[0]
-    for word in words[1:]:
-        labels = dense_ranks(labels) * count + dense_ranks(word)
-    return labels
-
-
-def window_classes(bits: np.ndarray, width: int) -> np.ndarray:
-    """Class ids 0..k-1 of every length-`width` window of `bits`: the dense
-    ranks of window_labels, so two ids are equal exactly when the windows
-    are equal letter by letter.  Requires 1 <= width <= len(bits).
-    """
-    return dense_ranks(window_labels(bits, width))
 
 
 class Normalization(str, enum.Enum):

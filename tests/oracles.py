@@ -11,7 +11,7 @@ import numpy as np
 
 from substrqa.densities import _block_frequencies_cached
 from substrqa.recognizability import _residues
-from substrqa.recplot import _match_runs, _require_prefix
+from substrqa.recplot import _match_runs, _require_prefix, window_labels
 
 
 def iterate(sub, k: int) -> str:
@@ -34,6 +34,12 @@ def block_frequencies(sub, length: int) -> dict[str, Fraction]:
     the integer table (D, {word: N}) that the density engine works on."""
     D, table = _block_frequencies_cached(sub, length)
     return {w: Fraction(n, D) for w, n in table.items()}
+
+
+def window_classes(bits: np.ndarray, width: int) -> np.ndarray:
+    """Class ids 0..k-1 of every length-`width` window of `bits`, numbered
+    as the windows sort: the dense ranks of window_labels."""
+    return np.unique(window_labels(bits, width), return_inverse=True)[1]
 
 
 def recurrence_mass(hist) -> int:

@@ -424,6 +424,8 @@ PINNED = {
     "convergence 01,10 --scales 64,128 --format json --eps 0.3": "7fd27aaa50e55cbb",
     "render 01,10 --n 16": "9aec2257bd2dcb0d",
     "render 01,10 --n 16 --format pgm": "42dd3656297f20f2",
+    # A 70-letter window: wider than one 57-letter key.
+    "render 01110,01010 --n 64 -h 70 --format pgm": "ad1535090eec961d",
 }
 # Refusals: exit code and a digest of stderr; stdout stays empty.
 PINNED_ERRORS = {

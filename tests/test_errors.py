@@ -41,6 +41,7 @@ from substrqa.recplot import (
     render_ascii,
     render_pgm,
     rp_entry,
+    window_labels,
 )
 from substrqa.rqa import (
     asymptotic_from_corsum,
@@ -52,7 +53,7 @@ from substrqa.rqa import (
     residuals,
     rqa_from_corsum,
 )
-from substrqa.substitution import BitSequence, Substitution, window_classes
+from substrqa.substitution import BitSequence, Substitution
 
 TM = Substitution.parse("0->01,1->10")
 X = TM.fixed_point_prefix(64)
@@ -129,7 +130,7 @@ ENTRIES = [
     ("residuals lmin", lambda v: residuals(X, 8, v), "minimum line length", 1),
     ("residuals h", lambda v: residuals(X, 8, 1, v), "threshold exponent h", 1),
     ("fixed_point_prefix", lambda v: TM.fixed_point_prefix(v), "prefix length", 0),
-    ("window_classes", lambda v: window_classes(X.bits, v), "window width", 1),
+    ("window_labels", lambda v: window_labels(X.bits, v), "window width", 1),
 ]
 TABLE_IDS = [entry[0] for entry in ENTRIES]
 

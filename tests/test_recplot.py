@@ -15,7 +15,6 @@ from substrqa import (
     Substitution,
     asymptotic_quantifiers,
     recplot,
-    window_classes,
 )
 from substrqa.recplot import (
     RENDER_CAP,
@@ -30,10 +29,11 @@ from substrqa.recplot import (
     render_ascii,
     render_pgm,
     rp_entry,
+    window_labels,
 )
 from substrqa.rqa import correlation_sum, measures_from_histogram, residuals
 
-from oracles import inner_line_starts, recurrence_mass, reduce_eps, theta
+from oracles import inner_line_starts, recurrence_mass, reduce_eps, theta, window_classes
 
 TM = Substitution("01", "10")
 PD = Substitution("01", "00")
@@ -910,6 +910,40 @@ class TestInnerLines:
     def test_prefix_requirement(self):
         with pytest.raises(DomainError):
             inner_line_counts(BitSequence.from_text("0101"), 3, 2)
+
+
+class TestWindowLabels:
+    @pytest.mark.parametrize("width", [3, 64, 65, 130])
+    def test_window_labels_distinguish_windows(self, width):
+        # Repeated windows, and windows that differ only in their last letter.
+        base = TM.fixed_point_prefix(width + 20).to01()
+        text = base + "1" + base + "0" + base
+        ids = window_labels(BitSequence.from_text(text).bits, width).tolist()
+        words = [text[i : i + width] for i in range(len(text) - width + 1)]
+        assert len(ids) == len(words)
+        assert len(set(ids)) < len(ids)
+        for i, w in enumerate(words):
+            for j, v in enumerate(words):
+                assert (ids[i] == ids[j]) == (w == v)
+
+    @pytest.mark.parametrize("width", [1, 56, 57, 58, 63, 64, 65, 114, 130])
+    def test_window_classes_number_sorted_windows(self, width):
+        # Reference: the windows' own sorted order, by np.unique over their text.
+        rng = np.random.default_rng(width)
+        noise = rng.integers(0, 2, 600, dtype=np.uint8)
+        bits = np.concatenate([TM.fixed_point_prefix(600).bits, noise])
+        text = BitSequence(bits).to01()
+        windows = [text[i : i + width] for i in range(bits.size - width + 1)]
+        expected = np.unique(windows, return_inverse=True)[1]
+        assert window_classes(bits, width).tolist() == expected.tolist()
+
+    def test_window_labels_width_limits(self):
+        bits = np.zeros(100, dtype=np.uint8)
+        assert window_labels(bits, 100).size == 1
+        with pytest.raises(DomainError):
+            window_labels(bits, 0)
+        with pytest.raises(DomainError):
+            window_labels(bits, 101)
 
 
 # -- rendering ---------------------------------------------------------------

@@ -1,7 +1,9 @@
 import hashlib
+import itertools
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from substrqa import BitSequence, DomainError, Substitution, rqa, window_classes
+from substrqa import BitSequence, DomainError, Substitution, rqa
+from substrqa.errors import as_fraction
 from substrqa.recplot import LineHistogram, histogram
 from substrqa.rqa import (
     RQAReport,
@@ -206,7 +209,7 @@ class TestCorrelationSum:
             )
 
     def test_wide_window_fallback_matches_brute_force(self):
-        # Widths past 64 letters take more than one packed word per window.
+        # Widths past 57 letters take more than one packed key per window.
         text = TM.fixed_point_prefix(200).to01()
         for width in (64, 65, 70):
             n = 100
@@ -216,15 +219,31 @@ class TestCorrelationSum:
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_sorted_labels_match_class_counts(self, data):
-        # Widths cross the 64- and 128-letter word boundaries; the oracle
-        # squares the sizes of the window classes.
+        # Widths cross the 57- and 114-letter key boundaries; the oracle
+        # squares the counts of the window texts.
         width = data.draw(st.integers(1, 130), label="width")
         letters = data.draw(st.lists(st.integers(0, 1), min_size=width, max_size=width + 300))
-        bits = np.array(letters, dtype=np.uint8)
-        n = bits.size - width + 1
-        sizes = np.bincount(window_classes(bits, width))
-        expected = Fraction(int((sizes * sizes).sum()), n * n)
-        assert correlation_sum(BitSequence(bits), n, width, 1) == expected
+        text = "".join(map(str, letters))
+        n = len(text) - width + 1
+        windows = Counter(text[i : i + width] for i in range(n))
+        expected = Fraction(sum(c * c for c in windows.values()), n * n)
+        assert correlation_sum(BitSequence.from_text(text), n, width, 1) == expected
+
+    @pytest.mark.parametrize("width", [1, 56, 57, 58, 63, 64, 65, 113, 114, 115, 130])
+    def test_matches_window_text_counts(self, width):
+        # An oracle that shares no code with the packed reader: a Counter
+        # over the window texts, on substitution prefixes, a random text and
+        # a periodic one, with widths on both sides of each 57-letter piece
+        # and of the 64-letter words.
+        rng = np.random.default_rng(width)
+        texts = [sub.fixed_point_prefix(730).to01() for sub in (TM, PD, Q5)]
+        texts += ["".join(map(str, rng.integers(0, 2, 730))), ("00101" * 146)]
+        for text in texts:
+            x = BitSequence.from_text(text)
+            for n in (1, 2, 3, 8, 9, 56, 57, 58, 64, 65, 127, 200, 421, 599, 600):
+                windows = Counter(text[i : i + width] for i in range(n))
+                expected = Fraction(sum(c * c for c in windows.values()), n * n)
+                assert correlation_sum(x, n, width, 1) == expected, (text[:8], n)
 
     def test_embedding_folds_into_window(self):
         x = TM.fixed_point_prefix(300)
@@ -296,6 +315,17 @@ class TestConversions:
         assert residuals(TM.fixed_point_prefix(80), 64, 3, 2).satisfied()
         assert reads == [3]
 
+    def test_linedens_reads_its_sums_once(self, monkeypatch):
+        reads, read = [], rqa.as_fraction
+
+        def counted(value, what):
+            reads.append(value)
+            return read(value, what)
+
+        monkeypatch.setattr(rqa, "as_fraction", counted)
+        assert linedens_from_corsum(0.5, 0.25, 8, 3).lavg == Fraction(7, 2)
+        assert reads == [0.5, 0.25]
+
     @pytest.mark.parametrize("name", ["rqa_from_corsum", "linedens_from_corsum", "corsum_from_rqa"])
     @pytest.mark.parametrize("kind", [float, np.float32, np.longdouble], ids=lambda k: k.__name__)
     def test_identities_read_numbers_exactly(self, name, kind):
@@ -328,6 +358,15 @@ class TestConversions:
         c3 = correlation_sum(x, n, 3, 1)
         est = linedens_from_corsum(c2, c3, n, 2)
         assert est.lavg == rqa_from_corsum(c2, c3, n, 2).value / est.value
+        # The same on a grid of exact, float and numpy sums.
+        sums = [(c2, c3), (HALF, QUARTER), (0.3, 0.1), (np.float32(0.7), np.float64(0.2))]
+        sums += [(1, np.int64(1)), (QUARTER, 0), (np.longdouble(0.6), HALF)]
+        for (c_l, c_next), n, lmin in itertools.product(sums, (2, 7, 256), (1, 2, 5)):
+            est = linedens_from_corsum(c_l, c_next, n, lmin)
+            value = Fraction(n, n - 1) * (as_fraction(c_l, "") - as_fraction(c_next, ""))
+            rr = rqa_from_corsum(c_l, c_next, n, lmin).value
+            lavg = rr / value if value > 0 else None
+            assert est == (value, Fraction(2 * lmin, n), lavg), (c_l, c_next, n, lmin)
 
 
 class TestAsymptotic:
