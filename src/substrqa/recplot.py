@@ -12,8 +12,9 @@ per bit offset, and each later level as many short ranks as fit beside
 the position, so a sort covers several doublings (5 sorts at 2^14
 letters, 8 or 9 at 2^20).  Each sort is a value sort of the key
 tagged with its position, and the last is the suffix order.  A level
-keeps only the ranks its keys pack, and common prefixes of suffix-order
-neighbours compare two keys' digits per level, but only at the few dozen
+keeps only the ranks its keys pack, level 0 its letters and an end
+marker, and common prefixes of suffix-order neighbours compare two keys'
+digits per level, the same way on every level, but only at the few dozen
 run heads of the Burrows-Wheeler transform; the rest follow from
 PLCP[i] = PLCP[i-1] - 1.  One pointer-jumping search finds the nearest
 smaller neighbours on both sides, which bound each pair count and each
@@ -164,17 +165,16 @@ def window_labels(bits: np.ndarray, width: int) -> np.ndarray:
 
 
 class _Level(NamedTuple):
-    """One prefix-doubling level: its key at i packs `digits` ranks, `width`
-    bits each and the first in the highest bits, of the windows of `span`
-    letters that start at i, i + span, ... .  Its keys are read back from
-    `ranks`: on level 0 the word at each byte offset of the packed letters,
-    later the level below's dense ranks in the narrowest unsigned dtype."""
+    """One prefix-doubling level: its key at i packs `digits` ranks, the
+    first highest, of the windows of `span` letters that start at
+    i + offsets.  Its keys are read back from `ranks`: on level 0 the
+    letters followed by an end marker 2, later the level below's dense
+    ranks in the narrowest unsigned dtype."""
 
     ranks: np.ndarray
     span: int
     digits: int
-    width: int
-    offsets: np.ndarray | None = None
+    offsets: np.ndarray
 
 
 def _shift_or(high: np.ndarray, low: np.ndarray, shift: int, offset: int) -> np.ndarray:
@@ -199,15 +199,10 @@ def _pack(ranks: np.ndarray, span: int, width: int, digits: int) -> np.ndarray:
     return keys
 
 
-def _letter_keys(level: _Level, at: np.ndarray) -> np.ndarray:
-    """Level 0's keys at positions `at` (any shape, none past the end), as
-    _window_keys builds them from the word at byte at // 8."""
-    return (level.ranks[at >> 3] << (at & 7).view(np.uint64)) >> np.uint64(64 - level.digits)
-
-
 def _digits(level: _Level, at: np.ndarray) -> np.ndarray:
-    """The digits of a later level's keys at positions `at`, along a new
-    last axis: mode "clip" reads the empty suffix's rank 0 past the end."""
+    """The digits of a level's keys at positions `at`, along a new last
+    axis: mode "clip" reads the last rank past the end, level 0's end
+    marker and later the empty suffix's rank 0."""
     return level.ranks.take(at[..., None] + level.offsets, mode="clip")
 
 
@@ -224,26 +219,28 @@ def _suffix_levels(bits: np.ndarray) -> tuple[list[_Level], np.ndarray]:
     _pack's doubling takes six or seven.  A window cut short by the end has
     a smaller reversed position than every window it is a prefix of, so it
     sorts before them, and each suffix shorter than one key starts a class
-    of its own: rank 0 is the empty suffix alone.  Each later level packs
-    the dense ranks of the level below, as many as fit beside the position
-    when that is at least three, and as many as fit 64 bits, sorted by
-    argsort, when it is not (only past 2^16 letters).  Its span is the span
-    below times that many.  Digits past the end are 0, and a window cut
-    short ends in a rank that only its own position has, so on levels above
-    0 equal keys mean equal full windows.  Comparing keys compares their
-    digits left to right.  A fixed-point prefix has few distinct windows of
-    each length, so the ranks are short and each sort covers many
-    doublings.  Levels stop once no two sorted neighbours tie, because the
-    lift in _lcp starts on a level on which none do, and that level's sort
-    is the suffix order.  Keys and sort scratch are dropped before the next
-    level is packed (a 571-582 KiB peak at 2^14 letters)."""
+    of its own: rank 0 is the empty suffix alone.  Level 0 keeps, as the
+    ranks its digits read, the letters followed by an end marker 2, so a
+    suffix cut short differs from every other where it ends, as its key's
+    class does; the packed words go once its keys are built.  Each later
+    level packs the dense ranks of the level below, as many as fit beside
+    the position when that is at least three, and as many as fit 64 bits,
+    sorted by argsort, when it is not (only past 2^16 letters).  Its span
+    is the span below times that many.  Digits past the end are 0, and a
+    window cut short ends in a rank that only its own position has, so on
+    levels above 0 equal keys mean equal full windows.  Comparing keys
+    compares their digits left to right.  A fixed-point prefix has few
+    distinct windows of each length, so the ranks are short and each sort
+    covers many doublings.  Levels stop once no two sorted neighbours tie,
+    because the lift in _lcp starts on a level on which none do, and that
+    level's sort is the suffix order.  Keys and sort scratch are dropped
+    before the next level is packed (a 570-581 KiB peak at 2^14 letters)."""
     letters = bits.size
     shift = letters.bit_length()
     free = 64 - shift
     tags = np.arange(letters, -1, -1, dtype=np.uint64)
-    words = _packed_words(bits)
-    keys = _window_keys(words, letters + 1, free)
-    levels = [_Level(words, 1, free, 1)]
+    keys = _window_keys(_packed_words(bits), letters + 1, free)
+    levels = [_Level(np.concatenate((bits, [np.uint8(2)])), 1, free, np.arange(free))]
     tagged = True
     while True:
         level = levels[-1]
@@ -275,41 +272,24 @@ def _suffix_levels(bits: np.ndarray) -> tuple[list[_Level], np.ndarray]:
         tagged = digits >= 3
         if not tagged:
             digits = 64 // width
-        levels.append(_Level(ranks, span, digits, width, np.arange(0, digits * span, span)))
+        levels.append(_Level(ranks, span, digits, np.arange(0, digits * span, span)))
         keys = _pack(ranks, span, width, digits)
 
 
-def _msb(values: np.ndarray) -> np.ndarray:
-    """Index of the highest set bit of each uint64, -1 for 0, from the
-    float64 exponent.  It is exact: with the bit just below the highest
-    cleared, rounding to float64 cannot carry into the next power of two."""
-    top = values >> np.uint64(1)
-    np.invert(top, out=top)
-    top &= values
-    return np.frexp(top.astype(np.float64))[1] - 1
-
-
-def _lcp(levels: list[_Level], i: np.ndarray, j: np.ndarray, letters: int) -> np.ndarray:
+def _lcp(levels: list[_Level], i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Common-prefix lengths of the suffix pairs (i[t], j[t]), i[t] != j[t],
-    the empty suffix included, of a `letters`-letter text, by lifting down
-    the levels (plots lift only BWT run heads, see _neighbour_lcp).  On each
-    level above 0 the two keys at the match so far differ, and the first of
-    their digits that differs counts the equal ones.  On level 0 the highest
-    set bit of the keys' XOR counts equal letters, reading 0 past the end,
-    so where the shorter suffix is a prefix of the other, its count can run
-    past that end, by up to a whole key when the XOR is 0 (whose msb is
-    -1); elsewhere it stops at the first letter that differs.  So each
-    match is clamped to the length of the shorter suffix."""
+    the empty suffix included, by lifting down the levels (plots lift only
+    BWT run heads, see _neighbour_lcp).  On each level the two keys at the
+    match so far differ, and the first of their digits that differs counts
+    the equal ones.  On level 0 a suffix that ends first meets the end
+    marker where the other has a letter, so its match stops at its own
+    length."""
     pairs = np.array((i, j))
     out = np.zeros(i.size, dtype=np.int64)
-    for level in reversed(levels[1:]):
+    for level in reversed(levels):
         digits = _digits(level, pairs + out)
         out += (digits[0] != digits[1]).argmax(axis=-1) * level.span
-    keys = _letter_keys(levels[0], pairs + out)
-    out += levels[0].digits - 1 - _msb(keys[0] ^ keys[1])
-    shorter = np.maximum(i, j)
-    np.subtract(letters, shorter, out=shorter)
-    return np.minimum(out, shorter, out=out)
+    return out
 
 
 def _neighbour_lcp(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -325,7 +305,7 @@ def _neighbour_lcp(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     levels, order = _suffix_levels(bits)
     before = np.concatenate(([np.uint8(2)], bits))[order]
     heads = np.flatnonzero(before[1:] != before[:-1]) + 1
-    lifted = _lcp(levels, order[heads - 1], order[heads], bits.size)
+    lifted = _lcp(levels, order[heads - 1], order[heads])
     del levels  # free the ranks before the fill: peak memory
     reach = np.zeros(order.size, dtype=np.int64)
     reach[order[heads]] = lifted + order[heads]

@@ -271,10 +271,10 @@ def _kernel_texts() -> list[str]:
     # letters, one more than a level-0 key there.  Thue-Morse prefixes of
     # 287-289 letters have level-1 keys of 6 ranks (330 letters), and
     # 0^321's pack 9.  0^30 1^30 has suffixes 0 and 30 complementary for
-    # 30 letters, so their level-0 keys XOR to 2^58 - 1, which a float64
-    # rounds up to 2^58.  In 1 0^57 1 the last suffix, 1, pads to the key
-    # of suffix 0, which is one key long.  The last 0 of 0100 also starts
-    # 00 and 01 (see test_far_edge_interval_hops_over_a_letter_boundary).
+    # 30 letters.  In 1 0^57 1 the last suffix, 1, pads to the key of
+    # suffix 0, which is one key long, and its lift stops at the end
+    # marker.  The last 0 of 0100 also starts 00 and 01 (see
+    # test_far_edge_interval_hops_over_a_letter_boundary).
     rng = np.random.default_rng(11)
     texts = []
     for size in (1, 2, 31, 32, 33, 59, 63, 64, 65, 127, 128, 129, 287, 288, 289):
@@ -304,7 +304,7 @@ def _assert_neighbour_lcp(bits: np.ndarray) -> None:
     levels, full = recplot._suffix_levels(bits)
     order, common = recplot._neighbour_lcp(bits)
     assert order.tolist() == full[1:].tolist()
-    assert common.tolist() == recplot._lcp(levels, full[:-1], full[1:], bits.size).tolist()
+    assert common.tolist() == recplot._lcp(levels, full[:-1], full[1:]).tolist()
 
 
 def _assert_far_edge_runs(text: str) -> None:
@@ -325,9 +325,9 @@ def _record_lifts(monkeypatch, run) -> list[tuple[int, int]]:
     pairs = []
     lcp = recplot._lcp
 
-    def recording(levels, i, j, letters):
+    def recording(levels, i, j):
         pairs.extend(zip(i.tolist(), j.tolist()))
-        return lcp(levels, i, j, letters)
+        return lcp(levels, i, j)
 
     monkeypatch.setattr(recplot, "_lcp", recording)
     run()
@@ -376,14 +376,19 @@ def _packed_letters(bits: np.ndarray) -> np.ndarray:
     return recplot._pack(ranks, 1, 1, 64 - bits.size.bit_length())
 
 
+def _level0_keys(bits: np.ndarray) -> np.ndarray:
+    # The keys level 0 sorts by, at every position, the empty suffix's included.
+    words = recplot._packed_words(bits)
+    return recplot._window_keys(words, bits.size + 1, 64 - bits.size.bit_length())
+
+
 def _rebuilt_keys(level, letters: int) -> list[int]:
-    # A level's keys at every position, the empty suffix's included, from
-    # what the level keeps: level 0's packed letters, or each later level's
-    # digits packed here with Python ints.
+    # A later level's keys at every position, the empty suffix's included,
+    # from its digits packed here with Python ints, each as wide as the
+    # largest rank.
     at = np.arange(letters + 1)
-    if level.offsets is None:
-        return recplot._letter_keys(level, at).tolist()
-    shifts = [level.width * (level.digits - 1 - k) for k in range(level.digits)]
+    width = int(level.ranks.max()).bit_length()
+    shifts = [width * (level.digits - 1 - k) for k in range(level.digits)]
     return [sum(d << s for d, s in zip(row, shifts)) for row in recplot._digits(level, at).tolist()]
 
 
@@ -393,10 +398,20 @@ def _assert_levels_rebuild_their_keys(bits: np.ndarray) -> None:
     # keys _pack sorted it by, the last span included.
     levels, _ = recplot._suffix_levels(bits)
     for level in levels[1:]:
-        assert level.ranks.dtype == np.min_scalar_type((1 << level.width) - 1)
-        assert int(level.ranks.max()).bit_length() == level.width
-        packed = recplot._pack(level.ranks, level.span, level.width, level.digits)
+        width = int(level.ranks.max()).bit_length()
+        assert level.ranks.dtype == np.min_scalar_type((1 << width) - 1)
+        packed = recplot._pack(level.ranks, level.span, width, level.digits)
         assert _rebuilt_keys(level, bits.size) == packed.tolist()
+
+
+def _assert_level0(bits: np.ndarray) -> None:
+    # Level 0 sorts by packed-byte keys and keeps the letters followed by
+    # the end marker 2, one digit a letter.
+    free = 64 - bits.size.bit_length()
+    assert _level0_keys(bits).tolist() == _packed_letters(bits).tolist(), bits.size
+    level = recplot._suffix_levels(bits)[0][0]
+    assert (level.span, level.digits, level.offsets.tolist()) == (1, free, list(range(free)))
+    assert level.ranks.tolist() == bits.tolist() + [2]
 
 
 class TestSuffixKernel:
@@ -405,17 +420,11 @@ class TestSuffixKernel:
         texts = [rng.integers(0, 2, size, dtype=np.uint8) for size in range(1, 401)]
         texts += [BitSequence.from_text(text).bits for text in _kernel_texts()]
         for bits in texts:
-            level = recplot._suffix_levels(bits)[0][0]
-            assert (level.span, level.digits, level.width) == (1, 64 - bits.size.bit_length(), 1)
-            keys = recplot._letter_keys(level, np.arange(bits.size + 1))
-            assert keys.tolist() == _packed_letters(bits).tolist(), bits.size
+            _assert_level0(bits)
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=400))
     def test_level0_keys_from_packed_bytes_on_random_texts(self, letters):
-        bits = np.array(letters, dtype=np.uint8)
-        level = recplot._suffix_levels(bits)[0][0]
-        keys = recplot._letter_keys(level, np.arange(bits.size + 1))
-        assert keys.tolist() == _packed_letters(bits).tolist()
+        _assert_level0(np.array(letters, dtype=np.uint8))
 
     @pytest.mark.parametrize("text", _kernel_texts())
     def test_levels_rebuild_their_keys(self, text):
@@ -445,13 +454,15 @@ class TestSuffixKernel:
 
     @pytest.mark.parametrize("text", _kernel_texts())
     def test_last_level_sorts_suffixes(self, text):
-        levels, order = recplot._suffix_levels(BitSequence.from_text(text).bits)
+        bits = BitSequence.from_text(text).bits
+        levels, order = recplot._suffix_levels(bits)
         expected = sorted(range(len(text) + 1), key=lambda i: text[i:])
         assert order.tolist() == expected
-        top = np.array(_rebuilt_keys(levels[-1], len(text)), dtype=np.uint64)
         if len(levels) > 1:
+            top = np.array(_rebuilt_keys(levels[-1], len(text)), dtype=np.uint64)
             assert np.unique(top).size == len(text) + 1
         else:
+            top = _level0_keys(bits)
             # Level 0 pads with 0s, so a suffix shorter than one key can
             # share the key of a suffix it is a prefix of, and no two others
             # share one.
@@ -549,7 +560,7 @@ class TestSuffixKernel:
         # Every pair of positions, the empty suffix at len(text) included.
         levels, _ = recplot._suffix_levels(BitSequence.from_text(text).bits)
         i, j = np.triu_indices(len(text) + 1, 1)
-        assert recplot._lcp(levels, i, j, len(text)).tolist() == [
+        assert recplot._lcp(levels, i, j).tolist() == [
             _common_prefix(text[a:], text[b:]) for a, b in zip(i, j)
         ]
 
@@ -634,11 +645,13 @@ class TestSuffixKernel:
         levels, order = recplot._suffix_levels(bits)
         free = 64 - bits.size.bit_length()
         assert len(levels) > 1
-        assert all(level.digits * level.width > free for level in levels[1:])
+        assert all(
+            level.digits * int(level.ranks.max()).bit_length() > free for level in levels[1:]
+        )
         # Sampled neighbours in suffix order, against direct slicing.
         text = bits.tobytes()
         ranks = rng.choice(bits.size, 10_000, replace=False)
-        common = recplot._lcp(levels, order[ranks], order[ranks + 1], bits.size)
+        common = recplot._lcp(levels, order[ranks], order[ranks + 1])
         for p, q, shared in zip(order[ranks].tolist(), order[ranks + 1].tolist(), common.tolist()):
             assert text[p:] < text[q:]
             assert text[p : p + shared] == text[q : q + shared]
@@ -649,12 +662,6 @@ class TestSuffixKernel:
             assert n * n * correlation_sum(x, n, 1, h) - n == recurrence_mass(histogram(x, n, h))
         for lmin in (2, 3, 4):
             assert residuals(x, n, lmin).satisfied()
-
-    def test_msb_is_exact_past_float_precision(self):
-        values = [0, 1, 2, 3, (1 << 32) - 1, 1 << 32, (1 << 53) - 1, 1 << 53, (1 << 53) + 1]
-        values += [(1 << k) - 1 for k in range(54, 65)] + [(1 << 63) + 1, (1 << 64) - 1]
-        got = recplot._msb(np.array(values, dtype=np.uint64))
-        assert got.tolist() == [v.bit_length() - 1 for v in values]
 
 
 def _traced_peak(run) -> int:
