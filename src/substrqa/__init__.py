@@ -26,17 +26,16 @@ _EXPORTS = {
         "determinism_limit_scan", "nu_tables", "quantifiers_via_sums",
     ),
     "densities": (
-        "DEFAULT_SCALES", "BaseEvidence", "Decomposition", "DensityTable", "closed_form_indices",
-        "decompose", "dens_K", "density_from_frequencies", "empirical_delta",
-        "letter_frequencies", "reconstruct_base", "table_to_json_dict",
+        "DEFAULT_SCALES", "BaseEvidence", "DensityTable", "closed_form_indices", "decompose",
+        "dens_K", "density_from_frequencies", "empirical_delta", "letter_frequencies",
+        "reconstruct_base", "table_to_json_dict",
     ),
     "errors": (
         "DiscrepancyError", "DomainError", "ParseError", "ReconstructionError",
         "ResourceLimitError", "SubstRQAError",
     ),
     "recognizability": (
-        "LanguageSlice", "RecogConstants", "alpha_beta", "language_slice",
-        "recognizability_constants",
+        "RecogConstants", "alpha_beta", "language_slice", "recognizability_constants",
     ),
     "recplot": (
         "RENDER_CAP", "Boundary", "LineHistogram", "LineTriple", "extract_lines", "histogram",

@@ -82,8 +82,8 @@ def _two_block_frequencies(sub: Substitution) -> dict[str, Fraction]:
     freqs = {w: c + k * t for w, (c, k) in affine.items()}
     if min(freqs.values()) < 0:
         raise DiscrepancyError(f"two-block frequencies must be nonnegative, got {freqs}")
-    support = sorted(w for w, value in freqs.items() if value)
-    if support != sorted(language_slice(sub, 2).words):
+    support = [w for w, value in freqs.items() if value]
+    if set(support) != language_slice(sub, 2):
         raise DiscrepancyError(f"two-block frequencies are positive on {support}, not on the 2-word language")
     return {w: freqs[w] for w in support}
 
@@ -282,38 +282,25 @@ def reconstruct_base(sub: Substitution) -> DensityTable:
 # -- scaling law -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Result of peeling a length down to its base: length == q^k * base +
-    c*(q^k - 1) when valid; invalid means no start pair exists there."""
-
-    length: int
-    k: int | None
-    base: int | None
-    valid: bool
-
-
-def decompose(constants: RecogConstants, length: int) -> Decomposition:
+def decompose(constants: RecogConstants, length: int) -> tuple[int, int] | None:
     """Invert the length scaling l -> q*l + alpha + beta down from `length`.
 
-    Valid when every step divides exactly and the chain ends at a base in
-    [R0, R); any failed division or an undershoot below R0 certifies the
-    start set at `length` is empty.
+    Returns (k, base) with length == q^k * base + c*(q^k - 1), k >= 1 and
+    base in [R0, R), when every step divides exactly.  None certifies that
+    the start set at `length` is empty: a step that does not divide, or a
+    chain that undershoots R0, which only constants inconsistent with
+    their substitution reach.
     """
     length = at_least(length, constants.R, "length")
     affix = constants.alpha + constants.beta
-    q = constants.q
-    current = length
     k = 0
-    while current >= constants.R:
-        shifted = current - affix
-        if shifted <= 0 or shifted % q:
-            return Decomposition(length=length, k=None, base=None, valid=False)
-        current = shifted // q
+    while length >= constants.R:
+        shifted = length - affix
+        if shifted <= 0 or shifted % constants.q:
+            return None
+        length = shifted // constants.q
         k += 1
-    if current < constants.R0:
-        return Decomposition(length=length, k=None, base=None, valid=False)
-    return Decomposition(length=length, k=k, base=current, valid=True)
+    return (k, length) if length >= constants.R0 else None
 
 
 def dens_K(table: DensityTable, length: int) -> Fraction:
@@ -323,14 +310,14 @@ def dens_K(table: DensityTable, length: int) -> Fraction:
     if length < constants.R:
         return table.base[length]
     piece = decompose(constants, length)
-    if not piece.valid:
+    if piece is None:
         return Fraction(0)
-    root = table.base[piece.base]
+    k, base = piece
+    root = table.base[base]
     if root == 0:
         return Fraction(0)
-    q = table.subst.q
-    value = root / Fraction(q ** (2 * piece.k))
-    alt = root * (piece.base + constants.c) ** 2 / (length + constants.c) ** 2
+    value = root / Fraction(constants.q ** (2 * k))
+    alt = root * (base + constants.c) ** 2 / (length + constants.c) ** 2
     if value != alt:
         raise DiscrepancyError(
             f"scaling closed forms disagree at length {length}: {value} vs {alt}"

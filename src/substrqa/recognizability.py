@@ -53,14 +53,6 @@ class RecogConstants:
     q: int
 
 
-@dataclass(frozen=True)
-class LanguageSlice:
-    """All allowed words of one length, read off the substitution."""
-
-    length: int
-    words: frozenset[str]
-
-
 def require_normalized_aperiodic(sub: Substitution) -> None:
     """The domain of every exact computation: a primitive aperiodic
     substitution whose image of 0 starts with 0."""
@@ -122,11 +114,11 @@ def _residues(sub: Substitution, length: int) -> dict[str, int]:
     return found
 
 
-def language_slice(sub: Substitution, length: int) -> LanguageSlice:
-    """All allowed words of the given length in the subshift of `sub`."""
+def language_slice(sub: Substitution, length: int) -> frozenset[str]:
+    """The allowed words of the given length in the subshift of `sub`, read
+    off the substitution by desubstitution."""
     require_normalized_aperiodic(sub)
-    length = at_least(length, 1, "word length")
-    return LanguageSlice(length=length, words=frozenset(_residues(sub, length)))
+    return frozenset(_residues(sub, at_least(length, 1, "word length")))
 
 
 def alpha_beta(sub: Substitution) -> tuple[int, int, Fraction]:

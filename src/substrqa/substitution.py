@@ -108,9 +108,11 @@ class SubshiftKind(str, enum.Enum):
 class Classification:
     """The kind of subshift, and the normal form and normalization behind it.
 
-    absorbing_letter is the letter whose constant image absorbs a proximal
-    form; period is the smallest period of a periodic form's normalized fixed
-    point.  Both are None for every other kind.
+    normalized and normalization are what normalize() returns, for every
+    kind.  absorbing_letter is the letter whose constant image absorbs a
+    proximal form, named in the letters of the substitution as given, not
+    of its normal form; period is the smallest period of a periodic form's
+    normalized fixed point.  Both are None for every other kind.
     """
 
     kind: SubshiftKind
@@ -225,19 +227,15 @@ class Substitution:
     def classify(self) -> Classification:
         q = self.q
         zeros, ones = "0" * q, "1" * q
+        normalized, how = self.normalize()
         if self.image0 in (zeros, ones) and self.image1 in (zeros, ones):
-            return Classification(SubshiftKind.NONPRIMITIVE_TRIVIAL, self, Normalization.IDENTITY)
+            return Classification(SubshiftKind.NONPRIMITIVE_TRIVIAL, normalized, how)
         if self.image0 == zeros:
-            return Classification(
-                SubshiftKind.NONPRIMITIVE_PROXIMAL, self, Normalization.IDENTITY, absorbing_letter=0
-            )
+            return Classification(SubshiftKind.NONPRIMITIVE_PROXIMAL, normalized, how, absorbing_letter=0)
         if self.image1 == ones:
-            return Classification(
-                SubshiftKind.NONPRIMITIVE_PROXIMAL, self, Normalization.IDENTITY, absorbing_letter=1
-            )
+            return Classification(SubshiftKind.NONPRIMITIVE_PROXIMAL, normalized, how, absorbing_letter=1)
         # Remaining shapes always have a strictly positive squared matrix.
         assert self.is_primitive()
-        normalized, how = self.normalize()
         period = _normalized_period(normalized)
         if period is None:
             kind = SubshiftKind.PRIMITIVE_APERIODIC

@@ -2,13 +2,16 @@
 
 Each is a slow or literal restatement of something the package computes
 another way, or a readable view of a private table, kept here so the tests
-can check the package against it.
+can check the package against it.  normalized_forms is the one enumeration
+of normalized forms that the sweeps share.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 
+from substrqa import SubshiftKind, Substitution
 from substrqa.densities import _block_frequencies_cached
 from substrqa.recognizability import _residues
 from substrqa.recplot import _match_runs, _require_prefix, window_labels
@@ -20,6 +23,19 @@ def iterate(sub, k: int) -> str:
     for _ in range(k):
         word = sub.apply(word)
     return word
+
+
+def normalized_forms(qs) -> list[Substitution]:
+    """The normalized form of every primitive aperiodic substitution with
+    image length in qs, each once, sorted by its text."""
+    forms = set()
+    for q in qs:
+        words = ["".join(t) for t in itertools.product("01", repeat=q)]
+        for a, b in itertools.product(words, repeat=2):
+            cls = Substitution(a, b).classify()
+            if cls.kind is SubshiftKind.PRIMITIVE_APERIODIC:
+                forms.add(cls.normalized)
+    return sorted(forms, key=str)
 
 
 def composition_matrix(sub) -> np.ndarray:

@@ -20,7 +20,8 @@ from substrqa.asymptotics import (
 from substrqa.densities import reconstruct_base
 from substrqa.recplot import histogram
 from substrqa.rqa import RQAReport, _log_fraction, measures_from_histogram
-from test_densities import _normalized_forms
+
+from oracles import normalized_forms
 
 TM = Substitution("01", "10")
 PD = Substitution("01", "00")
@@ -208,7 +209,7 @@ class TestClosedForm:
 
 class TestIntegerTailSums:
     def test_match_fractions_on_every_form_up_to_q4(self):
-        forms = _normalized_forms((2, 3, 4))
+        forms = normalized_forms((2, 3, 4))
         assert len(forms) == 194
         for sub in forms:
             _assert_tails_match_fractions(sub)
@@ -221,7 +222,7 @@ class TestIntegerTailSums:
 
     @pytest.mark.slow
     def test_match_fractions_on_every_form_with_q5(self):
-        forms = _normalized_forms((5,))
+        forms = normalized_forms((5,))
         assert len(forms) == 703
         for sub in forms:
             _assert_tails_match_fractions(sub)
@@ -232,7 +233,7 @@ class TestIntegerTailSums:
         # DET scan, for every form with q <= 4; it pins the ENT floats,
         # which the routes' cross-check compares only to 1e-9.
         digest = hashlib.sha256()
-        for sub in _normalized_forms((2, 3, 4)):
+        for sub in normalized_forms((2, 3, 4)):
             t = table_of(sub)
             for lmin in range(1, 7):
                 for m in (1, 2):

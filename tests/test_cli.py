@@ -60,6 +60,17 @@ class TestClassify:
         # no constants line for degenerate kinds
         assert "alpha=" not in result.output
 
+    def test_proximal_reports_its_normal_form(self, runner):
+        # The absorbing letter keeps the letters of the substitution as typed.
+        result = invoke(runner, "classify", "100,111")
+        assert result.exit_code == 0
+        assert result.output == (
+            "substitution : 0->100,1->111\n"
+            "kind         : nonprimitive_proximal\n"
+            "normalization: letter_swap -> 0->000,1->011\n"
+            "absorbing    : 1\n"
+        )
+
     def test_json(self, runner):
         result = invoke(runner, "classify", TM, "--format", "json")
         assert result.exit_code == 0

@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import random
@@ -19,7 +18,6 @@ from substrqa import (
 from substrqa.asymptotics import _family_first_step
 from substrqa.densities import (
     BaseEvidence,
-    Decomposition,
     DensityTable,
     closed_form_indices,
     decompose,
@@ -34,7 +32,7 @@ from substrqa.densities import _prefix_counts, _start_pairs
 from substrqa.recognizability import desubstitute, language_slice, recognizability_constants
 from substrqa.recplot import inner_line_counts
 
-from oracles import block_frequencies, inner_line_starts
+from oracles import block_frequencies, inner_line_starts, normalized_forms
 
 TM = Substitution("01", "10")
 PD = Substitution("01", "00")
@@ -60,17 +58,6 @@ def _fraction_frequencies(sub, length):
     for _, freq, target in desubstitute(sub, length, lambda s: _fraction_frequencies(sub, s)):
         acc[target] = acc.get(target, Fraction(0)) + freq
     return {w: f / sub.q for w, f in acc.items()}
-
-
-def _normalized_forms(qs):
-    forms = set()
-    for q in qs:
-        words = ["".join(t) for t in itertools.product("01", repeat=q)]
-        for a, b in itertools.product(words, repeat=2):
-            cls = Substitution(a, b).classify()
-            if cls.kind is SubshiftKind.PRIMITIVE_APERIODIC:
-                forms.add(cls.normalized)
-    return sorted(forms, key=str)
 
 
 class TestBlockFrequencies:
@@ -107,14 +94,14 @@ class TestBlockFrequencies:
     def test_sums_to_one_on_the_language(self, sub, length):
         freqs = block_frequencies(sub, length)
         assert sum(freqs.values()) == 1
-        assert set(freqs) == language_slice(sub, length).words
+        assert set(freqs) == language_slice(sub, length)
         assert all(f > 0 for f in freqs.values())
 
     def test_two_blocks_on_every_small_form(self):
         # The closed form against the independent letter-frequency route and
         # the desubstitution recursion, on every primitive aperiodic
         # normalized form with q <= 4.
-        forms = _normalized_forms((2, 3, 4))
+        forms = normalized_forms((2, 3, 4))
         assert len(forms) == 194
         for sub in forms:
             freqs = block_frequencies(sub, 2)
@@ -154,7 +141,7 @@ class TestBlockFrequencies:
 
     def test_equals_the_fraction_recursion(self):
         # Word order too, so printed tables stay byte for byte the same.
-        sample = random.Random(5).sample(_normalized_forms((2, 3, 4)), 40)
+        sample = random.Random(5).sample(normalized_forms((2, 3, 4)), 40)
         for sub in GOLDEN + sample:
             for length in range(1, recognizability_constants(sub).R + 2):
                 want = list(_fraction_frequencies(sub, length).items())
@@ -319,7 +306,7 @@ def _certifies(sub):
 
 class TestSweep:
     def test_every_form_up_to_q4_certifies(self):
-        forms = _normalized_forms((2, 3, 4))
+        forms = normalized_forms((2, 3, 4))
         assert len(forms) == 194
         for sub in forms:
             _certifies(sub)
@@ -354,7 +341,7 @@ class TestSweep:
 
     @pytest.mark.slow
     def test_every_form_with_q5_certifies(self):
-        forms = _normalized_forms((5,))
+        forms = normalized_forms((5,))
         assert len(forms) == 703
         for sub in forms:
             _certifies(sub)
@@ -364,9 +351,9 @@ class TestDecompose:
     def test_worked_examples(self):
         kpd = recognizability_constants(PD)
         ktm = recognizability_constants(TM)
-        assert decompose(kpd, 5) == Decomposition(length=5, k=1, base=2, valid=True)
-        assert decompose(kpd, 4) == Decomposition(length=4, k=None, base=None, valid=False)
-        assert decompose(ktm, 8) == Decomposition(length=8, k=2, base=2, valid=True)
+        assert decompose(kpd, 5) == (1, 2)
+        assert decompose(kpd, 4) is None
+        assert decompose(ktm, 8) == (2, 2)
 
     def test_rejects_below_R(self):
         with pytest.raises(DomainError):
@@ -383,12 +370,11 @@ class TestDecompose:
         k = recognizability_constants(sub)
         for length in range(k.R, 400):
             piece = decompose(k, length)
-            if piece.valid:
-                assert k.R0 <= piece.base < k.R
-                assert piece.k >= 1
-                assert length == k.q**piece.k * piece.base + k.c * (k.q**piece.k - 1)
-            else:
-                assert piece.k is None and piece.base is None
+            if piece is not None:
+                steps, base = piece
+                assert k.R0 <= base < k.R
+                assert steps >= 1
+                assert length == k.q**steps * base + k.c * (k.q**steps - 1)
 
     @pytest.mark.parametrize("sub", GOLDEN, ids=str)
     def test_invalid_means_no_start_pairs(self, sub):
@@ -401,7 +387,7 @@ class TestDecompose:
         counts = inner_line_counts(x, n, lmax)
         for length in range(k.R, lmax + 1):
             piece = decompose(k, length)
-            if piece.valid:
+            if piece is not None:
                 assert counts[length] > 0
             else:
                 assert counts[length] == 0
@@ -481,7 +467,7 @@ class TestDensKAndIndices:
         # Both functions compared the Fraction q^j (base + c) - c with
         # lprime before; for an integer lprime, x < lprime exactly when
         # floor(x) < lprime, so each reach is floored once per step here.
-        forms = _normalized_forms((2, 3, 4, 5))
+        forms = normalized_forms((2, 3, 4, 5))
         assert len(forms) == 897
         for sub in forms:
             k = recognizability_constants(sub)

@@ -1,7 +1,9 @@
-# The fault matrix: each case plants one fault with a patch, and the limit
-# route refuses it with the exception class and the check its message names.
-# Faults that nothing refuses yet are not pinned here; the change that
-# closes one adds its case.
+# The fault matrix: each case plants one fault with a patch, or hands the
+# closed form one table or set of constants that no substitution has, and
+# the limit route refuses it with the exception class and the check its
+# message names.  Faults that nothing refuses yet are not pinned here; the
+# change that closes one adds its case.
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,7 @@ from substrqa import (
     densities,
     recognizability,
 )
-from substrqa.asymptotics import AsymptoticQuantifiers, asymptotic_quantifiers
+from substrqa.asymptotics import AsymptoticQuantifiers, asymptotic_quantifiers, closed_form
 
 Q5 = Substitution("01110", "01010")
 PD = Substitution("01", "00")
@@ -88,6 +90,51 @@ def _exchange_letter_frequencies(patch):
     patch.setattr(densities, "letter_frequencies", lambda sub: original(sub)[::-1])
 
 
+def _zero_letter_frequency(patch):
+    # mu(00) = f0 - mu(01) goes below 0.
+    patch.setattr(densities, "letter_frequencies", lambda sub: (Fraction(0), Fraction(1)))
+
+
+def _drop_residue_zero(patch):
+    # Only the density engine loses the words cut at residue 0, so the
+    # language recursion in recognizability stays whole.
+    original = recognizability.desubstitute
+
+    def dropped(sub, length, source):
+        return ((r, value, w) for r, value, w in original(sub, length, source) if r)
+
+    patch.setattr(densities, "desubstitute", dropped)
+
+
+def _density_over_D(patch):
+    # The start pairs over D, not D^2.
+    def over_D(sub, length):
+        D, table = densities._block_frequencies_cached(sub, length + 2)
+        return Fraction(densities._start_pairs(table), D)
+
+    patch.setattr(densities, "density_from_frequencies", over_D)
+
+
+def _empty_length_four(patch):
+    original = densities.density_from_frequencies
+
+    def emptied(sub, length):
+        return Fraction(0) if length == 4 else original(sub, length)
+
+    patch.setattr(densities, "density_from_frequencies", emptied)
+
+
+def _raise_alpha_by_q(patch):
+    # R starts its search above alpha + beta, so it lands past K + q.
+    original = recognizability.alpha_beta
+
+    def raised(sub):
+        alpha, beta, _ = original(sub)
+        return alpha + sub.q, beta, Fraction(alpha + sub.q + beta, sub.q - 1)
+
+    patch.setattr(recognizability, "alpha_beta", raised)
+
+
 FAULTS = [
     pytest.param(
         _flip_prefix_letter, Q5, ReconstructionError, "start pairs at length 1 and size 3126",
@@ -109,6 +156,26 @@ FAULTS = [
         _exchange_letter_frequencies, PD, DiscrepancyError, "not on the 2-word language",
         id="letter-frequencies-exchanged",
     ),
+    pytest.param(
+        _zero_letter_frequency, Q5, DiscrepancyError, "two-block frequencies must be nonnegative",
+        id="letter-frequencies-0-1",
+    ),
+    pytest.param(
+        _drop_residue_zero, Q5, DiscrepancyError, "block frequencies at length 3 sum to 40/50, not 1",
+        id="residue-0-dropped",
+    ),
+    pytest.param(
+        _density_over_D, Q5, ReconstructionError, "base density at length 1 out of range",
+        id="density-over-D",
+    ),
+    pytest.param(
+        _empty_length_four, Q5, ReconstructionError, "emptiness mismatch at length 4",
+        id="density-4-emptied",
+    ),
+    pytest.param(
+        _raise_alpha_by_q, Q5, DiscrepancyError, "recognizability constants disagree",
+        id="alpha-plus-q",
+    ),
 ]
 
 
@@ -121,3 +188,48 @@ def test_fault_is_refused(fault, sub, error, check):
     # Without the patch the same call gives its row.
     _clear_caches()
     assert isinstance(asymptotic_quantifiers(sub, 1, 2), AsymptoticQuantifiers)
+
+
+def _constants(table, **changes):
+    return dataclasses.replace(table, constants=dataclasses.replace(table.constants, **changes))
+
+
+def _c_plus_one(table):
+    # decompose peels alpha + beta, and dens_K's second closed form reads c;
+    # they part at q5's first chain, 9 = 5 * 1 + 4.
+    return _constants(table, c=table.constants.c + 1)
+
+
+def _R0_at_R(table):
+    # No base length is left in [R0, R).
+    return _constants(table, R0=table.constants.R)
+
+
+def _empty_families(table):
+    floor = table.constants.R0
+    return dataclasses.replace(
+        table, base={l: Fraction(0) if l >= floor else d for l, d in table.base.items()}
+    )
+
+
+TABLE_FAULTS = [
+    pytest.param(
+        _c_plus_one, 9, DiscrepancyError, "scaling closed forms disagree at length 9",
+        id="c-plus-one",
+    ),
+    pytest.param(
+        _R0_at_R, 2, DiscrepancyError, "no base length reaches 5", id="R0-at-R",
+    ),
+    pytest.param(
+        _empty_families, 2, DiscrepancyError, "tail sums must be positive", id="families-emptied",
+    ),
+]
+
+
+@pytest.mark.parametrize("fault, lmin, error, check", TABLE_FAULTS)
+def test_inconsistent_table_is_refused(fault, lmin, error, check):
+    table = densities.reconstruct_base(Q5)
+    with pytest.raises(error, match=check):
+        closed_form(fault(table), 1, lmin, 1)
+    # The table as reconstructed gives its row.
+    assert isinstance(closed_form(table, 1, lmin, 1), AsymptoticQuantifiers)

@@ -188,6 +188,17 @@ class TestClassification:
         assert c.absorbing_letter == 1
         assert c.period is None
 
+    def test_classification_carries_the_normal_form_of_every_kind(self):
+        # The fixed point of any classified form can be grown, whatever its
+        # kind; 100,111 is proximal and letter-swaps to 000,011.
+        for q in range(2, 6):
+            words = ["".join(w) for w in itertools.product("01", repeat=q)]
+            for image0, image1 in itertools.product(words, repeat=2):
+                sub = Substitution(image0, image1)
+                c = sub.classify()
+                assert (c.normalized, c.normalization) == sub.normalize(), sub
+                assert c.normalized.image0[0] == "0", sub
+
     @given(equal_length_pairs())
     def test_classify_total(self, sub):
         c = sub.classify()
