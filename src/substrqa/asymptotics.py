@@ -20,7 +20,10 @@ row is built from three limit correlation sums by rqa.asymptotic_from_corsum.
 Degenerate substitutions short-circuit: when some image is constant the
 limit plot is dominated by an unbounded solid block, and when the fixed
 point is periodic every diagonal line is infinite.  Both come in as
-C(W) = 1 at every window width W, so no line ever ends.
+C(W) = 1 at every window width W, so no line ever ends.  For a periodic
+fixed point that row is a placeholder, known to be wrong until the periodic
+limit is computed: for 01,01 it gives RR = C = 1, where a plot of 4096
+letters gives RR = 2047/4095 and C = 1/2.
 """
 
 from __future__ import annotations

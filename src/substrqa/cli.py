@@ -17,7 +17,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,8 +48,8 @@ from .substitution import Normalization, Substitution, SubshiftKind
 HELP_SETTINGS = {"help_option_names": ["--help"]}
 
 QUANTITIES = ("RR", "DET", "Lavg", "ENT", "C")
-# alpha beta c K R R0 q, in print order; only classify prints q.
-CONSTANTS = tuple(f.name for f in fields(RecogConstants))
+# In print order; only classify prints q.
+CONSTANTS = ("alpha", "beta", "c", "K", "R", "R0", "q")
 
 # Options shared by several subcommands, declared once.
 SPEC = click.argument("spec")

@@ -171,9 +171,12 @@ class DensityTable:
     """Exact base densities of one substitution plus their certificates."""
 
     subst: Substitution
-    constants: RecogConstants
     base: dict[int, Fraction]
     evidence: dict[int, BaseEvidence]
+
+    @cached_property
+    def constants(self) -> RecogConstants:
+        return recognizability_constants(self.subst)
 
     @cached_property
     def _integer_terms(self) -> tuple[int, dict[int, int], dict[int, tuple[float, float]], dict]:
@@ -266,7 +269,7 @@ def _reconstruct_cached(sub: Substitution) -> DensityTable:
         evidence[length] = BaseEvidence(
             scales=(n1, n2), counts=counts, child=child, child_count=child_count
         )
-    return DensityTable(subst=sub, constants=constants, base=base, evidence=evidence)
+    return DensityTable(subst=sub, base=base, evidence=evidence)
 
 
 def reconstruct_base(sub: Substitution) -> DensityTable:
@@ -287,20 +290,18 @@ def decompose(constants: RecogConstants, length: int) -> tuple[int, int] | None:
 
     Returns (k, base) with length == q^k * base + c*(q^k - 1), k >= 1 and
     base in [R0, R), when every step divides exactly.  None certifies that
-    the start set at `length` is empty: a step that does not divide, or a
-    chain that undershoots R0, which only constants inconsistent with
-    their substitution reach.
+    the start set at `length` is empty: a step that does not divide.
     """
     length = at_least(length, constants.R, "length")
     affix = constants.alpha + constants.beta
     k = 0
     while length >= constants.R:
         shifted = length - affix
-        if shifted <= 0 or shifted % constants.q:
+        if shifted % constants.q:
             return None
         length = shifted // constants.q
         k += 1
-    return (k, length) if length >= constants.R0 else None
+    return k, length
 
 
 def dens_K(table: DensityTable, length: int) -> Fraction:
@@ -362,9 +363,5 @@ def closed_form_indices(constants: RecogConstants, lprime: int) -> tuple[int, in
     j, scale = 0, 1
     while ((constants.R - 1) * cd + cn) * scale < target:
         j, scale = j + 1, scale * constants.q
-    for l0 in range(constants.R0, constants.R):
-        if (l0 * cd + cn) * scale >= target:
-            return j, l0
-    raise DiscrepancyError(
-        f"no base length reaches {lprime} in {j} steps; constants inconsistent"
-    )
+    # The least l0 >= R0 with (l0 cd + cn) q^j >= target; R - 1 is one.
+    return j, max(constants.R0, -(-(target - cn * scale) // (cd * scale)))

@@ -23,6 +23,8 @@ Computed constants, for images of common length q:
   occurs in a single position class mod q.
 * ``R0``: the smallest positive length whose substitution step reaches R,
   i.e. minimal with R0*q + alpha + beta >= R.
+
+c and R0 are derived from the others, so they cannot disagree with them.
 """
 
 from __future__ import annotations
@@ -42,15 +44,35 @@ class RecogConstants:
     """Recognizability constants of one normalized substitution.
 
     Carries the image length q as well so that length arithmetic built on
-    these constants does not need the substitution itself."""
+    these constants does not need the substitution itself.  Values that no
+    substitution has are refused, so every scaling chain peels to [R0, R)."""
 
     alpha: int
     beta: int
-    c: Fraction
     K: int
     R: int
-    R0: int
     q: int
+
+    def __post_init__(self):
+        if not self.K + 1 <= self.R <= self.K + self.q:
+            raise DiscrepancyError(
+                f"recognizability constants disagree: K={self.K}, R={self.R} "
+                f"violate K+1 <= R <= K+q for q={self.q}"
+            )
+        at_least(self.q, 2, "q")
+        at_least(self.alpha, 0, "alpha")
+        at_least(self.beta, 0, "beta")
+        at_least(self.K, 1, "K")
+        if self.R <= self.alpha + self.beta:
+            raise DomainError(f"R must exceed alpha + beta = {self.alpha + self.beta}, got {self.R}")
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self.alpha + self.beta, self.q - 1)
+
+    @property
+    def R0(self) -> int:
+        return max(1, -(-(self.R - self.alpha - self.beta) // self.q))
 
 
 def require_normalized_aperiodic(sub: Substitution) -> None:
@@ -121,9 +143,8 @@ def language_slice(sub: Substitution, length: int) -> frozenset[str]:
     return frozenset(_residues(sub, at_least(length, 1, "word length")))
 
 
-def alpha_beta(sub: Substitution) -> tuple[int, int, Fraction]:
-    """Longest common prefix/suffix lengths of the two images, and their
-    normalised sum (alpha+beta)/(q-1)."""
+def alpha_beta(sub: Substitution) -> tuple[int, int]:
+    """Longest common prefix/suffix lengths of the two images."""
     if sub.image0 == sub.image1:
         raise DomainError("common affix lengths need distinct images")
     alpha = 0
@@ -132,21 +153,20 @@ def alpha_beta(sub: Substitution) -> tuple[int, int, Fraction]:
     beta = 0
     while sub.image0[-1 - beta] == sub.image1[-1 - beta]:
         beta += 1
-    return alpha, beta, Fraction(alpha + beta, sub.q - 1)
+    return alpha, beta
 
 
 @lru_cache(maxsize=64)
 def recognizability_constants(sub: Substitution) -> RecogConstants:
     """The constants described in the module docs, from exact residues.
 
-    K and R come from two separate searches over the residue maps and are
-    cross-checked against the sandwich K+1 <= R <= K+q; disagreement raises
-    DiscrepancyError.  Both searches end, because a primitive aperiodic
-    substitution is recognizable (Mosse 1992, 1996).
+    K and R come from two separate searches over the residue maps, which
+    RecogConstants cross-checks against the sandwich K+1 <= R <= K+q;
+    disagreement raises DiscrepancyError.  Both searches end, because a
+    primitive aperiodic substitution is recognizable (Mosse 1992, 1996).
     """
     require_normalized_aperiodic(sub)
-    alpha, beta, c = alpha_beta(sub)
-    q = sub.q
+    alpha, beta = alpha_beta(sub)
 
     R = alpha + beta + 1
     while any(m & (m - 1) for m in _residues(sub, R).values()):
@@ -157,11 +177,4 @@ def recognizability_constants(sub: Substitution) -> RecogConstants:
     window = 2
     while any(m & 1 and m & (m - 1) for m in _residues(sub, window).values()):
         window += 1
-    K = window - 1
-
-    if not K + 1 <= R <= K + q:
-        raise DiscrepancyError(
-            f"recognizability constants disagree: K={K}, R={R} violate K+1 <= R <= K+q for q={q}"
-        )
-    R0 = max(1, -(-(R - alpha - beta) // q))
-    return RecogConstants(alpha=alpha, beta=beta, c=c, K=K, R=R, R0=R0, q=sub.q)
+    return RecogConstants(alpha=alpha, beta=beta, K=window - 1, R=R, q=sub.q)

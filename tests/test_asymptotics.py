@@ -79,15 +79,14 @@ def _counted(monkeypatch, *targets):
     return calls
 
 
-def _assert_tails_match_fractions(sub):
-    t = table_of(sub)
+def _assert_tails_match_fractions(t):
     for lprime in range(1, t.constants.R + 12):
         s0, s1, neg_slog = _tail_sums(t, lprime)
         r0, r1, ref_slog = _fraction_tail_sums(t, lprime)
-        assert (s0, s1) == (r0, r1), (sub, lprime)
+        assert (s0, s1) == (r0, r1), (t.subst, lprime)
         assert type(s0) is type(s1) is Fraction
         # The same float, not a close one: the entropy's bytes are pinned.
-        assert neg_slog == ref_slog, (sub, lprime)
+        assert neg_slog == ref_slog, (t.subst, lprime)
 
 
 class TestAnchors:
@@ -212,20 +211,19 @@ class TestIntegerTailSums:
         forms = normalized_forms((2, 3, 4))
         assert len(forms) == 194
         for sub in forms:
-            _assert_tails_match_fractions(sub)
+            _assert_tails_match_fractions(table_of(sub))
 
     @pytest.mark.parametrize("spec", ["10001,00011", "11100,01110", "11111,01100"])
     def test_match_fractions_on_q25_squares(self, spec):
         sub = Substitution.parse(spec).classify().normalized
         assert sub.q == 25
-        _assert_tails_match_fractions(sub)
+        _assert_tails_match_fractions(table_of(sub))
 
     @pytest.mark.slow
-    def test_match_fractions_on_every_form_with_q5(self):
-        forms = normalized_forms((5,))
-        assert len(forms) == 703
-        for sub in forms:
-            _assert_tails_match_fractions(sub)
+    def test_match_fractions_on_every_form_with_q5(self, q5_tables):
+        assert len(q5_tables) == 703
+        for t in q5_tables:
+            _assert_tails_match_fractions(t)
 
     @pytest.mark.slow
     def test_grid_output_bytes_are_pinned(self):

@@ -298,8 +298,7 @@ class TestGateRefuses:
             reconstruct_base(TM)
 
 
-def _certifies(sub):
-    table = reconstruct_base(sub)
+def _certifies(table):
     assert set(table.base) == set(range(1, table.constants.R))
     closed_form(table, 1, 1, 1)
 
@@ -309,13 +308,13 @@ class TestSweep:
         forms = normalized_forms((2, 3, 4))
         assert len(forms) == 194
         for sub in forms:
-            _certifies(sub)
+            _certifies(reconstruct_base(sub))
 
     @pytest.mark.parametrize("spec", ["10001,00011", "11100,01110", "11111,01100"])
     def test_q25_squares_certify(self, spec):
         sub = Substitution.parse(spec).classify().normalized
         assert sub.q == 25
-        _certifies(sub)
+        _certifies(reconstruct_base(sub))
 
     def test_former_tolerance_refusal(self):
         # The 16/n band rejected this exact value: the count at n = 8192 is
@@ -336,15 +335,14 @@ class TestSweep:
                 cls = Substitution(a, b).classify()
                 if cls.kind is SubshiftKind.PRIMITIVE_APERIODIC:
                     assert cls.normalized.q == (q if first == "00" else q * q)
-                    _certifies(cls.normalized)
+                    _certifies(reconstruct_base(cls.normalized))
                     drawn += 1
 
     @pytest.mark.slow
-    def test_every_form_with_q5_certifies(self):
-        forms = normalized_forms((5,))
-        assert len(forms) == 703
-        for sub in forms:
-            _certifies(sub)
+    def test_every_form_with_q5_certifies(self, q5_tables):
+        assert len(q5_tables) == 703
+        for table in q5_tables:
+            _certifies(table)
 
 
 class TestDecompose:
@@ -416,7 +414,6 @@ class TestDensKAndIndices:
         table = reconstruct_base(TM)
         zeroed = DensityTable(
             subst=table.subst,
-            constants=table.constants,
             base={**table.base, 2: Fraction(0)},
             evidence=table.evidence,
         )

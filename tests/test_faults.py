@@ -1,8 +1,9 @@
 # The fault matrix: each case plants one fault with a patch, or hands the
-# closed form one table or set of constants that no substitution has, and
-# the limit route refuses it with the exception class and the check its
-# message names.  Faults that nothing refuses yet are not pinned here; the
-# change that closes one adds its case.
+# closed form one table that no substitution has, and the limit route
+# refuses it with the exception class and the check its message names;
+# constants that no substitution has are refused as they are built.
+# Faults that nothing refuses yet are not pinned here; the change that
+# closes one adds its case.
 import dataclasses
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ import pytest
 from substrqa import (
     BitSequence,
     DiscrepancyError,
+    DomainError,
     ReconstructionError,
     Substitution,
     densities,
@@ -59,8 +61,8 @@ def _raise_beta(patch):
     original = recognizability.alpha_beta
 
     def raised(sub):
-        alpha, beta, _ = original(sub)
-        return alpha, beta + 1, Fraction(alpha + beta + 1, sub.q - 1)
+        alpha, beta = original(sub)
+        return alpha, beta + 1
 
     patch.setattr(recognizability, "alpha_beta", raised)
 
@@ -129,8 +131,8 @@ def _raise_alpha_by_q(patch):
     original = recognizability.alpha_beta
 
     def raised(sub):
-        alpha, beta, _ = original(sub)
-        return alpha + sub.q, beta, Fraction(alpha + sub.q + beta, sub.q - 1)
+        alpha, beta = original(sub)
+        return alpha + sub.q, beta
 
     patch.setattr(recognizability, "alpha_beta", raised)
 
@@ -190,21 +192,6 @@ def test_fault_is_refused(fault, sub, error, check):
     assert isinstance(asymptotic_quantifiers(sub, 1, 2), AsymptoticQuantifiers)
 
 
-def _constants(table, **changes):
-    return dataclasses.replace(table, constants=dataclasses.replace(table.constants, **changes))
-
-
-def _c_plus_one(table):
-    # decompose peels alpha + beta, and dens_K's second closed form reads c;
-    # they part at q5's first chain, 9 = 5 * 1 + 4.
-    return _constants(table, c=table.constants.c + 1)
-
-
-def _R0_at_R(table):
-    # No base length is left in [R0, R).
-    return _constants(table, R0=table.constants.R)
-
-
 def _empty_families(table):
     floor = table.constants.R0
     return dataclasses.replace(
@@ -213,13 +200,6 @@ def _empty_families(table):
 
 
 TABLE_FAULTS = [
-    pytest.param(
-        _c_plus_one, 9, DiscrepancyError, "scaling closed forms disagree at length 9",
-        id="c-plus-one",
-    ),
-    pytest.param(
-        _R0_at_R, 2, DiscrepancyError, "no base length reaches 5", id="R0-at-R",
-    ),
     pytest.param(
         _empty_families, 2, DiscrepancyError, "tail sums must be positive", id="families-emptied",
     ),
@@ -233,3 +213,34 @@ def test_inconsistent_table_is_refused(fault, lmin, error, check):
         closed_form(fault(table), 1, lmin, 1)
     # The table as reconstructed gives its row.
     assert isinstance(closed_form(table, 1, lmin, 1), AsymptoticQuantifiers)
+
+
+# One case for each check of RecogConstants, each passing the checks before
+# it.  Built, the K = 0 and q = 1 constants would make
+# closed_form_indices(..., 1) and decompose(..., 5) loop forever.
+CONSTANTS_FAULTS = [
+    pytest.param(
+        dict(alpha=2, beta=2, K=3, R=9, q=5), DiscrepancyError,
+        "recognizability constants disagree: K=3, R=9", id="R-past-K-plus-q",
+    ),
+    pytest.param(dict(alpha=0, beta=0, K=1, R=2, q=1), DomainError, "q must be >= 2, got 1", id="q-1"),
+    pytest.param(
+        dict(alpha=-1, beta=0, K=1, R=2, q=2), DomainError, "alpha must be >= 0, got -1",
+        id="alpha-negative",
+    ),
+    pytest.param(
+        dict(alpha=0, beta=-1, K=1, R=2, q=2), DomainError, "beta must be >= 0, got -1",
+        id="beta-negative",
+    ),
+    pytest.param(dict(alpha=0, beta=0, K=0, R=1, q=2), DomainError, "K must be >= 1, got 0", id="K-0"),
+    pytest.param(
+        dict(alpha=2, beta=2, K=3, R=4, q=5), DomainError, "R must exceed alpha \\+ beta = 4, got 4",
+        id="R-at-alpha-plus-beta",
+    ),
+]
+
+
+@pytest.mark.parametrize("values, error, check", CONSTANTS_FAULTS)
+def test_impossible_constants_are_refused(values, error, check):
+    with pytest.raises(error, match=check):
+        recognizability.RecogConstants(**values)
