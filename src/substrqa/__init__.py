@@ -28,7 +28,7 @@ _EXPORTS = {
     "densities": (
         "DEFAULT_SCALES", "BaseEvidence", "DensityTable", "closed_form_indices", "decompose",
         "dens_K", "density_from_frequencies", "empirical_delta", "letter_frequencies",
-        "reconstruct_base", "table_to_json_dict",
+        "reconstruct_base",
     ),
     "errors": (
         "DiscrepancyError", "DomainError", "ParseError", "ReconstructionError",

@@ -35,7 +35,7 @@ from fractions import Fraction
 from .densities import DensityTable, closed_form_indices, dens_K, reconstruct_base
 from .errors import DiscrepancyError, DomainError, at_least
 from .recplot import quantize_eps
-from .rqa import RQAReport, _entropy, asymptotic_from_corsum
+from .rqa import _entropy, asymptotic_from_corsum
 from .substitution import SubshiftKind, Substitution
 
 
@@ -61,24 +61,6 @@ class AsymptoticQuantifiers:
     C: Fraction
     ENT: float | None
     note: str | None = None
-
-    def to_report(self) -> RQAReport:
-        """Shared-emitter form: an RQAReport with no plot size, carrying the
-        single exact-length density this query resolved."""
-        return RQAReport(
-            n=None,
-            m=self.m,
-            h=self.h,
-            lmin=self.lmin,
-            linedens={self.lmin: self.linedens},
-            tail_density=self.lineDens,
-            RR=self.RR,
-            RR1=self.RR1,
-            DET=self.DET,
-            Lavg=self.Lavg,
-            ENT=self.ENT,
-            C=self.C,
-        )
 
 
 def _validate_inputs(m: int, lmin: int, h: int) -> tuple[int, int, int]:

@@ -17,7 +17,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,29 +25,20 @@ import click
 
 # Layer imports are eager on purpose: a tracer installed after `import substrqa.cli`
 # patches only loaded layers.  numpy stays lazy; see `_numpy`.
-from .asymptotics import _limits, closed_form, quantifiers_via_sums
-from .densities import (
-    dens_K,
-    reconstruct_base,
-    table_to_json_dict,
-)
+from .asymptotics import AsymptoticQuantifiers, _limits, closed_form, quantifiers_via_sums
+from .densities import DensityTable, dens_K, reconstruct_base
 from .errors import DomainError, ParseError, SubstRQAError, at_least
 from .recognizability import RecogConstants, recognizability_constants
 from .recplot import _require_renderable, histogram, quantize_eps, render_ascii, render_pgm
-from .rqa import (
-    RQAReport,
-    _number_text,
-    _frac_json,
-    correlation_sum,
-    measures_from_histogram,
-    residuals,
-)
+from .rqa import RQAReport, correlation_sum, measures_from_histogram, residuals
 from .substitution import Normalization, Substitution, SubshiftKind
 
 # -h is the dyadic threshold exponent everywhere, so help is --help only.
 HELP_SETTINGS = {"help_option_names": ["--help"]}
 
 QUANTITIES = ("RR", "DET", "Lavg", "ENT", "C")
+# The CSV header of analyze: a report's label, plot size and options, then QUANTITIES.
+_REPORT_HEADER = ("provenance", "n", "m", "h", "lmin", *QUANTITIES)
 # In print order; only classify prints q.
 CONSTANTS = ("alpha", "beta", "c", "K", "R", "R0", "q")
 
@@ -63,10 +54,6 @@ FORMAT = click.option(
     "--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text",
     help="Output format.",
 )
-# Kept so existing invocations (`verify --no-cache`) still parse.
-NO_CACHE = click.option(
-    "--no-cache", is_flag=True, help="Accepted and ignored; nothing is cached on disk."
-)
 
 
 @click.group(context_settings=HELP_SETTINGS)
@@ -80,7 +67,7 @@ def _subcommand(body):
     other refusal, and a nonzero return value (verify's 1) as it is."""
 
     @functools.wraps(body)
-    def command(no_cache=False, **params):  # --no-cache is parsed and dropped
+    def command(**params):
         try:
             code = body(**params)
         except SubstRQAError as exc:
@@ -142,6 +129,84 @@ def _empirical_report(
     return replace(report, C=correlation_sum(x, n, lmin, h, m=m)), notes
 
 
+def _limit_report(limit: AsymptoticQuantifiers) -> RQAReport:
+    """An exact limit as a report with no plot size, carrying the single
+    exact-length density its query resolved."""
+    return RQAReport(
+        n=None,
+        m=limit.m,
+        h=limit.h,
+        lmin=limit.lmin,
+        linedens={limit.lmin: limit.linedens},
+        tail_density=limit.lineDens,
+        RR=limit.RR,
+        RR1=limit.RR1,
+        DET=limit.DET,
+        Lavg=limit.Lavg,
+        ENT=limit.ENT,
+        C=limit.C,
+    )
+
+
+# -- printed forms -----------------------------------------------------------
+
+
+def _provenance(report: RQAReport) -> str:
+    return "asymptotic" if report.n is None else "empirical"
+
+
+def _frac_json(f: Fraction) -> dict:
+    return {"num": f.numerator, "den": f.denominator, "approx": float(f)}
+
+
+def _optional_json(value):
+    if value is None:
+        return None
+    if isinstance(value, Fraction):
+        return _frac_json(value)
+    if isinstance(value, float) and math.isinf(value):
+        return {"infinite": True}
+    return value
+
+
+def _number_text(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float) and math.isinf(value):
+        return "inf"
+    return repr(float(value))
+
+
+def _report_json(report: RQAReport) -> dict:
+    """The provenance, then every field in declaration order; lengths as
+    string keys."""
+    payload = {"provenance": _provenance(report)}
+    payload.update((name, _optional_json(value)) for name, value in vars(report).items())
+    payload["linedens"] = {str(l): _frac_json(d) for l, d in sorted(report.linedens.items())}
+    return payload
+
+
+def _report_row(report: RQAReport) -> tuple[str, ...]:
+    return (
+        _provenance(report),
+        "" if report.n is None else str(report.n),
+        str(report.m),
+        str(report.h),
+        str(report.lmin),
+        *(_number_text(getattr(report, key)) for key in QUANTITIES),
+    )
+
+
+def _table_json(table: DensityTable) -> dict:
+    """A density table and its evidence; exact rationals as [num, den]."""
+    return {
+        "substitution": str(table.subst),
+        "scales": list(next(iter(table.evidence.values())).scales) if table.evidence else [],
+        "base": {str(l): [d.numerator, d.denominator] for l, d in table.base.items()},
+        "evidence": {str(l): asdict(ev) for l, ev in table.evidence.items()},
+    }
+
+
 def _frac_text(value) -> str:
     if value is None:
         return "absent"
@@ -171,7 +236,7 @@ def _ent_text(ent: float | None, log_base: str) -> str:
 def _report_text(report: RQAReport, log_base: str) -> list[str]:
     where = "limit" if report.n is None else f"n={report.n}"
     lines = [
-        f"{report.provenance} quantifiers ({where}, m={report.m}, "
+        f"{_provenance(report)} quantifiers ({where}, m={report.m}, "
         f"h={report.h}, lmin={report.lmin})"
     ]
     lines.append(f"  RR   = {_frac_text(report.RR)}")
@@ -221,9 +286,7 @@ def classify(spec: str, fmt: str) -> None:
     values = {name: None if constants is None else getattr(constants, name) for name in CONSTANTS}
     payload = {**info, "constants": None}
     if constants is not None:
-        payload["constants"] = {
-            name: _frac_json(v) if isinstance(v, Fraction) else v for name, v in values.items()
-        }
+        payload["constants"] = {name: _optional_json(v) for name, v in values.items()}
     row = tuple("" if v is None else str(v) for v in (*info.values(), *values.values()))
     lines = [
         f"substitution : {sub}",
@@ -247,7 +310,6 @@ def classify(spec: str, fmt: str) -> None:
 @click.option("--asymptotic", is_flag=True, help="Also (or only) compute the exact limit.")
 @FORMAT
 @click.option("--log-base", type=click.Choice(["e", "2"]), default="e", help="Entropy display base.")
-@NO_CACHE
 def analyze(spec, m, lmin, h, eps, n, asymptotic, fmt, log_base) -> None:
     """Compute recurrence quantifiers of SPEC, finite-size and/or limiting."""
     h, eps_note = _threshold(m, lmin, h, eps, n)
@@ -260,16 +322,16 @@ def analyze(spec, m, lmin, h, eps, n, asymptotic, fmt, log_base) -> None:
     if n is not None:
         empirical, more = _empirical_report(sub, n, m, lmin, h)
         notes.extend(more)
-        payload["empirical"] = empirical.to_json_dict()
+        payload["empirical"] = _report_json(empirical)
         reports.append(empirical)
     if asymptotic:
         exact = _limits(sub, m, lmin, [h])[0]
         if exact.note:
             notes.append(exact.note)
-        limit = exact.to_report()
-        payload["asymptotic"] = limit.to_json_dict()
+        limit = _limit_report(exact)
+        payload["asymptotic"] = _report_json(limit)
         reports.append(limit)
-    rows = [report.to_csv_row() for report in reports]
+    rows = [_report_row(report) for report in reports]
     lines = [f"note: {note}" for note in notes]
     for report in reports:
         lines.extend(_report_text(report, log_base))
@@ -278,21 +340,18 @@ def analyze(spec, m, lmin, h, eps, n, asymptotic, fmt, log_base) -> None:
         payload["gap"] = {
             k: (None if v is None else ("inf" if math.isinf(v) else v)) for k, v in gap.items()
         }
-        rows.append(
-            ("gap", "", str(m), str(h), str(lmin)) + tuple(_number_text(gap[k]) for k in QUANTITIES)
-        )
+        rows.append(("gap", "", str(m), str(h), str(lmin), *map(_number_text, gap.values())))
         shown = ", ".join(
             f"{k}={'absent' if v is None else format(v, '.3g')}" for k, v in gap.items()
         )
         lines.append(f"gap (|empirical - limit|): {shown}")
-    _emit(fmt, payload, RQAReport.CSV_HEADER, rows, lines)
+    _emit(fmt, payload, _REPORT_HEADER, rows, lines)
 
 
 @_subcommand
 @SPEC
 @click.option("--lmax", type=int, default=64, help="Largest length to tabulate.")
 @FORMAT
-@NO_CACHE
 def densities(spec: str, lmax: int, fmt: str) -> None:
     """Exact start-pair densities of SPEC up to a length bound."""
     at_least(lmax, 1, "lmax")
@@ -306,7 +365,7 @@ def densities(spec: str, lmax: int, fmt: str) -> None:
     table = reconstruct_base(cls.normalized)
     values = {l: dens_K(table, l) for l in range(1, lmax + 1)}
     payload = {
-        "table": table_to_json_dict(table),
+        "table": _table_json(table),
         "densities": {str(l): _frac_json(v) for l, v in values.items()},
     }
     rows = [
@@ -341,7 +400,6 @@ def _scales_callback(ctx, param, value):
 @H
 @EPS
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@NO_CACHE
 def convergence(spec, quantity, scales, m, lmin, h, eps, fmt) -> None:
     """Sweep plot sizes and chart the gap to the exact limit."""
     h, eps_note = _threshold(m, lmin, h, eps)
@@ -503,7 +561,7 @@ def _verify_golden(golden: _Golden) -> list[tuple[str, bool, str]]:
     checks.append((f"{name}/base-densities", ok, detail))
 
     for (m, lmin, h), fields in golden.anchors.items():
-        a = quantifiers_via_sums(table, m, lmin, h).to_report()
+        a = _limit_report(quantifiers_via_sums(table, m, lmin, h))
         for fname, want in fields.items():
             got_value = getattr(a, fname)
             checks.append(
@@ -557,7 +615,11 @@ def _verify_golden(golden: _Golden) -> list[tuple[str, bool, str]]:
 @_subcommand
 @click.option("--filter", "filter_", default=None, help="Only goldens whose name contains this.")
 @FORMAT
-@NO_CACHE
+# Kept so existing invocations (`verify --no-cache`) still parse.
+@click.option(
+    "--no-cache", is_flag=True, expose_value=False,
+    help="Accepted and ignored; nothing is cached on disk.",
+)
 def verify(filter_: str | None, fmt: str) -> int:
     """Check every pinned golden value; exit 1 on any failure."""
     checks: list[tuple[str, bool, str]] = []

@@ -326,32 +326,6 @@ def dens_K(table: DensityTable, length: int) -> Fraction:
     return value
 
 
-# -- serialization ----------------------------------------------------------
-
-
-def _frac_pair(f: Fraction) -> list[int]:
-    return [f.numerator, f.denominator]
-
-
-def table_to_json_dict(table: DensityTable) -> dict:
-    """JSON-ready payload (printed by `densities --format json`); exact
-    rationals as [num, den]."""
-    return {
-        "substitution": str(table.subst),
-        "scales": list(next(iter(table.evidence.values())).scales) if table.evidence else [],
-        "base": {str(length): _frac_pair(value) for length, value in table.base.items()},
-        "evidence": {
-            str(length): {
-                "scales": list(ev.scales),
-                "counts": list(ev.counts),
-                "child": ev.child,
-                "child_count": ev.child_count,
-            }
-            for length, ev in table.evidence.items()
-        },
-    }
-
-
 def closed_form_indices(constants: RecogConstants, lprime: int) -> tuple[int, int]:
     """Split a target length into (j, l0): j is the number of whole scaling
     steps needed before the largest base reaches lprime, and l0 the smallest

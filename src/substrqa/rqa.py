@@ -35,28 +35,6 @@ def _log_fraction(f: Fraction) -> float:
     return math.log(f.numerator) - math.log(f.denominator)
 
 
-def _frac_json(f: Fraction) -> dict:
-    return {"num": f.numerator, "den": f.denominator, "approx": float(f)}
-
-
-def _optional_json(value):
-    if value is None:
-        return None
-    if isinstance(value, Fraction):
-        return _frac_json(value)
-    if isinstance(value, float) and math.isinf(value):
-        return {"infinite": True}
-    return value
-
-
-def _number_text(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    return repr(float(value))
-
-
 @dataclass(frozen=True)
 class RQAReport:
     """Quantifiers of one plot (or one asymptotic limit, n=None).
@@ -79,43 +57,6 @@ class RQAReport:
     Lavg: Fraction | float | None
     ENT: float | None
     C: Fraction | None
-
-    @property
-    def provenance(self) -> str:
-        return "asymptotic" if self.n is None else "empirical"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "provenance": self.provenance,
-            "n": self.n,
-            "m": self.m,
-            "h": self.h,
-            "lmin": self.lmin,
-            "linedens": {str(l): _frac_json(d) for l, d in sorted(self.linedens.items())},
-            "tail_density": _frac_json(self.tail_density),
-            "RR": _frac_json(self.RR),
-            "RR1": _optional_json(self.RR1),
-            "DET": _optional_json(self.DET),
-            "Lavg": _optional_json(self.Lavg),
-            "ENT": self.ENT,
-            "C": _optional_json(self.C),
-        }
-
-    CSV_HEADER = ("provenance", "n", "m", "h", "lmin", "RR", "DET", "Lavg", "ENT", "C")
-
-    def to_csv_row(self) -> tuple[str, ...]:
-        return (
-            self.provenance,
-            "" if self.n is None else str(self.n),
-            str(self.m),
-            str(self.h),
-            str(self.lmin),
-            _number_text(self.RR),
-            _number_text(self.DET),
-            _number_text(self.Lavg),
-            _number_text(self.ENT),
-            _number_text(self.C),
-        )
 
 
 class Estimate(NamedTuple):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from substrqa import DiscrepancyError, DomainError, SubstRQAError, Substitution, asymptotics
+from substrqa import DiscrepancyError, DomainError, SubstRQAError, Substitution, asymptotics, cli
 from substrqa.asymptotics import (
     AsymptoticQuantifiers,
     _family_first_step,
@@ -19,7 +19,7 @@ from substrqa.asymptotics import (
 )
 from substrqa.densities import reconstruct_base
 from substrqa.recplot import histogram
-from substrqa.rqa import RQAReport, _log_fraction, measures_from_histogram
+from substrqa.rqa import _log_fraction, measures_from_histogram
 
 from oracles import normalized_forms
 
@@ -446,24 +446,25 @@ class TestDispatchAndSerialization:
 
     def test_json_payload(self):
         a = quantifiers_via_sums(table_of(TM), 1, 2, 1)
-        payload = a.to_report().to_json_dict()
+        payload = cli._report_json(cli._limit_report(a))
         assert payload["RR"] == {"num": 7, "den": 18, "approx": 7 / 18}
         assert payload["linedens"] == {"2": {"num": 1, "den": 18, "approx": 1 / 18}}
         assert payload["n"] is None and payload["provenance"] == "asymptotic"
-        inf_payload = asymptotic_quantifiers(Substitution("010", "111")).to_report().to_json_dict()
+        proximal = asymptotic_quantifiers(Substitution("010", "111"))
+        inf_payload = cli._report_json(cli._limit_report(proximal))
         assert inf_payload["Lavg"] == {"infinite": True}
         assert inf_payload["ENT"] is None
 
     def test_csv_row_shares_header(self):
         a = quantifiers_via_sums(table_of(TM))
-        row = a.to_report().to_csv_row()
-        assert len(row) == len(RQAReport.CSV_HEADER)
+        row = cli._report_row(cli._limit_report(a))
+        assert len(row) == len(cli._REPORT_HEADER)
         assert row[0] == "asymptotic"
         assert row[1] == ""
 
     def test_report_form(self):
         a = quantifiers_via_sums(table_of(TM), 1, 2, 1)
-        report = a.to_report()
+        report = cli._limit_report(a)
         assert report.n is None
         assert report.linedens == {2: Fraction(1, 18)}
         assert report.tail_density == a.lineDens

@@ -12,6 +12,7 @@ from substrqa import (
     ReconstructionError,
     SubshiftKind,
     Substitution,
+    cli,
     closed_form,
     densities,
 )
@@ -26,7 +27,6 @@ from substrqa.densities import (
     empirical_delta,
     letter_frequencies,
     reconstruct_base,
-    table_to_json_dict,
 )
 from substrqa.densities import _prefix_counts, _start_pairs
 from substrqa.recognizability import desubstitute, language_slice, recognizability_constants
@@ -488,7 +488,7 @@ class TestTableSerialization:
     @pytest.mark.parametrize("sub", GOLDEN, ids=str)
     def test_round_trip(self, sub):
         table = reconstruct_base(sub)
-        payload = json.loads(json.dumps(table_to_json_dict(table)))
+        payload = json.loads(json.dumps(cli._table_json(table)))
         assert payload["substitution"] == str(sub)
         assert {int(l): Fraction(*pair) for l, pair in payload["base"].items()} == table.base
         for length, ev in table.evidence.items():

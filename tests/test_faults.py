@@ -126,6 +126,22 @@ def _empty_length_four(patch):
     patch.setattr(densities, "density_from_frequencies", emptied)
 
 
+def _neighbouring_base(patch):
+    # Lengths from R on scale down to a neighbour of their base inside
+    # [R0, R); dens_K's second closed form, in (length + c)^2, then differs
+    # from its first, the base's density over q^2k.
+    original = densities.decompose
+
+    def moved(constants, length):
+        piece = original(constants, length)
+        if piece is None:
+            return None
+        k, base = piece
+        return k, base + 1 if base + 1 < constants.R else base - 1
+
+    patch.setattr(densities, "decompose", moved)
+
+
 def _raise_alpha_by_q(patch):
     # R starts its search above alpha + beta, so it lands past K + q.
     original = recognizability.alpha_beta
@@ -139,57 +155,62 @@ def _raise_alpha_by_q(patch):
 
 FAULTS = [
     pytest.param(
-        _flip_prefix_letter, Q5, ReconstructionError, "start pairs at length 1 and size 3126",
+        _flip_prefix_letter, Q5, 2, ReconstructionError, "start pairs at length 1 and size 3126",
         id="prefix-letter-1500-flipped",
     ),
     pytest.param(
-        _raise_beta, Q5, ReconstructionError, "scaling check failed for base length 1",
+        _raise_beta, Q5, 2, ReconstructionError, "scaling check failed for base length 1",
         id="beta-plus-one",
     ),
     pytest.param(
-        _halve_start_pairs, Q5, ReconstructionError, "start pairs at length 1 and size 626",
+        _halve_start_pairs, Q5, 2, ReconstructionError, "start pairs at length 1 and size 626",
         id="start-pairs-halved",
     ),
     pytest.param(
-        _shift_two_blocks, Q5, ReconstructionError, "at length 3 are not shift invariant",
+        _shift_two_blocks, Q5, 2, ReconstructionError, "at length 3 are not shift invariant",
         id="two-blocks-shifted",
     ),
     pytest.param(
-        _exchange_letter_frequencies, PD, DiscrepancyError, "not on the 2-word language",
+        _exchange_letter_frequencies, PD, 2, DiscrepancyError, "not on the 2-word language",
         id="letter-frequencies-exchanged",
     ),
     pytest.param(
-        _zero_letter_frequency, Q5, DiscrepancyError, "two-block frequencies must be nonnegative",
+        _zero_letter_frequency, Q5, 2, DiscrepancyError, "two-block frequencies must be nonnegative",
         id="letter-frequencies-0-1",
     ),
     pytest.param(
-        _drop_residue_zero, Q5, DiscrepancyError, "block frequencies at length 3 sum to 40/50, not 1",
+        _drop_residue_zero, Q5, 2, DiscrepancyError,
+        "block frequencies at length 3 sum to 40/50, not 1",
         id="residue-0-dropped",
     ),
     pytest.param(
-        _density_over_D, Q5, ReconstructionError, "base density at length 1 out of range",
+        _density_over_D, Q5, 2, ReconstructionError, "base density at length 1 out of range",
         id="density-over-D",
     ),
     pytest.param(
-        _empty_length_four, Q5, ReconstructionError, "emptiness mismatch at length 4",
+        _empty_length_four, Q5, 2, ReconstructionError, "emptiness mismatch at length 4",
         id="density-4-emptied",
     ),
     pytest.param(
-        _raise_alpha_by_q, Q5, DiscrepancyError, "recognizability constants disagree",
+        _raise_alpha_by_q, Q5, 2, DiscrepancyError, "recognizability constants disagree",
         id="alpha-plus-q",
+    ),
+    pytest.param(
+        _neighbouring_base, Q5, 9, DiscrepancyError, "scaling closed forms disagree at length 9",
+        id="neighbouring-base",
     ),
 ]
 
 
-@pytest.mark.parametrize("fault, sub, error, check", FAULTS)
-def test_fault_is_refused(fault, sub, error, check):
+@pytest.mark.parametrize("fault, sub, lmin, error, check", FAULTS)
+def test_fault_is_refused(fault, sub, lmin, error, check):
     with pytest.MonkeyPatch.context() as patch:
         fault(patch)
         with pytest.raises(error, match=check):
-            asymptotic_quantifiers(sub, 1, 2)
+            asymptotic_quantifiers(sub, 1, lmin)
     # Without the patch the same call gives its row.
     _clear_caches()
-    assert isinstance(asymptotic_quantifiers(sub, 1, 2), AsymptoticQuantifiers)
+    assert isinstance(asymptotic_quantifiers(sub, 1, lmin), AsymptoticQuantifiers)
 
 
 def _empty_families(table):

@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from substrqa import BitSequence, DomainError, Substitution, rqa
+from substrqa import BitSequence, DomainError, Substitution, cli, rqa
 from substrqa.errors import as_fraction
 from substrqa.recplot import LineHistogram, histogram
 from substrqa.rqa import (
-    RQAReport,
     asymptotic_from_corsum,
     correlation_sum,
     corsum_from_histogram,
@@ -408,7 +407,7 @@ class TestSerialization:
             measures_from_histogram(histogram(EXAMPLE, 6, 1), 2),
             C=correlation_sum(EXAMPLE, 6, 2, 1),
         )
-        data = json.loads(json.dumps(rep.to_json_dict()))
+        data = json.loads(json.dumps(cli._report_json(rep)))
 
         def frac(d):
             return Fraction(d["num"], d["den"])
@@ -426,30 +425,30 @@ class TestSerialization:
         assert (type(hist.n), type(hist.h)) == (int, int)
         assert hist == histogram(x, 20, 2)
         rep = measures_from_histogram(hist, 1)
-        assert json.loads(json.dumps(rep.to_json_dict()))["h"] == 2
+        assert json.loads(json.dumps(cli._report_json(rep)))["h"] == 2
 
     def test_json_rationals_exact(self):
         rep = measures_from_histogram(histogram(EXAMPLE, 6, 1), 2)
-        data = rep.to_json_dict()
+        data = cli._report_json(rep)
         assert data["RR"] == {"num": 4, "den": 15, "approx": 4 / 15}
         assert data["provenance"] == "empirical"
 
     def test_infinite_lavg_round_trip(self):
         rep = measures_from_histogram(histogram(EXAMPLE, 6, 1), 2)
         rep = type(rep)(**{**rep.__dict__, "Lavg": math.inf})
-        data = json.loads(json.dumps(rep.to_json_dict()))
+        data = json.loads(json.dumps(cli._report_json(rep)))
         assert data["Lavg"] == {"infinite": True}
 
     def test_csv_row_alignment(self):
         rep = measures_from_histogram(histogram(EXAMPLE, 6, 1), 2)
-        row = rep.to_csv_row()
-        assert len(row) == len(RQAReport.CSV_HEADER)
-        assert row[RQAReport.CSV_HEADER.index("RR")] == repr(float(Fraction(4, 15)))
+        row = cli._report_row(rep)
+        assert len(row) == len(cli._REPORT_HEADER)
+        assert row[cli._REPORT_HEADER.index("RR")] == repr(float(Fraction(4, 15)))
 
     def test_provenance_enum(self):
         rep = measures_from_histogram(histogram(EXAMPLE, 6, 1), 1)
-        assert rep.provenance == "empirical"
-        assert replace(rep, n=None).provenance == "asymptotic"
+        assert cli._provenance(rep) == "empirical"
+        assert cli._provenance(replace(rep, n=None)) == "asymptotic"
 
 
 # The finite-plot benchmark's reference records, per spec|n|window, a digest
