@@ -155,15 +155,11 @@ def _provenance(report: RQAReport) -> str:
     return "asymptotic" if report.n is None else "empirical"
 
 
-def _frac_json(f: Fraction) -> dict:
-    return {"num": f.numerator, "den": f.denominator, "approx": float(f)}
-
-
-def _optional_json(value):
-    if value is None:
-        return None
+def _json(value):
+    """The one JSON form of a value: a rational as {num, den, approx}, an
+    unbounded float as {"infinite": true}, anything else (None too) as is."""
     if isinstance(value, Fraction):
-        return _frac_json(value)
+        return {"num": value.numerator, "den": value.denominator, "approx": float(value)}
     if isinstance(value, float) and math.isinf(value):
         return {"infinite": True}
     return value
@@ -181,8 +177,8 @@ def _report_json(report: RQAReport) -> dict:
     """The provenance, then every field in declaration order; lengths as
     string keys."""
     payload = {"provenance": _provenance(report)}
-    payload.update((name, _optional_json(value)) for name, value in vars(report).items())
-    payload["linedens"] = {str(l): _frac_json(d) for l, d in sorted(report.linedens.items())}
+    payload.update((name, _json(value)) for name, value in vars(report).items())
+    payload["linedens"] = {str(l): _json(d) for l, d in sorted(report.linedens.items())}
     return payload
 
 
@@ -198,11 +194,12 @@ def _report_row(report: RQAReport) -> tuple[str, ...]:
 
 
 def _table_json(table: DensityTable) -> dict:
-    """A density table and its evidence; exact rationals as [num, den]."""
+    """A density table and its evidence; every base length has evidence,
+    and length 1 is always a base length (R >= 2)."""
     return {
         "substitution": str(table.subst),
-        "scales": list(next(iter(table.evidence.values())).scales) if table.evidence else [],
-        "base": {str(l): [d.numerator, d.denominator] for l, d in table.base.items()},
+        "scales": list(table.evidence[1].scales),
+        "base": {str(l): _json(d) for l, d in table.base.items()},
         "evidence": {str(l): asdict(ev) for l, ev in table.evidence.items()},
     }
 
@@ -286,7 +283,7 @@ def classify(spec: str, fmt: str) -> None:
     values = {name: None if constants is None else getattr(constants, name) for name in CONSTANTS}
     payload = {**info, "constants": None}
     if constants is not None:
-        payload["constants"] = {name: _optional_json(v) for name, v in values.items()}
+        payload["constants"] = {name: _json(v) for name, v in values.items()}
     row = tuple("" if v is None else str(v) for v in (*info.values(), *values.values()))
     lines = [
         f"substitution : {sub}",
@@ -337,9 +334,7 @@ def analyze(spec, m, lmin, h, eps, n, asymptotic, fmt, log_base) -> None:
         lines.extend(_report_text(report, log_base))
     if len(reports) == 2:
         gap = {key: _value_gap(getattr(empirical, key), getattr(limit, key)) for key in QUANTITIES}
-        payload["gap"] = {
-            k: (None if v is None else ("inf" if math.isinf(v) else v)) for k, v in gap.items()
-        }
+        payload["gap"] = {k: _json(v) for k, v in gap.items()}
         rows.append(("gap", "", str(m), str(h), str(lmin), *map(_number_text, gap.values())))
         shown = ", ".join(
             f"{k}={'absent' if v is None else format(v, '.3g')}" for k, v in gap.items()
@@ -366,7 +361,7 @@ def densities(spec: str, lmax: int, fmt: str) -> None:
     values = {l: dens_K(table, l) for l in range(1, lmax + 1)}
     payload = {
         "table": _table_json(table),
-        "densities": {str(l): _frac_json(v) for l, v in values.items()},
+        "densities": {str(l): _json(v) for l, v in values.items()},
     }
     rows = [
         (str(l), str(v.numerator), str(v.denominator), repr(float(v))) for l, v in values.items()
@@ -413,12 +408,8 @@ def convergence(spec, quantity, scales, m, lmin, h, eps, fmt) -> None:
         sweep.append((n, value, _value_gap(value, target)))
     payload = {
         "quantity": quantity,
-        "asymptotic": None
-        if target is None
-        else (_frac_json(target) if isinstance(target, Fraction) else _number_text(target)),
-        "rows": [
-            {"n": n, "empirical": _number_text(v), "gap": _number_text(g)} for n, v, g in sweep
-        ],
+        "asymptotic": _json(target),
+        "rows": [{"n": n, "empirical": _json(v), "gap": _json(g)} for n, v, g in sweep],
     }
     if eps_note:
         payload["note"] = eps_note
@@ -515,38 +506,38 @@ _GOLDENS = (
 _EXAMPLE_TEXT = "010111010"
 
 
+def _equal(name: str, got, want, shown=None) -> tuple[str, bool, str]:
+    """A verify check that got equals want; its detail shows want as
+    `shown` when given."""
+    return name, got == want, f"{got} vs {want if shown is None else shown}"
+
+
 def _verify_example() -> list[tuple[str, bool, str]]:
     from .substitution import BitSequence
 
     x = BitSequence.from_text(_EXAMPLE_TEXT)
-    checks = []
     report = measures_from_histogram(histogram(x, 6, 1), 2)
     expected = {
         "RR": Fraction(8, 30),
         "RR1": Fraction(14, 30),
         "DET": Fraction(4, 7),
         "Lavg": Fraction(2),
+        "ENT": 0.0,
     }
-    for name, want in expected.items():
-        got = getattr(report, name)
-        checks.append((f"example/{name}", got == want, f"{got} vs {want}"))
-    checks.append(("example/ENT", report.ENT == 0.0, f"{report.ENT} vs 0.0"))
-    c2 = correlation_sum(x, 6, 2, 1)
-    c3 = correlation_sum(x, 6, 3, 1)
-    checks.append(("example/C2", c2 == Fraction(12, 36), f"{c2} vs 12/36"))
-    checks.append(("example/C3", c3 == Fraction(8, 36), f"{c3} vs 8/36"))
+    checks = [_equal(f"example/{k}", getattr(report, k), want) for k, want in expected.items()]
+    checks.append(_equal("example/C2", correlation_sum(x, 6, 2, 1), Fraction(12, 36), "12/36"))
+    checks.append(_equal("example/C3", correlation_sum(x, 6, 3, 1), Fraction(8, 36), "8/36"))
     return checks
 
 
 def _verify_golden(golden: _Golden) -> list[tuple[str, bool, str]]:
-    checks: list[tuple[str, bool, str]] = []
     sub = Substitution.parse(golden.spec)
     cls = sub.classify()
     name = golden.name
 
     constants = recognizability_constants(cls.normalized)
     got = tuple(getattr(constants, name) for name in CONSTANTS[:-1])
-    checks.append((f"{name}/constants", got == golden.constants, f"{got} vs {golden.constants}"))
+    checks = [_equal(f"{name}/constants", got, golden.constants)]
 
     table = reconstruct_base(cls.normalized)
     ok = table.base == golden.base
@@ -562,15 +553,10 @@ def _verify_golden(golden: _Golden) -> list[tuple[str, bool, str]]:
 
     for (m, lmin, h), fields in golden.anchors.items():
         a = _limit_report(quantifiers_via_sums(table, m, lmin, h))
-        for fname, want in fields.items():
-            got_value = getattr(a, fname)
-            checks.append(
-                (
-                    f"{name}/limit-{fname}(m={m},l={lmin},h={h})",
-                    got_value == want,
-                    f"{got_value} vs {want}",
-                )
-            )
+        checks.extend(
+            _equal(f"{name}/limit-{fname}(m={m},l={lmin},h={h})", getattr(a, fname), want)
+            for fname, want in fields.items()
+        )
     for (m, lmin, h), factor in golden.ent_log2.items():
         ent = quantifiers_via_sums(table, m, lmin, h).ENT
         want = float(factor) * math.log(2.0)

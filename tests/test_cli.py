@@ -229,7 +229,7 @@ class TestDensities:
         result = invoke(runner, "densities", TM, "--lmax", "8", "--format", "json")
         assert result.exit_code == 0
         payload = json.loads(result.output)
-        assert payload["table"]["base"]["2"] == [1, 18]
+        assert payload["table"]["base"]["2"] == {"num": 1, "den": 18, "approx": 1 / 18}
         assert payload["densities"]["8"] == {"num": 1, "den": 288, "approx": 1 / 288}
 
     def test_rejects_degenerate(self, runner):
@@ -384,6 +384,62 @@ class TestVerify:
         assert all(check["status"] == "pass" for check in payload["checks"])
 
 
+# Every number in a JSON payload is an int, a finite float, null, a rational
+# {num, den, approx} or {"infinite": true}: never a string, "" or [num, den].
+JSON_FORM_OPS = [
+    *(f"analyze {spec} --n 64 --asymptotic" for spec in ("01,10", "010,111", "01,01")),
+    *(
+        f"convergence {spec} --scales 64 --quantity {quantity}"
+        for spec in ("01,10", "010,111")
+        for quantity in ("RR", "Lavg", "ENT")
+    ),
+    "densities 01,00",
+    "classify 01,10",
+]
+# The only keys that hold lists: of text, of rows, or of integer counts.
+JSON_LIST_KEYS = {"notes", "rows", "scales", "counts"}
+
+
+def _json_leaves(value, key=None):
+    """(key, value) for every leaf of a payload; a rational or an infinity
+    is one leaf, and list items keep their list's key."""
+    if isinstance(value, dict) and value.keys() not in ({"num", "den", "approx"}, {"infinite"}):
+        for name, item in value.items():
+            yield from _json_leaves(item, name)
+    elif isinstance(value, list):
+        assert key in JSON_LIST_KEYS, (key, value)
+        for item in value:
+            yield from _json_leaves(item, key)
+    else:
+        yield key, value
+
+
+def _reads_as_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("op", JSON_FORM_OPS)
+def test_json_numbers_have_one_form(runner, op):
+    result = runner.invoke(main, [*op.split(), "--format", "json"])
+    assert result.exit_code == 0, result.stderr
+    for key, value in _json_leaves(json.loads(result.output)):
+        if isinstance(value, dict) and "infinite" in value:
+            assert value == {"infinite": True}, key
+        elif isinstance(value, dict):
+            num, den = value["num"], value["den"]
+            assert type(num) is int and type(den) is int and den > 0, key
+            assert value["approx"] == num / den, key
+        elif isinstance(value, str):
+            assert value != "" and not _reads_as_number(value), (key, value)
+        elif isinstance(value, float):
+            assert math.isfinite(value), key
+        else:
+            assert value is None or type(value) is int, (key, value)
+
 
 # Every non-convergence command of the benchmark reference, plus the
 # convergence sweeps of one form, prints the bytes the reference recorded.
@@ -402,10 +458,14 @@ PINNED = {
     "analyze 010,111 --n 64 --asymptotic --format csv": "b71444e026001b5f",
     # An infinite Lavg and an absent ENT in JSON.
     "analyze 010,111 --asymptotic --format json": "1b67f5da405612ad",
-    "convergence 010,111 --scales 64 --format json --quantity Lavg": "f76654d73ef2e4af",
+    "convergence 010,111 --scales 64 --format json --quantity Lavg": "4317058a405c1e42",
+    # An infinite Lavg gap in JSON.
+    "analyze 010,111 --n 64 --asymptotic --format json": "4a4f40918ec07e04",
+    # An absent ENT target and gap in JSON.
+    "convergence 010,111 --scales 64 --format json --quantity ENT": "0635594b42e67229",
     "classify 01,10 --format json": "4066d691267ed178",
     "classify 010,111 --format json": "bd0f7ec365137a2c",
-    "densities 01,00 --format json": "7b41eafaa4d38922",
+    "densities 01,00 --format json": "365f20b3cfe45a7f",
     "verify --format json": "66496b85e4f4f275",
     "classify 01,10 --format csv": "495bf4d199246297",
     "classify 010,111 --format csv": "8de46c8727e8c67e",
@@ -417,10 +477,10 @@ PINNED = {
     "analyze 01,10 --n 64 --format json": "2ed0a02612c22727",
     "analyze 01,10 --n 64 --format csv": "8fbb3e5c71a091da",
     "densities 01,00 --format csv": "a29418e5c9add273",
-    "densities 10,00 --lmax 8 --format json": "ca8d20cab3b325f4",
+    "densities 10,00 --lmax 8 --format json": "2c185787b3ecbf3e",
     "densities 10,00 --lmax 8": "c2b47cd12578ad22",
     "verify --format csv": "ea6d9e43532be305",
-    "convergence 01,10 --scales 64,128 --format json --eps 0.3": "7fd27aaa50e55cbb",
+    "convergence 01,10 --scales 64,128 --format json --eps 0.3": "322024c5bbfa81c0",
     "render 01,10 --n 16": "9aec2257bd2dcb0d",
     "render 01,10 --n 16 --format pgm": "42dd3656297f20f2",
     # A 70-letter window: wider than one 57-letter key.

@@ -490,7 +490,8 @@ class TestTableSerialization:
         table = reconstruct_base(sub)
         payload = json.loads(json.dumps(cli._table_json(table)))
         assert payload["substitution"] == str(sub)
-        assert {int(l): Fraction(*pair) for l, pair in payload["base"].items()} == table.base
+        base = {int(l): Fraction(d["num"], d["den"]) for l, d in payload["base"].items()}
+        assert base == table.base
         for length, ev in table.evidence.items():
             entry = payload["evidence"][str(length)]
             assert entry["scales"] == list(ev.scales)

@@ -15,6 +15,7 @@ from substrqa import (
     DomainError,
     ReconstructionError,
     Substitution,
+    asymptotics,
     densities,
     recognizability,
 )
@@ -142,6 +143,28 @@ def _neighbouring_base(patch):
     patch.setattr(densities, "decompose", moved)
 
 
+def _neighbouring_closed_form_base(patch):
+    # Only the closed form reads its tails at (j, l0); the reference route
+    # sums the table's tails directly.
+    original = asymptotics.closed_form_indices
+
+    def moved(constants, lprime):
+        j, l0 = original(constants, lprime)
+        return j, l0 + 1 if l0 + 1 < constants.R else l0 - 1
+
+    patch.setattr(asymptotics, "closed_form_indices", moved)
+
+
+def _raise_closed_entropy(patch):
+    original = asymptotics._closed_tail
+
+    def raised(table, lprime):
+        s0, s1, neg_slog = original(table, lprime)
+        return s0, s1, neg_slog + 1e-6
+
+    patch.setattr(asymptotics, "_closed_tail", raised)
+
+
 def _raise_alpha_by_q(patch):
     # R starts its search above alpha + beta, so it lands past K + q.
     original = recognizability.alpha_beta
@@ -198,6 +221,16 @@ FAULTS = [
     pytest.param(
         _neighbouring_base, Q5, 9, DiscrepancyError, "scaling closed forms disagree at length 9",
         id="neighbouring-base",
+    ),
+    pytest.param(
+        _neighbouring_closed_form_base, Q5, 2, DiscrepancyError,
+        "closed form and tail sums disagree on RR1 at \\(m=1, lmin=2, h=1\\): 9/25 vs 1/2",
+        id="closed-form-neighbouring-base",
+    ),
+    pytest.param(
+        _raise_closed_entropy, Q5, 2, DiscrepancyError,
+        "closed form and tail sums disagree on ENT at \\(m=1, lmin=2, h=1\\)",
+        id="closed-form-entropy-raised",
     ),
 ]
 
