@@ -23,7 +23,8 @@ point is periodic every diagonal line is infinite.  Both come in as
 C(W) = 1 at every window width W, so no line ever ends.  For a periodic
 fixed point that row is a placeholder, known to be wrong until the periodic
 limit is computed: for 01,01 it gives RR = C = 1, where a plot of 4096
-letters gives RR = 2047/4095 and C = 1/2.
+letters gives RR = 2047/4095 and C = 1/2.  Rows are data only: cli writes
+the notes that say why a row is degenerate, from the classification.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .substitution import SubshiftKind, Substitution
 class AsymptoticQuantifiers:
     """Limit values of the recurrence quantifiers for one (m, h, lmin).
 
-    lprime = lmin + m + h - 2 is the window length whose start-pair
+    The window length l' = lmin + m + h - 2 is the one whose start-pair
     densities drive everything.  Lavg is math.inf when lines grow without
     bound; ENT is None when the line-length distribution degenerates.
     """
@@ -51,7 +52,6 @@ class AsymptoticQuantifiers:
     m: int
     h: int
     lmin: int
-    lprime: int
     linedens: Fraction
     lineDens: Fraction
     RR: Fraction
@@ -60,7 +60,6 @@ class AsymptoticQuantifiers:
     Lavg: Fraction | float
     C: Fraction
     ENT: float | None
-    note: str | None = None
 
 
 def _validate_inputs(m: int, lmin: int, h: int) -> tuple[int, int, int]:
@@ -69,11 +68,12 @@ def _validate_inputs(m: int, lmin: int, h: int) -> tuple[int, int, int]:
 
 def _row(
     m: int, lmin: int, h: int, c_w: Fraction, c_l: Fraction, s0: Fraction,
-    linedens: Fraction, ent: float | None, note: str | None = None,
+    linedens: Fraction, ent: float | None,
 ) -> AsymptoticQuantifiers:
     """The one constructor of an exact limit row: the limit correlation sums
-    C(w) and C(l') (w = m + h - 1, l' = lprime) and s0 = C(l') - C(l' + 1) go
-    through asymptotic_from_corsum; sums out of order are a route's fault."""
+    C(w) and C(l') (w = m + h - 1, l' = lmin + w - 1) and s0 = C(l') - C(l' + 1)
+    go through asymptotic_from_corsum, and C(l') is the row's C; sums out of
+    order are a route's fault."""
     try:
         est = asymptotic_from_corsum(c_w, c_l, c_l - s0, lmin)
     except DomainError as err:
@@ -82,16 +82,14 @@ def _row(
         m=m,
         h=h,
         lmin=lmin,
-        lprime=lmin + m + h - 2,
         linedens=linedens,
         lineDens=s0,
         RR=est.RR,
         RR1=c_w,
         DET=est.DET,
         Lavg=est.Lavg,
-        C=est.C,
+        C=c_l,
         ENT=ent,
-        note=note,
     )
 
 
@@ -287,13 +285,10 @@ def _limits(sub: Substitution, m: int, lmin: int, hs: list[int]) -> list[Asympto
     if cls.kind is SubshiftKind.PRIMITIVE_APERIODIC:
         table = reconstruct_base(cls.normalized)
         return [closed_form(table, *p) for p in params]
-    if cls.kind is SubshiftKind.PRIMITIVE_PERIODIC:
-        note = f"periodic fixed point (period {cls.period}): every diagonal line is infinite"
-    else:
-        note = "constant-image substitution: line lengths are unbounded"
-    # C(W) = 1 at every W, so no line ends; ENT of unbounded lines is left open.
+    # Periodic or constant-image: C(W) = 1 at every W, so no line ends; ENT
+    # of unbounded lines is left open.
     one, zero = Fraction(1), Fraction(0)
-    return [_row(*p, one, one, zero, zero, None, note) for p in params]
+    return [_row(*p, one, one, zero, zero, None) for p in params]
 
 
 def asymptotic_quantifiers(

@@ -322,10 +322,12 @@ def analyze(spec, m, lmin, h, eps, n, asymptotic, fmt, log_base) -> None:
         payload["empirical"] = _report_json(empirical)
         reports.append(empirical)
     if asymptotic:
-        exact = _limits(sub, m, lmin, [h])[0]
-        if exact.note:
-            notes.append(exact.note)
-        limit = _limit_report(exact)
+        cls = sub.classify()
+        if cls.kind is SubshiftKind.PRIMITIVE_PERIODIC:
+            notes.append(f"periodic fixed point (period {cls.period}): every diagonal line is infinite")
+        elif cls.kind is not SubshiftKind.PRIMITIVE_APERIODIC:
+            notes.append("constant-image substitution: line lengths are unbounded")
+        limit = _limit_report(_limits(sub, m, lmin, [h])[0])
         payload["asymptotic"] = _report_json(limit)
         reports.append(limit)
     rows = [_report_row(report) for report in reports]
@@ -551,14 +553,15 @@ def _verify_golden(golden: _Golden) -> list[tuple[str, bool, str]]:
         detail = f"mismatch at lengths {bad}"
     checks.append((f"{name}/base-densities", ok, detail))
 
+    rows = {key: quantifiers_via_sums(table, *key) for key in golden.anchors.keys() | golden.ent_log2}
     for (m, lmin, h), fields in golden.anchors.items():
-        a = _limit_report(quantifiers_via_sums(table, m, lmin, h))
+        a = _limit_report(rows[m, lmin, h])
         checks.extend(
             _equal(f"{name}/limit-{fname}(m={m},l={lmin},h={h})", getattr(a, fname), want)
             for fname, want in fields.items()
         )
     for (m, lmin, h), factor in golden.ent_log2.items():
-        ent = quantifiers_via_sums(table, m, lmin, h).ENT
+        ent = rows[m, lmin, h].ENT
         want = float(factor) * math.log(2.0)
         checks.append(
             (

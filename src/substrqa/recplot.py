@@ -10,7 +10,7 @@ prefix-doubling keys: level 0 packs 64 - b one-bit letters, where b is
 the bit length of the position, read off np.packbits bytes with one shift
 per bit offset, and each later level as many short ranks as fit beside
 the position, so a sort covers several doublings (5 sorts at 2^14
-letters, 8 or 9 at 2^20).  Each sort is a value sort of the key
+letters, 11 at 2^20).  Each sort is a value sort of the key
 tagged with its position, and the last is the suffix order.  A level
 keeps only the ranks its keys pack, level 0 its letters and an end
 marker, and common prefixes of suffix-order neighbours compare two keys'
@@ -53,6 +53,8 @@ from .substitution import BitSequence
 
 # Largest plot the renderers agree to draw (n^2 cells).
 RENDER_CAP = 4096
+# Fewest ranks a key packs beside its position tag (two still double the span).
+_MIN_TAGGED_DIGITS = 2
 
 
 class Boundary(str, enum.Enum):
@@ -224,8 +226,8 @@ def _suffix_levels(bits: np.ndarray) -> tuple[list[_Level], np.ndarray]:
     suffix cut short differs from every other where it ends, as its key's
     class does; the packed words go once its keys are built.  Each later
     level packs the dense ranks of the level below, as many as fit beside
-    the position when that is at least three, and as many as fit 64 bits,
-    sorted by argsort, when it is not (only past 2^16 letters).  Its span
+    the position when that is at least two, and as many as fit 64 bits,
+    sorted by argsort, when it is not (only from 2^21 letters on).  Its span
     is the span below times that many.  Digits past the end are 0, and a
     window cut short ends in a rank that only its own position has, so on
     levels above 0 equal keys mean equal full windows.  Comparing keys
@@ -268,10 +270,8 @@ def _suffix_levels(bits: np.ndarray) -> tuple[list[_Level], np.ndarray]:
         del order, fresh
         span = level.span * level.digits
         width = top.bit_length()
-        digits = free // width
-        tagged = digits >= 3
-        if not tagged:
-            digits = 64 // width
+        tagged = free // width >= _MIN_TAGGED_DIGITS
+        digits = (free if tagged else 64) // width
         levels.append(_Level(ranks, span, digits, np.arange(0, digits * span, span)))
         keys = _pack(ranks, span, width, digits)
 

@@ -40,9 +40,9 @@ class RQAReport:
     """Quantifiers of one plot (or one asymptotic limit, n=None).
 
     linedens maps each line length >= lmin to its density; tail_density is
-    their sum; RR1 is the recurrence rate at minimum length 1, kept so DET
-    can be reconstructed after serialization.  Absent quantities are None;
-    an infinite average line length is math.inf.
+    their sum; RR1 is the recurrence rate at minimum length 1, DET's
+    denominator, which JSON output prints and verify checks (example/RR1).
+    Absent quantities are None; an infinite average line length is math.inf.
     """
 
     n: int | None
@@ -91,7 +91,6 @@ class AsymptoticEstimate(NamedTuple):
     RR: Fraction
     DET: Fraction | None
     Lavg: Fraction | float | None
-    C: Fraction
 
 
 @dataclass(frozen=True)
@@ -234,7 +233,7 @@ def asymptotic_from_corsum(
 
     With w = m + h - 1 and l' = lmin + w - 1, C_1 = C(w), C_l = C(l') and
     C_(l+1) = C(l' + 1); they are read as Fractions, so results are exact.
-    A plot passes P_L / (n^2 - n) (see _line_sums), C then meaningless.
+    A plot passes P_L / (n^2 - n) (see _line_sums).
     The average line length is infinite exactly when the two adjacent
     correlation sums coincide above zero (no line ever ends), and absent
     (None) when C_l = 0 (no line exists).
@@ -250,7 +249,7 @@ def asymptotic_from_corsum(
     rr = c_l + (lmin - 1) * gap  # lmin C_l - (lmin - 1) C_(l+1)
     det = rr / c_1 if c_1 else None
     lavg = rr / gap if gap else math.inf if rr else None
-    return AsymptoticEstimate(RR=rr, DET=det, Lavg=lavg, C=c_l)
+    return AsymptoticEstimate(RR=rr, DET=det, Lavg=lavg)
 
 
 def residuals(x: BitSequence, n: int, lmin: int, h: int = 1) -> ResidualBounds:

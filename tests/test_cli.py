@@ -19,6 +19,7 @@ from click.testing import CliRunner
 
 import substrqa
 from substrqa import cli
+from substrqa.asymptotics import quantifiers_via_sums
 from substrqa.cli import main
 from substrqa.densities import reconstruct_base
 from substrqa.errors import DiscrepancyError, ReconstructionError
@@ -167,6 +168,37 @@ class TestAnalyze:
         assert emp["n"] == 2048 and asy["n"] is None
         assert abs(float(frac(emp["RR"])) - float(frac(asy["RR"]))) < 1e-2
         assert payload["gap"]["RR"] < 1e-2
+
+    @pytest.mark.parametrize(
+        "args, notes",
+        [
+            (
+                ["010,101", "--asymptotic"],
+                ["note: periodic fixed point (period 2): every diagonal line is infinite"],
+            ),
+            (
+                ["0010,0010", "--asymptotic"],
+                ["note: periodic fixed point (period 4): every diagonal line is infinite"],
+            ),
+            (
+                ["010,111", "--asymptotic"],
+                ["note: constant-image substitution: line lengths are unbounded"],
+            ),
+            (
+                ["101,010", "--n", "64", "--asymptotic"],
+                [
+                    "note: analyzed the normalized form 0->010101010,1->101010101 (square)",
+                    "note: periodic fixed point (period 2): every diagonal line is infinite",
+                ],
+            ),
+        ],
+        ids=["period-2", "period-4", "constant-image", "normalized-first"],
+    )
+    def test_degenerate_notes(self, runner, args, notes):
+        # Only the note lines: the periodic limit values are placeholders.
+        result = invoke(runner, "analyze", *args)
+        assert result.exit_code == 0
+        assert [l for l in result.output.splitlines() if l.startswith("note:")] == notes
 
     def test_nonprimitive_asymptotic(self, runner):
         result = invoke(runner, "analyze", PROXIMAL, "--asymptotic")
@@ -354,6 +386,19 @@ class TestVerify:
         result = invoke(runner, "verify", "--filter", "thue-morse")
         assert result.exit_code == 1
         assert "FAIL thue-morse/base-densities" in result.output
+
+    def test_each_golden_row_is_evaluated_once(self, runner, monkeypatch):
+        # TM's (1, 1, 1) row serves both its anchor and its ENT check.
+        calls = []
+
+        def counted(table, *key):
+            calls.append(key)
+            return quantifiers_via_sums(table, *key)
+
+        monkeypatch.setattr(cli, "quantifiers_via_sums", counted)
+        result = invoke(runner, "verify", "--filter", "thue-morse")
+        assert result.exit_code == 0
+        assert sorted(calls) == [(1, 1, 1), (1, 2, 1)]
 
     def test_csv_format(self, runner):
         result = invoke(runner, "verify", "--filter", "thue-morse", "--format", "csv")

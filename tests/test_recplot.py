@@ -634,14 +634,34 @@ class TestSuffixKernel:
             got = recplot._pairs_by_lcp(array, *recplot._smaller_bounds(array), top)
             assert got.tolist() == expected, values
 
-    def test_wide_ranks_take_the_argsort_path(self):
+    @staticmethod
+    def _wide_rank_bits(rng):
         # A random block written twice has about 2^15 distinct windows of
         # each length, so at 65,608 letters the ranks above level 0 take 16
-        # bits, and two do not fit beside a 17-bit reversed position: those
-        # levels pack four ranks into 64 bits and sort by argsort.
-        rng = np.random.default_rng(23)
+        # bits, and two of them fit beside a 17-bit reversed position.
         block = rng.integers(0, 2, (1 << 15) + 11, dtype=np.uint8)
-        bits = np.concatenate([block, block, rng.integers(0, 2, 50, dtype=np.uint8)])
+        return np.concatenate([block, block, rng.integers(0, 2, 50, dtype=np.uint8)])
+
+    def test_two_wide_ranks_stay_tagged(self, monkeypatch):
+        bits = self._wide_rank_bits(np.random.default_rng(23))
+        levels, order = recplot._suffix_levels(bits)
+        free = 64 - bits.size.bit_length()
+        assert [level.digits for level in levels[1:]] == [2] * (len(levels) - 1)
+        assert all(
+            level.digits * int(level.ranks.max()).bit_length() <= free for level in levels[1:]
+        )
+        # The same suffix order as the argsort path's.
+        monkeypatch.setattr(recplot, "_MIN_TAGGED_DIGITS", 3)
+        assert np.array_equal(recplot._suffix_levels(bits)[1], order)
+
+    def test_wide_ranks_take_the_argsort_path(self, monkeypatch):
+        # Asking for three ranks beside the position sends the 16-bit levels
+        # to the fallback, which only texts of 2^21 letters or more reach
+        # under the default of two: they pack four ranks into 64 bits and
+        # sort by argsort.
+        monkeypatch.setattr(recplot, "_MIN_TAGGED_DIGITS", 3)
+        rng = np.random.default_rng(23)
+        bits = self._wide_rank_bits(rng)
         levels, order = recplot._suffix_levels(bits)
         free = 64 - bits.size.bit_length()
         assert len(levels) > 1

@@ -374,16 +374,16 @@ class TestAsymptotic:
         assert est.Lavg == math.inf
         assert est.RR == Fraction(3, 2) - Fraction(1)
 
-    def test_backed_out_corsum_is_c_l(self):
+    def test_det_divides_by_c_1(self):
         est = asymptotic_from_corsum(Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), 2)
-        assert est.C == Fraction(1, 3)
+        assert est == (Fraction(5, 12), Fraction(5, 6), 5)
         assert est.DET == est.RR / Fraction(1, 2)
 
     def test_sums_are_read_as_fractions(self):
         est = asymptotic_from_corsum(1, 1, 1, 2)
-        assert est == (1, 1, math.inf, 1)
-        assert all(type(v) is Fraction for v in (est.RR, est.DET, est.C))
-        assert asymptotic_from_corsum(np.float32(0.5), 0.5, np.longdouble(0.25), 2).C == Fraction(1, 2)
+        assert est == (1, 1, math.inf)
+        assert all(type(v) is Fraction for v in (est.RR, est.DET))
+        assert asymptotic_from_corsum(np.float32(0.5), 0.5, np.longdouble(0.25), 2).RR == Fraction(3, 4)
         for bad in ("1/2", None, math.nan, math.inf, np.float32("nan")):
             with pytest.raises(DomainError, match="correlation sum must be a number"):
                 asymptotic_from_corsum(1, bad, 0, 2)
@@ -394,7 +394,7 @@ class TestAsymptotic:
     def test_no_line_has_no_average_length(self, c_1, det):
         # C_l = 0: no line exists, which measures_from_histogram reads as an
         # absent Lavg too.
-        assert asymptotic_from_corsum(c_1, 0, 0, 2) == (0, det, None, 0)
+        assert asymptotic_from_corsum(c_1, 0, 0, 2) == (0, det, None)
 
     def test_monotonicity_validation(self):
         with pytest.raises(DomainError):
