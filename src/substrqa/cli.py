@@ -117,16 +117,12 @@ def _threshold(
     return (h if h is not None else 1), None
 
 
-def _empirical_report(
-    sub: Substitution, n: int, m: int, lmin: int, h: int
-) -> tuple[RQAReport, list[str]]:
-    norm, how = sub.normalize()
-    notes = []
-    if how is not Normalization.IDENTITY:
-        notes.append(f"analyzed the normalized form {norm} ({how.value})")
-    x = norm.fixed_point_prefix(n + lmin + h + m)
+def _empirical_report(sub: Substitution, n: int, m: int, lmin: int, h: int) -> RQAReport:
+    """The report of the n-by-n plot of sub's normalized form, with its
+    correlation sum."""
+    x = sub.normalize()[0].fixed_point_prefix(n + lmin + h + m)
     report = measures_from_histogram(histogram(x, n, h, m=m), lmin)
-    return replace(report, C=correlation_sum(x, n, lmin, h, m=m)), notes
+    return replace(report, C=correlation_sum(x, n, lmin, h, m=m))
 
 
 def _limit_report(limit: AsymptoticQuantifiers) -> RQAReport:
@@ -313,20 +309,21 @@ def analyze(spec, m, lmin, h, eps, n, asymptotic, fmt, log_base) -> None:
     sub = Substitution.parse(spec)
     if n is None and not asymptotic:
         raise DomainError("pass --n for a finite plot, --asymptotic, or both")
+    cls = sub.classify()
     notes = [eps_note] if eps_note else []
+    if cls.normalization is not Normalization.IDENTITY:
+        notes.append(f"analyzed the normalized form {cls.normalized} ({cls.normalization.value})")
+    if asymptotic and cls.kind is SubshiftKind.PRIMITIVE_PERIODIC:
+        notes.append(f"periodic fixed point (period {cls.period}): every diagonal line is infinite")
+    elif asymptotic and cls.kind is not SubshiftKind.PRIMITIVE_APERIODIC:
+        notes.append("constant-image substitution: line lengths are unbounded")
     payload = {"notes": notes}
     reports = []
     if n is not None:
-        empirical, more = _empirical_report(sub, n, m, lmin, h)
-        notes.extend(more)
+        empirical = _empirical_report(sub, n, m, lmin, h)
         payload["empirical"] = _report_json(empirical)
         reports.append(empirical)
     if asymptotic:
-        cls = sub.classify()
-        if cls.kind is SubshiftKind.PRIMITIVE_PERIODIC:
-            notes.append(f"periodic fixed point (period {cls.period}): every diagonal line is infinite")
-        elif cls.kind is not SubshiftKind.PRIMITIVE_APERIODIC:
-            notes.append("constant-image substitution: line lengths are unbounded")
         limit = _limit_report(_limits(sub, m, lmin, [h])[0])
         payload["asymptotic"] = _report_json(limit)
         reports.append(limit)
@@ -405,7 +402,7 @@ def convergence(spec, quantity, scales, m, lmin, h, eps, fmt) -> None:
     target = getattr(_limits(sub, m, lmin, [h])[0], quantity)
     sweep = []
     for n in sorted(scales):
-        report, _ = _empirical_report(sub, n, m, lmin, h)
+        report = _empirical_report(sub, n, m, lmin, h)
         value = getattr(report, quantity)
         sweep.append((n, value, _value_gap(value, target)))
     payload = {

@@ -7,7 +7,10 @@ discrepancies) exit 3, golden-value verification failures exit 1.
 Integer arguments enter the package through as_int (an int, not 12.0) and
 at_least (that, and no smaller than a bound), numbers through as_fraction
 (exact; not text, None or NaN) and text through as_text (a str, not bytes
-or None), so every entry point refuses them in the same words.
+or None), so every entry point refuses them in the same form of words.
+Only the parameter's name differs: asymptotics says m, lmin and h, where
+recplot and rqa say embedding dimension m, minimum line length and
+threshold exponent h.
 """
 
 import operator

@@ -13,9 +13,10 @@ the position, so a sort covers several doublings (5 sorts at 2^14
 letters, 11 at 2^20).  Each sort is a value sort of the key
 tagged with its position, and the last is the suffix order.  A level
 keeps only the ranks its keys pack, level 0 its letters and an end
-marker, and common prefixes of suffix-order neighbours compare two keys'
-digits per level, the same way on every level, but only at the few dozen
-run heads of the Burrows-Wheeler transform; the rest follow from
+marker.  The n - 1 adjacent values, the common prefixes of neighbours
+among the nonempty suffixes in suffix order, are read by comparing two
+keys' digits per level, the same way on every level, but only at the few
+dozen run heads of the Burrows-Wheeler transform; the rest follow from
 PLCP[i] = PLCP[i-1] - 1.  One pointer-jumping search finds the nearest
 smaller neighbours on both sides, which bound each pair count and each
 suffix-order interval of the occurrences of a final segment, whose sizes
@@ -168,15 +169,14 @@ def window_labels(bits: np.ndarray, width: int) -> np.ndarray:
 
 class _Level(NamedTuple):
     """One prefix-doubling level: its key at i packs `digits` ranks, the
-    first highest, of the windows of `span` letters that start at
-    i + offsets.  Its keys are read back from `ranks`: on level 0 the
-    letters followed by an end marker 2, later the level below's dense
-    ranks in the narrowest unsigned dtype."""
+    first highest, of the windows of `span` letters that start at i,
+    i + span, i + 2 span, ...  Its keys are read back from `ranks`: on
+    level 0 the letters followed by an end marker 2, later the level
+    below's dense ranks in the narrowest unsigned dtype."""
 
     ranks: np.ndarray
     span: int
     digits: int
-    offsets: np.ndarray
 
 
 def _shift_or(high: np.ndarray, low: np.ndarray, shift: int, offset: int) -> np.ndarray:
@@ -205,7 +205,8 @@ def _digits(level: _Level, at: np.ndarray) -> np.ndarray:
     """The digits of a level's keys at positions `at`, along a new last
     axis: mode "clip" reads the last rank past the end, level 0's end
     marker and later the empty suffix's rank 0."""
-    return level.ranks.take(at[..., None] + level.offsets, mode="clip")
+    offsets = np.arange(0, level.digits * level.span, level.span)
+    return level.ranks.take(at[..., None] + offsets, mode="clip")
 
 
 def _suffix_levels(bits: np.ndarray) -> tuple[list[_Level], np.ndarray]:
@@ -242,7 +243,7 @@ def _suffix_levels(bits: np.ndarray) -> tuple[list[_Level], np.ndarray]:
     free = 64 - shift
     tags = np.arange(letters, -1, -1, dtype=np.uint64)
     keys = _window_keys(_packed_words(bits), letters + 1, free)
-    levels = [_Level(np.concatenate((bits, [np.uint8(2)])), 1, free, np.arange(free))]
+    levels = [_Level(np.concatenate((bits, [np.uint8(2)])), 1, free)]
     tagged = True
     while True:
         level = levels[-1]
@@ -272,7 +273,7 @@ def _suffix_levels(bits: np.ndarray) -> tuple[list[_Level], np.ndarray]:
         width = top.bit_length()
         tagged = free // width >= _MIN_TAGGED_DIGITS
         digits = (free if tagged else 64) // width
-        levels.append(_Level(ranks, span, digits, np.arange(0, digits * span, span)))
+        levels.append(_Level(ranks, span, digits))
         keys = _pack(ranks, span, width, digits)
 
 
@@ -293,15 +294,15 @@ def _lcp(levels: list[_Level], i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 
 def _neighbour_lcp(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The nonempty suffixes of bits in suffix order, and each one's common
-    prefix PLCP[i] with the suffix p just before it (the empty suffix, so
-    0, for the first).  When i and p follow one letter c, nothing sorts
-    between c + suffix p and c + suffix i, so PLCP[i] = PLCP[i-1] - 1
-    (Karkkainen, Manzini & Puglisi 2009).  So _lcp lifts only where the
-    letter before changes (2 before suffix 0): the run heads of the BWT of
-    the text with an end marker, a few dozen on a fixed-point prefix.
-    PLCP[i] + i never falls (Kasai et al. 2001), so it is a running maximum
-    between heads."""
+    """The n nonempty suffixes of bits in suffix order, and their n - 1
+    adjacent common prefixes: PLCP[i] of each suffix i but the first with
+    the suffix p just before it.  When i and p follow one letter c,
+    nothing sorts between c + suffix p and c + suffix i, so PLCP[i] =
+    PLCP[i-1] - 1 (Karkkainen, Manzini & Puglisi 2009).  So _lcp lifts
+    only where the letter before changes (2 before suffix 0): the run heads
+    of the BWT of the text with an end marker, a few dozen on a fixed-point
+    prefix.  PLCP[i] + i never falls (Kasai et al. 2001), so it is a
+    running maximum between heads."""
     levels, order = _suffix_levels(bits)
     before = np.concatenate(([np.uint8(2)], bits))[order]
     heads = np.flatnonzero(before[1:] != before[:-1]) + 1
@@ -311,7 +312,7 @@ def _neighbour_lcp(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     reach[order[heads]] = lifted + order[heads]
     np.maximum.accumulate(reach, out=reach)
     order = order[1:]  # the empty suffix sorts first
-    return order, reach[order] - order
+    return order, reach[order[1:]] - order[1:]
 
 
 def _smaller_bounds(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -470,8 +471,7 @@ def histogram(x: BitSequence, n: int, h: int, *, m: int = 1) -> LineHistogram:
     n, h, m, window = _plot_args(n, h, m, 2)
     size = n + window - 1
     bits = _require_prefix(x, size, f"plot of size {n} at window {window}")
-    order, common = _neighbour_lcp(bits)
-    adjacent = common[1:]
+    order, adjacent = _neighbour_lcp(bits)
     place = int(np.flatnonzero(order == 0)[0])
     left, right = _smaller_bounds(adjacent)
     pairs = _pairs_by_lcp(adjacent, left, right, size)
@@ -520,12 +520,11 @@ def inner_line_counts(x: BitSequence, n: int, max_length: int) -> np.ndarray:
     bits = _require_prefix(
         x, n + max_length + 1, f"inner-line scan up to length {max_length}, bound {n}"
     )
-    order, common = _neighbour_lcp(bits)
+    order, adjacent = _neighbour_lcp(bits)
     # follows[c, r]: kept ranks below r after letter c (suffix 0 is not kept).
     follows = np.zeros((2, bits.size + 1), dtype=np.int32)
     follows[:, 1:] = (order >= 1) & (order < n) & (bits[order - 1] == [[0], [1]])
     np.cumsum(follows, axis=1, out=follows)
-    adjacent = common[1:]
     credited = np.flatnonzero(adjacent <= max_length)
     # follows at each credited index, then at the search's ends k and -1.
     at = follows[:, np.append(credited, (adjacent.size, -1)) + 1]

@@ -206,13 +206,13 @@ def rqa_from_corsum(c_l: Fraction, c_next: Fraction, n: int, lmin: int) -> Estim
 def linedens_from_corsum(
     c_l: Fraction, c_next: Fraction, n: int, lmin: int
 ) -> LinedensEstimate:
-    """Cumulative line density (and the induced average-length quotient)
-    reconstructed from two adjacent correlation sums, read as Fractions."""
+    """Cumulative line density reconstructed from two adjacent correlation
+    sums, read as Fractions, and the average length rqa_from_corsum's RR
+    over it induces."""
     n, lmin = at_least(n, 2, "plot size"), at_least(lmin, 1, "minimum line length")
     c_l, c_next = (as_fraction(c, "correlation sum") for c in (c_l, c_next))
     value = Fraction(n, n - 1) * (c_l - c_next)
-    rr = (n * c_l - 1) / (n - 1) + (lmin - 1) * value  # rqa_from_corsum's value
-    lavg = rr / value if value > 0 else None
+    lavg = rqa_from_corsum(c_l, c_next, n, lmin).value / value if value > 0 else None
     return LinedensEstimate(value=value, bound=Fraction(2 * lmin, n), lavg=lavg)
 
 

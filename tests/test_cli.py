@@ -191,8 +191,34 @@ class TestAnalyze:
                     "note: periodic fixed point (period 2): every diagonal line is infinite",
                 ],
             ),
+            (
+                ["101,010", "--n", "64", "--asymptotic", "--eps", "0.3"],
+                [
+                    "note: threshold 0.3 quantized to 2^-2",
+                    "note: analyzed the normalized form 0->010101010,1->101010101 (square)",
+                    "note: periodic fixed point (period 2): every diagonal line is infinite",
+                ],
+            ),
+            (
+                ["110,100", "--n", "64"],
+                ["note: analyzed the normalized form 0->011,1->001 (letter_swap)"],
+            ),
+            (
+                ["110,100", "--asymptotic"],
+                ["note: analyzed the normalized form 0->011,1->001 (letter_swap)"],
+            ),
+            (
+                ["101,010", "--asymptotic"],
+                [
+                    "note: analyzed the normalized form 0->010101010,1->101010101 (square)",
+                    "note: periodic fixed point (period 2): every diagonal line is infinite",
+                ],
+            ),
         ],
-        ids=["period-2", "period-4", "constant-image", "normalized-first"],
+        ids=[
+            "period-2", "period-4", "constant-image", "normalized-first", "threshold-first",
+            "plot-only", "limit-only-swap", "limit-only-square",
+        ],
     )
     def test_degenerate_notes(self, runner, args, notes):
         # Only the note lines: the periodic limit values are placeholders.

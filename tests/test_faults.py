@@ -3,9 +3,14 @@
 # refuses it with the exception class and the check its message names;
 # constants that no substitution has are refused as they are built.
 # Faults that nothing refuses yet are not pinned here; the change that
-# closes one adds its case.
+# closes one adds its case.  SITES credits every raise of DiscrepancyError
+# or ReconstructionError in the package to the cases that reach it, and
+# the static rule at the end keeps that map whole.
+import ast
 import dataclasses
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -236,11 +241,12 @@ FAULTS = [
 
 
 @pytest.mark.parametrize("fault, sub, lmin, error, check", FAULTS)
-def test_fault_is_refused(fault, sub, lmin, error, check):
+def test_fault_is_refused(fault, sub, lmin, error, check, request):
     with pytest.MonkeyPatch.context() as patch:
         fault(patch)
-        with pytest.raises(error, match=check):
+        with pytest.raises(error, match=check) as caught:
             asymptotic_quantifiers(sub, 1, lmin)
+    _assert_credited(caught, request)
     # Without the patch the same call gives its row.
     _clear_caches()
     assert isinstance(asymptotic_quantifiers(sub, 1, lmin), AsymptoticQuantifiers)
@@ -253,18 +259,30 @@ def _empty_families(table):
     )
 
 
+def _raise_base_density_1(table):
+    # C_1 = 193/120 > 1: the limit correlation sums fall out of order.
+    return dataclasses.replace(table, base={**table.base, 1: Fraction(9, 10)})
+
+
 TABLE_FAULTS = [
     pytest.param(
         _empty_families, 2, DiscrepancyError, "tail sums must be positive", id="families-emptied",
+    ),
+    pytest.param(
+        _raise_base_density_1, 2, DiscrepancyError,
+        "limit correlation sums must satisfy 0 <= C_\\(l\\+1\\) <= C_l <= C_1 <= 1, "
+        "got 89/200, 173/300, 193/120 at \\(m=1, lmin=2, h=1\\)",
+        id="base-density-1-raised",
     ),
 ]
 
 
 @pytest.mark.parametrize("fault, lmin, error, check", TABLE_FAULTS)
-def test_inconsistent_table_is_refused(fault, lmin, error, check):
+def test_inconsistent_table_is_refused(fault, lmin, error, check, request):
     table = densities.reconstruct_base(Q5)
-    with pytest.raises(error, match=check):
+    with pytest.raises(error, match=check) as caught:
         closed_form(fault(table), 1, lmin, 1)
+    _assert_credited(caught, request)
     # The table as reconstructed gives its row.
     assert isinstance(closed_form(table, 1, lmin, 1), AsymptoticQuantifiers)
 
@@ -295,6 +313,107 @@ CONSTANTS_FAULTS = [
 
 
 @pytest.mark.parametrize("values, error, check", CONSTANTS_FAULTS)
-def test_impossible_constants_are_refused(values, error, check):
-    with pytest.raises(error, match=check):
+def test_impossible_constants_are_refused(values, error, check, request):
+    with pytest.raises(error, match=check) as caught:
         recognizability.RecogConstants(**values)
+    if error is not DomainError:
+        _assert_credited(caught, request)
+
+
+# Every raise of DiscrepancyError or ReconstructionError in the package, by
+# module, enclosing function and message (each replacement field as {}),
+# and the ids of the cases above that reach it.
+SITES = {
+    ("asymptotics", "_row", "limit {} at (m={}, lmin={}, h={})"): {"base-density-1-raised"},
+    (
+        "asymptotics", "_limit_sums",
+        "tail sums must be positive for a primitive aperiodic table, got lineDens={}, RR1={}",
+    ): {"families-emptied"},
+    (
+        "asymptotics", "closed_form",
+        "closed form and tail sums disagree on {} at (m={}, lmin={}, h={}): {} vs {}",
+    ): {"closed-form-neighbouring-base", "closed-form-entropy-raised"},
+    (
+        "densities", "_two_block_frequencies", "two-block frequencies must be nonnegative, got {}",
+    ): {"letter-frequencies-0-1"},
+    (
+        "densities", "_two_block_frequencies",
+        "two-block frequencies are positive on {}, not on the 2-word language",
+    ): {"letter-frequencies-exchanged"},
+    (
+        "densities", "_block_frequencies_cached",
+        "block frequencies at length {} sum to {}/{}, not 1",
+    ): {"residue-0-dropped"},
+    (
+        "densities", "_check_shift_invariance",
+        "block frequencies at length {} are not shift invariant",
+    ): {"two-blocks-shifted"},
+    (
+        "densities", "_reconstruct_cached", "base density at length {} out of range: {}",
+    ): {"density-over-D"},
+    (
+        "densities", "_reconstruct_cached",
+        "start pairs at length {} and size {}: the suffix order counts {}, "
+        "the block recurrence {}",
+    ): {"prefix-letter-1500-flipped", "start-pairs-halved"},
+    (
+        "densities", "_reconstruct_cached",
+        "emptiness mismatch at length {}: exact {}, {} start pairs at size {}",
+    ): {"density-4-emptied"},
+    (
+        "densities", "_reconstruct_cached",
+        "scaling check failed for base length {}: child {} has {} start pairs at size {}, "
+        "the base {} at size {}",
+    ): {"beta-plus-one"},
+    (
+        "densities", "dens_K", "scaling closed forms disagree at length {}: {} vs {}",
+    ): {"neighbouring-base"},
+    (
+        "recognizability", "__post_init__",
+        "recognizability constants disagree: K={}, R={} violate K+1 <= R <= K+q for q={}",
+    ): {"alpha-plus-q", "R-past-K-plus-q"},
+}
+REFUSALS = ("DiscrepancyError", "ReconstructionError")
+
+
+def _assert_credited(caught, request):
+    # The refusal came from a site that SITES credits to this case.
+    entry = caught.traceback[-1]
+    reached = [
+        cases
+        for (module, function, message), cases in SITES.items()
+        if (module, function) == (Path(entry.path).stem, entry.name)
+        and re.fullmatch(re.escape(message).replace(re.escape("{}"), ".*"), str(caught.value))
+    ]
+    assert len(reached) == 1 and request.node.callspec.id in reached[0]
+
+
+def _raise_sites(node, module, function="<module>"):
+    # (module, innermost enclosing function, message) of each refusal raised
+    # under node; an f-string's replacement fields read {}.
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _raise_sites(child, module, child.name)
+            continue
+        exc = child.exc if isinstance(child, ast.Raise) else None
+        if isinstance(exc, ast.Call) and getattr(exc.func, "id", None) in REFUSALS:
+            text = exc.args[0]
+            parts = text.values if isinstance(text, ast.JoinedStr) else [text]
+            yield module, function, "".join(
+                p.value if isinstance(p, ast.Constant) else "{}" for p in parts
+            )
+        yield from _raise_sites(child, module, function)
+
+
+def test_every_refusal_site_has_a_case():
+    # An ast walk over the package source, so a new certification check or
+    # cross-check cannot land without a case here that reaches it.
+    sites = [
+        site
+        for path in sorted(Path(densities.__file__).parent.glob("*.py"))
+        for site in _raise_sites(ast.parse(path.read_text()), path.stem)
+    ]
+    cases = {param.id for param in FAULTS + TABLE_FAULTS + CONSTANTS_FAULTS}
+    assert [site for site in sites if not SITES.get(site, set()) & cases] == []
+    # Each site has its own key, and every key is still a site.
+    assert sorted(sites) == sorted(SITES)

@@ -302,9 +302,9 @@ PLOT_POOL = [
 def _assert_neighbour_lcp(bits: np.ndarray) -> None:
     # The permuted fill against lifting every pair of neighbours.
     levels, full = recplot._suffix_levels(bits)
-    order, common = recplot._neighbour_lcp(bits)
+    order, adjacent = recplot._neighbour_lcp(bits)
     assert order.tolist() == full[1:].tolist()
-    assert common.tolist() == recplot._lcp(levels, full[:-1], full[1:]).tolist()
+    assert adjacent.tolist() == recplot._lcp(levels, full[1:-1], full[2:]).tolist()
 
 
 def _assert_far_edge_runs(text: str) -> None:
@@ -314,8 +314,7 @@ def _assert_far_edge_runs(text: str) -> None:
     for line in extract_lines(x, len(text), 1):
         if Boundary.N_BOUNDARY in line.boundary and line.i < line.j:
             expected[line.length] += 1
-    order, common = recplot._neighbour_lcp(x.bits)
-    adjacent = common[1:]
+    order, adjacent = recplot._neighbour_lcp(x.bits)
     right = recplot._smaller_bounds(adjacent)[1]
     assert recplot._far_edge_runs(order, adjacent, right).tolist() == expected
 
@@ -410,8 +409,11 @@ def _assert_level0(bits: np.ndarray) -> None:
     free = 64 - bits.size.bit_length()
     assert _level0_keys(bits).tolist() == _packed_letters(bits).tolist(), bits.size
     level = recplot._suffix_levels(bits)[0][0]
-    assert (level.span, level.digits, level.offsets.tolist()) == (1, free, list(range(free)))
+    assert (level.span, level.digits) == (1, free)
     assert level.ranks.tolist() == bits.tolist() + [2]
+    # Its digits at 0 are the first free letters, then end markers.
+    first = recplot._digits(level, np.zeros(1, dtype=np.int64))[0]
+    assert first.tolist() == (bits.tolist() + [2] * free)[:free]
 
 
 class TestSuffixKernel:
@@ -472,7 +474,7 @@ class TestSuffixKernel:
     @pytest.mark.parametrize("text", _kernel_texts())
     def test_pairs_by_lcp_match_brute_force(self, text):
         size, x = len(text), BitSequence.from_text(text)
-        common = recplot._neighbour_lcp(x.bits)[1]
+        adjacent = recplot._neighbour_lcp(x.bits)[1]
         shared = {
             (i, j): _common_prefix(text[i:], text[j:])
             for i, j in itertools.combinations(range(size), 2)
@@ -480,7 +482,6 @@ class TestSuffixKernel:
         expected = [0] * (size + 1)
         for i, j in itertools.combinations(range(size), 2):
             expected[shared[i, j]] += 1
-        adjacent = common[1:]
         bounds = recplot._smaller_bounds(adjacent)
         assert recplot._pairs_by_lcp(adjacent, *bounds, size).tolist() == expected
         # inner_line_counts at each n, with the lmax that fills the text:
@@ -581,8 +582,7 @@ class TestSuffixKernel:
         # of the first rank lands on the second adjacent value equal to 1,
         # and the search hops on to the interval's end.
         x = BitSequence.from_text("0100")
-        order, common = recplot._neighbour_lcp(x.bits)
-        adjacent = common[1:]
+        order, adjacent = recplot._neighbour_lcp(x.bits)
         right = recplot._smaller_bounds(adjacent)[1]
         assert order.tolist() == [3, 2, 0, 1]
         assert adjacent[0] == adjacent[right[0]] == 1

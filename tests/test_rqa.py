@@ -323,7 +323,9 @@ class TestConversions:
 
         monkeypatch.setattr(rqa, "as_fraction", counted)
         assert linedens_from_corsum(0.5, 0.25, 8, 3).lavg == Fraction(7, 2)
-        assert reads == [0.5, 0.25]
+        # Each float once; rqa_from_corsum, for RR, reads the Fractions.
+        assert reads == [0.5, 0.25, Fraction(1, 2), Fraction(1, 4)]
+        assert [type(r) for r in reads] == [float, float, Fraction, Fraction]
 
     @pytest.mark.parametrize("name", ["rqa_from_corsum", "linedens_from_corsum", "corsum_from_rqa"])
     @pytest.mark.parametrize("kind", [float, np.float32, np.longdouble], ids=lambda k: k.__name__)
